@@ -4,9 +4,10 @@
  * latency of pushing one task into a ready queue.
  *
  * Two views, matching the paper's methodology:
- *  1. google-benchmark measurement of this repository's actual policy
- *     code (host-side cost of one ready-queue insertion at varying
- *     queue depth) — the relative ordering FCFS < GEDF < LL/LAX <
+ *  1. the host cost of this repository's actual policy code: one
+ *     ready-queue insertion at queue depths 4, 16 and 64, timed by the
+ *     benchmark's probe (perfbench/layer_probes.hh, fastest of several
+ *     batches) — the relative ordering FCFS < GEDF < LL/LAX <
  *     HetSched < RELIEF is the reproduced result;
  *  2. the modeled Cortex-A7 push costs observed during a
  *     high-contention simulation (average and tail), which is what the
@@ -15,58 +16,15 @@
  * accelerator execution.
  */
 
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "core/relief.hh"
+#include "layer_probes.hh"
 
 using namespace relief;
 
 namespace
 {
-
-/** Fill a ready queue with @p depth laxity-sorted nodes. */
-void
-fillQueue(Dag &dag, ReadyQueues &queues, Policy &policy, int depth)
-{
-    SchedContext ctx;
-    for (int i = 0; i < depth; ++i) {
-        TaskParams p;
-        p.type = AccType::ElemMatrix;
-        Node *n = dag.addNode(p, "q" + std::to_string(i));
-        n->deadline = fromUs(double(100 + 37 * (i * 7 % 13)));
-        n->predictedRuntime = fromUs(double(10 + i % 5));
-        n->laxityKey = STick(n->deadline) - STick(n->predictedRuntime);
-        policy.onNodesReady({n}, ctx, queues);
-    }
-}
-
-void
-benchPush(benchmark::State &state, PolicyKind kind)
-{
-    auto policy = makePolicy(kind);
-    const int depth = int(state.range(0));
-    for (auto _ : state) {
-        state.PauseTiming();
-        Dag dag("bench", 'B');
-        ReadyQueues queues;
-        fillQueue(dag, queues, *policy, depth);
-        TaskParams p;
-        p.type = AccType::ElemMatrix;
-        Node *incoming = dag.addNode(p, "incoming");
-        incoming->deadline = fromUs(150.0);
-        incoming->predictedRuntime = fromUs(12.0);
-        incoming->laxityKey =
-            STick(incoming->deadline) - STick(incoming->predictedRuntime);
-        SchedContext ctx;
-        ctx.idleCount[accIndex(AccType::ElemMatrix)] = 1;
-        state.ResumeTiming();
-
-        policy->onNodesReady({incoming}, ctx, queues);
-        benchmark::DoNotOptimize(queues);
-    }
-}
 
 void
 printModeledLatencies()
@@ -92,23 +50,29 @@ printModeledLatencies()
     std::cout << "\n";
 }
 
+void
+printHostPushLatencies()
+{
+    const int depths[] = {4, 16, 64};
+    Table table("Fig 12 — host ns per ready-queue push, by queue depth");
+    table.setHeader({"policy", "q4", "q16", "q64"});
+    for (PolicyKind kind : allPolicies) {
+        std::vector<std::string> row = {policyName(kind)};
+        for (int depth : depths)
+            row.push_back(
+                Table::num(probes::pushNs(kind, depth, {}), 1));
+        table.addRow(row);
+    }
+    table.emit(std::cout);
+}
+
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     setInformEnabled(false);
     printModeledLatencies();
-
-    for (PolicyKind kind : allPolicies) {
-        std::string bench_name = std::string("push/") + policyName(kind);
-        auto *bench = benchmark::RegisterBenchmark(
-            bench_name.c_str(),
-            [kind](benchmark::State &state) { benchPush(state, kind); });
-        bench->Arg(4)->Arg(16)->Arg(64);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    printHostPushLatencies();
     return 0;
 }

@@ -1,11 +1,9 @@
 #!/usr/bin/env python3
 """Validate a relief benchmark JSON document.
 
-Dispatches on the document's "schema" field and validates both formats
-the benches emit:
+Dispatches on the document's "schema" field and validates every
+artifact the tools emit:
 
-  - relief-bench-v1  (tools/relief_bench, bench smoke)  — documented in
-    docs/observability.md
   - relief-serve-v1  (bench/serve_load_sweep, tools/relief_serve) —
     documented in docs/serving.md
   - relief-trace-v1  (relief_serve --trace-json: tail-sampled request
@@ -13,21 +11,15 @@ the benches emit:
   - relief-pressure-v1 (relief_sim --pressure-report: the memory-
     pressure attribution ledger) — documented in docs/observability.md
   - relief-hostprof-v1 (relief_sim --host-profile: host wall-time
-    attribution by category) — documented in docs/observability.md §11
-  - relief-kernels-v1 (tools/relief_kernel_bench: per-kernel scalar
-    vs SIMD throughput and bit-identity) — documented in
-    docs/performance.md
+    attribution by category) — documented in docs/observability.md §10
 
-Schema family v6: relief-kernels-v1 is new (the SIMD kernel engine's
-microbenchmark document). v5 added the "build_info" provenance object
-(git sha, compiler, build type, flags) every top-level document
-carries, relief-bench-v1's "inject_spin_ns" and optional per-run
-"hostprof" objects, and relief-hostprof-v1.
+Every top-level document carries a "build_info" provenance object (git
+sha, compiler, build type, flags).
 
 Dependency-free (Python standard library only) so CI and developers can
 run it anywhere:
 
-    scripts/check_bench_schema.py BENCH_relief.json
+    scripts/check_bench_schema.py pressure.json
     scripts/check_bench_schema.py BENCH_serve.json
     scripts/check_bench_schema.py --self-test
 
@@ -42,21 +34,6 @@ import sys
 
 BUCKETS = ("queue_wait", "manager", "dma_in", "compute", "dma_out",
            "dep_stall", "total")
-
-RUN_FIELDS = {
-    "mix": str,
-    "policy": str,
-    "host_wall_s": (int, float),
-    "sim_ticks": int,
-    "sim_events": int,
-    "events_per_sec": (int, float),
-    "dags_finished": int,
-    "node_deadline_fraction": (int, float),
-    "dag_deadline_fraction": (int, float),
-    "critical_path_us": dict,
-}
-
-FRACTION_FIELDS = ("node_deadline_fraction", "dag_deadline_fraction")
 
 BUILD_INFO_FIELDS = ("git_sha", "compiler_id", "compiler_version",
                      "build_type", "cxx_flags")
@@ -96,9 +73,8 @@ def check_build_info(where, info, errors):
 
 
 def check_hostprof_body(where, hp, errors):
-    """Validate the category/counter body shared by standalone
-    relief-hostprof-v1 documents and per-run embedded "hostprof"
-    objects of a relief-bench-v1 document."""
+    """Validate the category/counter body of a relief-hostprof-v1
+    document."""
 
     def err(msg):
         errors.append(msg)
@@ -166,75 +142,6 @@ def check_hostprof(doc):
     errors = []
     check_build_info("build_info", doc.get("build_info"), errors)
     check_hostprof_body("hostprof", doc, errors)
-    return errors
-
-
-def check_bench(doc):
-    errors = []
-
-    def err(msg):
-        errors.append(msg)
-
-    check_build_info("build_info", doc.get("build_info"), errors)
-    if not isinstance(doc.get("limit_ms"), (int, float)) \
-            or doc.get("limit_ms") <= 0:
-        err("limit_ms: expected a positive number")
-    if not isinstance(doc.get("smoke"), bool):
-        err("smoke: expected a boolean")
-    if not is_count(doc.get("inject_spin_ns")):
-        err("inject_spin_ns: expected a non-negative integer, got %r"
-            % (doc.get("inject_spin_ns"),))
-    # "jobs" (worker threads used) arrived with the parallel runner;
-    # tolerate its absence so older documents stay valid.
-    if "jobs" in doc:
-        jobs = doc["jobs"]
-        if not is_count(jobs) or jobs < 1:
-            err("jobs: expected a positive integer, got %r" % (jobs,))
-
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        err("runs: expected a non-empty array")
-        return errors
-
-    for i, run in enumerate(runs):
-        where = "runs[%d]" % i
-        if not isinstance(run, dict):
-            err("%s: expected an object" % where)
-            continue
-        for field, kind in RUN_FIELDS.items():
-            value = run.get(field)
-            # bool is an int subclass; reject it for numeric fields.
-            if value is None or isinstance(value, bool) \
-                    or not isinstance(value, kind):
-                err("%s.%s: expected %s, got %r"
-                    % (where, field, kind, value))
-        for field in FRACTION_FIELDS:
-            value = run.get(field)
-            if is_number(value) and not 0.0 <= value <= 1.0:
-                err("%s.%s: %r outside [0, 1]" % (where, field, value))
-        for field in ("host_wall_s", "events_per_sec"):
-            value = run.get(field)
-            if is_number(value) and value < 0:
-                err("%s.%s: %r is negative" % (where, field, value))
-
-        if "hostprof" in run:
-            check_hostprof_body("%s.hostprof" % where, run["hostprof"],
-                                errors)
-
-        cp = run.get("critical_path_us")
-        if isinstance(cp, dict):
-            for bucket in BUCKETS:
-                value = cp.get(bucket)
-                if not is_number(value):
-                    err("%s.critical_path_us.%s: expected a number, "
-                        "got %r" % (where, bucket, value))
-                elif value < 0:
-                    err("%s.critical_path_us.%s: %r is negative"
-                        % (where, bucket, value))
-            extra = set(cp) - set(BUCKETS)
-            if extra:
-                err("%s.critical_path_us: unknown keys %s"
-                    % (where, sorted(extra)))
     return errors
 
 
@@ -746,98 +653,11 @@ def check_pressure(doc):
     return errors
 
 
-KERNEL_ISAS = ("scalar", "sse4.2", "avx2", "neon")
-
-KERNEL_UNITS = ("MPix/s", "Melem/s")
-
-# Throughput ratios are emitted with ~6 significant digits; allow
-# rounding slack when cross-checking speedup against scalar/simd.
-SPEEDUP_TOLERANCE = 1e-3
-
-
-def check_kernels(doc):
-    """Validate a relief-kernels-v1 kernel microbenchmark document."""
-    errors = []
-
-    def err(msg):
-        errors.append(msg)
-
-    check_build_info("build_info", doc.get("build_info"), errors)
-    if doc.get("isa") not in KERNEL_ISAS:
-        err("isa: expected one of %s, got %r"
-            % (list(KERNEL_ISAS), doc.get("isa")))
-    lane_width = doc.get("lane_width")
-    if not is_count(lane_width) or lane_width < 1:
-        err("lane_width: expected a positive integer, got %r"
-            % (lane_width,))
-    if not isinstance(doc.get("smoke"), bool):
-        err("smoke: expected a boolean")
-    for field in ("width", "height"):
-        value = doc.get(field)
-        if not is_count(value) or value < 1:
-            err("%s: expected a positive integer, got %r"
-                % (field, value))
-
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        err("runs: expected a non-empty array")
-        return errors
-
-    speedups = []
-    for i, run in enumerate(runs):
-        where = "runs[%d]" % i
-        if not isinstance(run, dict):
-            err("%s: expected an object" % where)
-            continue
-        if not isinstance(run.get("kernel"), str) or not run.get("kernel"):
-            err("%s.kernel: expected a non-empty string" % where)
-        if run.get("unit") not in KERNEL_UNITS:
-            err("%s.unit: expected one of %s, got %r"
-                % (where, list(KERNEL_UNITS), run.get("unit")))
-        if not is_count(run.get("reps")) or run.get("reps") < 1:
-            err("%s.reps: expected a positive integer, got %r"
-                % (where, run.get("reps")))
-        for field in ("scalar", "simd", "speedup"):
-            value = run.get(field)
-            if not is_number(value) or value < 0:
-                err("%s.%s: expected a non-negative number, got %r"
-                    % (where, field, value))
-        if not isinstance(run.get("identical"), bool):
-            err("%s.identical: expected a boolean" % where)
-        # Speedup consistency: speedup is simd/scalar of this run.
-        if all(is_number(run.get(f)) for f in ("scalar", "simd",
-                                               "speedup")) \
-                and run["scalar"] > 0:
-            expected = run["simd"] / run["scalar"]
-            if abs(run["speedup"] - expected) \
-                    > SPEEDUP_TOLERANCE * max(expected, 1.0):
-                err("%s.speedup: %r inconsistent with simd/scalar (%r)"
-                    % (where, run["speedup"], expected))
-            speedups.append(run["speedup"])
-
-    geomean = doc.get("geomean_speedup")
-    if not is_number(geomean) or geomean < 0:
-        err("geomean_speedup: expected a non-negative number, got %r"
-            % (geomean,))
-    elif speedups and len(speedups) == len(runs):
-        product = 1.0
-        for s in speedups:
-            product *= max(s, 1e-12)
-        expected = product ** (1.0 / len(speedups))
-        if abs(geomean - expected) > SPEEDUP_TOLERANCE * max(expected,
-                                                            1.0):
-            err("geomean_speedup: %r inconsistent with per-run "
-                "speedups (%r)" % (geomean, expected))
-    return errors
-
-
 CHECKERS = {
-    "relief-bench-v1": check_bench,
     "relief-serve-v1": check_serve,
     "relief-trace-v1": check_trace,
     "relief-pressure-v1": check_pressure,
     "relief-hostprof-v1": check_hostprof,
-    "relief-kernels-v1": check_kernels,
 }
 
 
@@ -871,7 +691,9 @@ def good_hostprof_category(wall_ns=0, events=0, heap_allocs=0):
             "heap_allocs": heap_allocs, "ns_hist": hist}
 
 
-GOOD_HOSTPROF_BODY = {
+GOOD_HOSTPROF = {
+    "schema": "relief-hostprof-v1",
+    "build_info": GOOD_BUILD_INFO,
     "total_wall_ns": 1000000,
     "attributed_wall_ns": 950000,
     "coverage": 0.95,
@@ -886,31 +708,6 @@ GOOD_HOSTPROF_BODY = {
         "stats": good_hostprof_category(wall_ns=40000, events=5),
         "serve": good_hostprof_category(),
     },
-}
-
-GOOD_HOSTPROF = dict(GOOD_HOSTPROF_BODY, schema="relief-hostprof-v1",
-                     build_info=GOOD_BUILD_INFO)
-
-GOOD_BENCH = {
-    "schema": "relief-bench-v1",
-    "build_info": GOOD_BUILD_INFO,
-    "limit_ms": 50.0,
-    "smoke": True,
-    "jobs": 2,
-    "inject_spin_ns": 0,
-    "runs": [{
-        "mix": "CDL",
-        "policy": "RELIEF",
-        "host_wall_s": 0.5,
-        "sim_ticks": 1000,
-        "sim_events": 200,
-        "events_per_sec": 400.0,
-        "dags_finished": 3,
-        "node_deadline_fraction": 0.9,
-        "dag_deadline_fraction": 1.0,
-        "critical_path_us": {bucket: 1.0 for bucket in BUCKETS},
-        "hostprof": GOOD_HOSTPROF_BODY,
-    }],
 }
 
 GOOD_SLO = {
@@ -1041,26 +838,6 @@ GOOD_PRESSURE = {
     ],
 }
 
-GOOD_KERNELS = {
-    "schema": "relief-kernels-v1",
-    "build_info": GOOD_BUILD_INFO,
-    "isa": "avx2",
-    "lane_width": 8,
-    "smoke": True,
-    "width": 96,
-    "height": 64,
-    "runs": [
-        {"kernel": "conv5x5", "unit": "MPix/s", "reps": 16,
-         "scalar": 100.0, "simd": 500.0, "speedup": 5.0,
-         "identical": True},
-        {"kernel": "elem_add", "unit": "Melem/s", "reps": 32,
-         "scalar": 1000.0, "simd": 4000.0, "speedup": 4.0,
-         "identical": True},
-    ],
-    # geomean of 5.0 and 4.0
-    "geomean_speedup": 4.47213595499958,
-}
-
 GOOD_TRACE = {
     "schema": "relief-trace-v1",
     "build_info": GOOD_BUILD_INFO,
@@ -1184,32 +961,10 @@ def self_test():
         if not valid and not errors:
             failures.append("%s: expected a violation, got none" % label)
 
-    expect(GOOD_BENCH, True, "good bench doc")
     expect(GOOD_SERVE, True, "good serve doc")
     expect([], False, "non-object top level")
     expect({"schema": "relief-nope-v9", "runs": []}, False,
            "unknown schema")
-
-    expect(mutate(GOOD_BENCH, ["limit_ms"], -1), False,
-           "bench negative limit_ms")
-    expect(mutate(GOOD_BENCH, ["runs"], []), False, "bench empty runs")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "dags_finished"], "three"),
-           False, "bench non-integer dags_finished")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "node_deadline_fraction"], 1.5),
-           False, "bench fraction outside [0, 1]")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "critical_path_us", "compute"],
-                  Ellipsis), False, "bench missing breakdown bucket")
-    expect(mutate(GOOD_BENCH, ["build_info"], Ellipsis), False,
-           "bench missing build_info")
-    expect(mutate(GOOD_BENCH, ["build_info", "git_sha"], ""), False,
-           "bench empty git sha")
-    expect(mutate(GOOD_BENCH, ["inject_spin_ns"], -5), False,
-           "bench negative inject_spin_ns")
-    expect(mutate(GOOD_BENCH, ["runs", 0, "hostprof"], Ellipsis), True,
-           "bench run without hostprof (not --host-profile)")
-    expect(mutate(GOOD_BENCH,
-                  ["runs", 0, "hostprof", "coverage"], 1.2),
-           False, "bench embedded hostprof coverage outside [0, 1]")
 
     expect(GOOD_HOSTPROF, True, "good hostprof doc")
     expect(mutate(GOOD_HOSTPROF, ["build_info"], Ellipsis), False,
@@ -1307,30 +1062,6 @@ def self_test():
     expect(mutate(GOOD_PRESSURE,
                   ["resources", 0, "contenders", 1, "transfers"], -1),
            False, "pressure negative transfer count")
-
-    expect(GOOD_KERNELS, True, "good kernels doc")
-    expect(mutate(GOOD_KERNELS, ["build_info"], Ellipsis), False,
-           "kernels missing build_info")
-    expect(mutate(GOOD_KERNELS, ["isa"], "avx512"), False,
-           "kernels unknown isa")
-    expect(mutate(GOOD_KERNELS, ["lane_width"], 0), False,
-           "kernels zero lane width")
-    expect(mutate(GOOD_KERNELS, ["width"], -1), False,
-           "kernels negative image width")
-    expect(mutate(GOOD_KERNELS, ["runs"], []), False,
-           "kernels empty runs")
-    expect(mutate(GOOD_KERNELS, ["runs", 0, "kernel"], ""), False,
-           "kernels empty kernel name")
-    expect(mutate(GOOD_KERNELS, ["runs", 0, "unit"], "GB/s"), False,
-           "kernels unknown unit")
-    expect(mutate(GOOD_KERNELS, ["runs", 0, "scalar"], -1.0), False,
-           "kernels negative throughput")
-    expect(mutate(GOOD_KERNELS, ["runs", 0, "speedup"], 9.0), False,
-           "kernels speedup inconsistent with simd/scalar")
-    expect(mutate(GOOD_KERNELS, ["runs", 1, "identical"], "yes"),
-           False, "kernels non-boolean identical")
-    expect(mutate(GOOD_KERNELS, ["geomean_speedup"], 2.0), False,
-           "kernels geomean inconsistent with per-run speedups")
 
     expect(GOOD_TRACE, True, "good trace doc")
     expect(mutate(GOOD_TRACE, ["build_info"], None), False,

@@ -1,6 +1,9 @@
 #include "core/experiment.hh"
 
+#include <memory>
+
 #include "kernels/scratch.hh"
+#include "sim/hostprof.hh"
 
 namespace relief
 {
@@ -13,13 +16,18 @@ runExperiment(const ExperimentConfig &config)
     // parallel runner's workers (see dag.hh resetNodeIds).
     resetNodeIds();
     resetKernelScratch(); // likewise for the kernels.scratch_* stats
-    Soc soc(config.soc);
+    auto soc = std::make_unique<Soc>(config.soc);
     for (AppId app : parseMix(config.mix)) {
         DagPtr dag = buildApp(app, config.app);
-        soc.submit(dag, 0, config.continuous);
+        soc->submit(dag, 0, config.continuous);
     }
-    soc.run(config.timeLimit);
-    return soc.report();
+    soc->run(config.timeLimit);
+    MetricsReport report = soc->report();
+    // Tearing the platform down is host time too: charge it to
+    // "other" rather than leave it unattributed after the last span.
+    HostProfScope teardown(HostCat::Other);
+    soc.reset();
+    return report;
 }
 
 MetricsReport

@@ -16,7 +16,7 @@
  * must write its result only to index-owned storage (results[i]).
  * Aggregation done after parallelFor() returns, in index order, is
  * then bit-identical regardless of the job count — the property the
- * determinism tests and `relief_bench --jobs` rely on.
+ * determinism tests and `serve_load_sweep --jobs` rely on.
  */
 
 #ifndef RELIEF_CORE_PARALLEL_HH

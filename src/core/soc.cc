@@ -585,6 +585,7 @@ Soc::run(Tick limit)
 MetricsReport
 Soc::report() const
 {
+    HostProfScope prof(HostCat::Stats);
     MetricsReport report;
     report.run = manager_->metrics();
     report.execTime = endTick_;

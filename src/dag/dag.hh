@@ -45,7 +45,7 @@ Tick nominalNodeRuntime(const Node &node, double dram_peak_gbs = 12.8);
 
 /**
  * Rewind this thread's node-id allocator. Ids seed DRAM stream hints,
- * so experiment entry points (runExperiment, relief_bench) reset them
+ * so experiment entry points (runExperiment, the benchmark) reset them
  * before building DAGs to make each simulation's ids — and therefore
  * its results — independent of what ran earlier on the thread. Never
  * call mid-simulation: DAGs whose ids would collide must not meet in

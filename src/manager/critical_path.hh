@@ -27,7 +27,7 @@
  * equals the measured end-to-end DAG latency (asserted in tests to
  * within one tick on every tier-1 workload). Per-DAG records feed the
  * `--latency-breakdown` table, RunMetrics histograms, the
- * relief-stats-v1 JSON export, and BENCH_relief.json.
+ * relief-stats-v1 JSON export, and the benchmark's cp.* metrics.
  */
 
 #ifndef RELIEF_MANAGER_CRITICAL_PATH_HH

@@ -2,14 +2,13 @@
  * @file
  * Build provenance stamped into every emitted JSON artifact.
  *
- * Perf-trajectory tooling (scripts/bench_history.py, relief_compare)
- * can only attribute a throughput change to a code change if each
- * document records what produced it. CMake captures the git sha at
- * configure time plus the compiler identity, build type, and flags,
- * and passes them as compile definitions; every artifact writer
- * (stats, bench, serve, trace, pressure, hostprof) embeds the result
- * as a `build_info` object, which scripts/check_bench_schema.py
- * (schema v5) requires.
+ * A number can only be attributed to a code change if each document
+ * records what produced it. CMake captures the git sha at configure
+ * time plus the compiler identity, build type, and flags, and passes
+ * them as compile definitions; every artifact writer (stats, serve,
+ * trace, pressure, hostprof, and the benchmark's report) embeds the
+ * result as a `build_info` object, which scripts/check_bench_schema.py
+ * requires.
  *
  * The sha is refreshed on reconfigure, not on every commit — close
  * enough for trajectory attribution, and free at build time.

@@ -326,18 +326,6 @@ class EventQueue
      */
     void setCompactionMinimum(std::size_t n) { compactionMinimum_ = n; }
 
-    /**
-     * Busy-wait this many host ns inside every dispatch. A test hook:
-     * the CI perf gate injects a deliberate per-event slowdown with it
-     * (relief_bench --inject-spin-ns) and requires relief_compare to
-     * flag the regression. Zero (the default) costs one predictable
-     * branch per event.
-     */
-    void setDispatchSpin(std::uint64_t ns) { dispatchSpinNs_ = ns; }
-
-    /** Currently injected per-dispatch spin, in host ns. */
-    std::uint64_t dispatchSpin() const { return dispatchSpinNs_; }
-
   private:
     friend class EventHandle;
 
@@ -394,9 +382,6 @@ class EventQueue
     void maybeCompact();
     void compact();
 
-    /** Busy-wait for dispatchSpinNs_ host ns (slowdown injection). */
-    void spinDispatch() const;
-
     /** Drop cancelled events from the top of the heap. */
     void skipCancelled() const;
 
@@ -412,7 +397,6 @@ class EventQueue
     mutable std::uint64_t numCancelled_ = 0;
     std::uint64_t numHeapCallables_ = 0;
     std::uint64_t numCompactions_ = 0;
-    std::uint64_t dispatchSpinNs_ = 0;
 };
 
 inline bool

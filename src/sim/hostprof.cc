@@ -213,38 +213,31 @@ HostProfSnapshot::merge(const HostProfSnapshot &other)
 }
 
 void
-HostProfSnapshot::writeJson(std::ostream &os, bool standalone,
-                            int indent) const
+HostProfSnapshot::writeJson(std::ostream &os) const
 {
-    // The opening brace is written bare so the object can sit after a
-    // key on the caller's current line; @p indent governs the rest.
-    std::string pad(std::size_t(indent), ' ');
     os << "{\n";
-    if (standalone) {
-        os << pad << "  \"schema\": \"relief-hostprof-v1\",\n";
-        os << pad << "  \"build_info\": ";
-        writeBuildInfoJson(os, indent + 2);
-        os << ",\n";
-    }
-    os << pad << "  \"total_wall_ns\": " << totalWallNs << ",\n";
-    os << pad << "  \"attributed_wall_ns\": " << attributedNs() << ",\n";
-    os << pad << "  \"coverage\": " << coverage() << ",\n";
-    os << pad << "  \"categories\": {\n";
+    os << "  \"schema\": \"relief-hostprof-v1\",\n";
+    os << "  \"build_info\": ";
+    writeBuildInfoJson(os, 2);
+    os << ",\n";
+    os << "  \"total_wall_ns\": " << totalWallNs << ",\n";
+    os << "  \"attributed_wall_ns\": " << attributedNs() << ",\n";
+    os << "  \"coverage\": " << coverage() << ",\n";
+    os << "  \"categories\": {\n";
     for (std::size_t i = 0; i < numHostCats; ++i) {
         const Category &c = cats[i];
-        os << pad << "    \"" << hostCatName(static_cast<HostCat>(i))
-           << "\": {\n";
-        os << pad << "      \"wall_ns\": " << c.wallNs << ",\n";
-        os << pad << "      \"events\": " << c.events << ",\n";
-        os << pad << "      \"heap_allocs\": " << c.heapAllocs << ",\n";
-        os << pad << "      \"ns_hist\": [";
+        os << "    \"" << hostCatName(static_cast<HostCat>(i)) << "\": {\n";
+        os << "      \"wall_ns\": " << c.wallNs << ",\n";
+        os << "      \"events\": " << c.events << ",\n";
+        os << "      \"heap_allocs\": " << c.heapAllocs << ",\n";
+        os << "      \"ns_hist\": [";
         for (std::size_t b = 0; b < numNsBuckets; ++b)
             os << (b ? ", " : "") << c.nsHist[b];
         os << "]\n";
-        os << pad << "    }" << (i + 1 < numHostCats ? "," : "") << "\n";
+        os << "    }" << (i + 1 < numHostCats ? "," : "") << "\n";
     }
-    os << pad << "  }\n";
-    os << pad << "}";
+    os << "  }\n";
+    os << "}";
 }
 
 } // namespace relief

@@ -24,8 +24,8 @@
  * (a thread-local pointer test, inlined below): with profiling off
  * the event hot path pays a single never-taken branch and no clock
  * reads, preserving the zero-allocation dispatch documented in
- * docs/performance.md. State is thread-local, so parallel bench
- * workers profile their own cells without synchronization.
+ * docs/performance.md. State is thread-local, so each thread profiles
+ * only its own simulations, without synchronization.
  *
  * Snapshots export as `relief-hostprof-v1` JSON: per-category wall
  * ns, event counts, log2 ns/event histograms, heap-callable counts,
@@ -140,8 +140,8 @@ class HostProfScope
 
 /**
  * Point-in-time copy of the calling thread's profile. Plain data:
- * copyable, mergeable, serializable after the profiling thread moved
- * on (bench workers hand snapshots back to the writer thread).
+ * copyable, mergeable (the benchmark pools per-cell snapshots), and
+ * serializable after the profiling thread moved on.
  */
 struct HostProfSnapshot
 {
@@ -170,14 +170,9 @@ struct HostProfSnapshot
      *  Wall times and counts add; coverage re-derives. */
     void merge(const HostProfSnapshot &other);
 
-    /**
-     * Emit this snapshot as JSON. With @p standalone true, writes a
-     * full `relief-hostprof-v1` document (schema + build_info);
-     * otherwise writes just the profile object for embedding (e.g.
-     * per-cell inside relief-bench-v1). @p indent is the number of
-     * leading spaces on each line.
-     */
-    void writeJson(std::ostream &os, bool standalone, int indent = 0) const;
+    /** Emit this snapshot as a `relief-hostprof-v1` document
+     *  (schema + build_info header, then the profile). */
+    void writeJson(std::ostream &os) const;
 };
 
 /** Snapshot the calling thread's profile (zeroes if never enabled).

@@ -109,8 +109,10 @@ class JsonParser
     void
     skipSpace()
     {
+        // RFC 8259 whitespace only: no \v or \f.
         while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
+               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                text_[pos_] == '\n' || text_[pos_] == '\r'))
             ++pos_;
     }
 
@@ -235,7 +237,10 @@ class JsonParser
         ++pos_;
         std::string out;
         while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
+            char c = text_[pos_];
+            if (static_cast<unsigned char>(c) < 0x20)
+                fail("raw control character in a string");
+            ++pos_;
             if (c != '\\') {
                 out.push_back(c);
                 continue;
@@ -253,8 +258,11 @@ class JsonParser
               case 'r': out.push_back('\r'); break;
               case 't': out.push_back('\t'); break;
               case 'u': {
-                if (pos_ + 4 > text_.size())
-                    fail("truncated \\u escape");
+                for (std::size_t i = pos_; i < pos_ + 4; ++i)
+                    if (i >= text_.size() ||
+                        !std::isxdigit(
+                            static_cast<unsigned char>(text_[i])))
+                        fail("\\u escape needs four hex digits");
                 unsigned code = unsigned(std::strtoul(
                     text_.substr(pos_, 4).c_str(), nullptr, 16));
                 pos_ += 4;
@@ -274,24 +282,43 @@ class JsonParser
         return out;
     }
 
+    bool
+    digitAt(std::size_t i) const
+    {
+        return i < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[i]));
+    }
+
+    /** Consume a run of digits; false when there was none. */
+    bool
+    digits()
+    {
+        std::size_t start = pos_;
+        while (digitAt(pos_))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** RFC 8259 number: -? (0 | [1-9][0-9]*) (. [0-9]+)?
+     *  ([eE] [+-]? [0-9]+)? — no '+', no bare '.', no leading zeros. */
     JsonValue
     number()
     {
         std::size_t start = pos_;
-        if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
+        if (text_[pos_] == '-')
             ++pos_;
-        bool digits = false;
-        auto eat_digits = [&] {
-            while (pos_ < text_.size() &&
-                   std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-                ++pos_;
-                digits = true;
-            }
-        };
-        eat_digits();
+        if (!digitAt(pos_))
+            fail(pos_ == start ? "expected a value"
+                               : "expected a digit after '-'");
+        if (text_[pos_] == '0' && digitAt(pos_ + 1)) {
+            ++pos_;
+            fail("leading zero in a number");
+        }
+        digits();
         if (pos_ < text_.size() && text_[pos_] == '.') {
             ++pos_;
-            eat_digits();
+            if (!digits())
+                fail("expected a digit after '.'");
         }
         if (pos_ < text_.size() &&
             (text_[pos_] == 'e' || text_[pos_] == 'E')) {
@@ -299,10 +326,9 @@ class JsonParser
             if (pos_ < text_.size() &&
                 (text_[pos_] == '-' || text_[pos_] == '+'))
                 ++pos_;
-            eat_digits();
+            if (!digits())
+                fail("expected a digit in the exponent");
         }
-        if (!digits)
-            fail("expected a value");
         JsonValue out;
         out.kind_ = JsonValue::Kind::Number;
         out.number_ =

@@ -7,8 +7,10 @@
  * navigated with at()/find(). This is a reporting-path utility — it
  * allocates freely and is not meant for the simulation hot path.
  *
- * The syntax-only checker in mini_json.hh stays separate on purpose:
- * tests use it to validate structure without trusting this reader.
+ * The grammar is RFC 8259's, strictly: anything else (a '+' or bare
+ * '.' in a number, leading zeros, raw control characters in strings)
+ * is a fatal() with the line and column of the offending character.
+ * Tests use parse() to assert that an export really is JSON.
  */
 
 #ifndef RELIEF_STATS_JSON_READER_HH

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/soc.hh"
 #include "sim/hostprof.hh"
 
 namespace relief
@@ -41,6 +42,23 @@ TEST(HostProfCoverageTest, TierOneMixesAttributeMostOfTheWall)
                 snap.cats[static_cast<std::size_t>(cat)].wallNs;
         EXPECT_GT(tagged, 0u) << mix;
     }
+}
+
+TEST(HostProfCoverageTest, ReportIsChargedToStats)
+{
+    // The report runs after the last event; without its own span its
+    // time would be attributed to nothing and dent coverage.
+    setHostProfEnabled(true);
+    Soc soc{SocConfig{}};
+    for (AppId app : parseMix("CG"))
+        soc.submit(buildApp(app), 0, false);
+    soc.run();
+    const auto stats = static_cast<std::size_t>(HostCat::Stats);
+    std::uint64_t before = hostProfSnapshot().cats[stats].wallNs;
+    soc.report();
+    std::uint64_t after = hostProfSnapshot().cats[stats].wallNs;
+    setHostProfEnabled(false);
+    EXPECT_GT(after, before);
 }
 
 TEST(HostProfCoverageTest, ProfilingOffLeavesNoResidue)

@@ -59,6 +59,39 @@ TEST(JsonReaderTest, RejectsMalformedDocuments)
     EXPECT_THROW(JsonValue::parse("nope"), FatalError);
 }
 
+TEST(JsonReaderTest, RejectsNonRfcNumbers)
+{
+    // Each is a number strtod would take but RFC 8259 forbids; the
+    // error names the line and column of the offending character.
+    for (const char *text :
+         {"+1", ".5", "-.5", "1.", "1e", "[1e+]", "01", "-01", "1.e3"}) {
+        try {
+            JsonValue::parse(text);
+            ADD_FAILURE() << "accepted " << text;
+        } catch (const FatalError &err) {
+            EXPECT_NE(std::string(err.what()).find("line 1, column"),
+                      std::string::npos)
+                << text << ": " << err.what();
+        }
+    }
+    // The grammar's edge cases that are valid.
+    EXPECT_DOUBLE_EQ(JsonValue::parse("0").asNumber(), 0.0);
+    EXPECT_DOUBLE_EQ(JsonValue::parse("-0.5").asNumber(), -0.5);
+    EXPECT_DOUBLE_EQ(JsonValue::parse("10").asNumber(), 10.0);
+    EXPECT_DOUBLE_EQ(JsonValue::parse("1E+2").asNumber(), 100.0);
+    EXPECT_DOUBLE_EQ(JsonValue::parse("2e-1").asNumber(), 0.2);
+}
+
+TEST(JsonReaderTest, RejectsNonRfcStringsAndWhitespace)
+{
+    EXPECT_THROW(JsonValue::parse("\"a\nb\""), FatalError);
+    EXPECT_THROW(JsonValue::parse(R"("\u12G4")"), FatalError);
+    EXPECT_THROW(JsonValue::parse(R"("\u12")"), FatalError);
+    EXPECT_THROW(JsonValue::parse("\v1"), FatalError);
+    EXPECT_EQ(JsonValue::parse(R"("\u0041")").asString(), "A");
+    EXPECT_DOUBLE_EQ(JsonValue::parse(" \t\r\n1\n").asNumber(), 1.0);
+}
+
 TEST(JsonReaderTest, KindMismatchesAreFatal)
 {
     JsonValue doc = JsonValue::parse(R"({"n": 1})");

@@ -7,7 +7,7 @@
 
 #include "core/soc.hh"
 #include "sim/logging.hh"
-#include "support/mini_json.hh"
+#include "stats/json_reader.hh"
 #include "trace/interval_sampler.hh"
 #include "trace/trace.hh"
 
@@ -156,7 +156,7 @@ TEST(TraceRecorderTest, ChromeJsonHasCounterEvents)
     std::ostringstream os;
     trace.writeChromeJson(os);
     std::string json = os.str();
-    EXPECT_TRUE(test::miniJsonValid(json)) << json;
+    EXPECT_NO_THROW(JsonValue::parse(json)) << json;
     EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
     EXPECT_NE(json.find("\"dram.bandwidth_utilization\""),
               std::string::npos);
@@ -173,7 +173,7 @@ TEST(TraceRecorderTest, JsonEscapesControlCharacters)
     trace.writeChromeJson(os);
     std::string json = os.str();
     // Raw control bytes would break every JSON consumer.
-    EXPECT_TRUE(test::miniJsonValid(json)) << json;
+    EXPECT_NO_THROW(JsonValue::parse(json)) << json;
     EXPECT_NE(json.find("line\\nbreak\\tand\\u0001ctl"),
               std::string::npos);
 }
@@ -243,7 +243,7 @@ TEST(TraceRecorderTest, ChromeJsonPairsFlowHalves)
     std::ostringstream os;
     trace.writeChromeJson(os);
     std::string json = os.str();
-    EXPECT_TRUE(test::miniJsonValid(json)) << json;
+    EXPECT_NO_THROW(JsonValue::parse(json)) << json;
 
     // Both halves carry the same id and the edge category; the "f"
     // half binds to the enclosing slice ("bp":"e").
@@ -273,7 +273,7 @@ TEST(TraceRecorderTest, ChromeJsonEventsSortedByTimestamp)
     std::ostringstream os;
     trace.writeChromeJson(os);
     std::string json = os.str();
-    EXPECT_TRUE(test::miniJsonValid(json)) << json;
+    EXPECT_NO_THROW(JsonValue::parse(json)) << json;
 
     // Walk the emitted "ts" fields: they must be non-decreasing.
     std::vector<long> stamps;

@@ -17,36 +17,23 @@
  * running anything:
  *
  *   relief_compare --diff A.json B.json [--max-rel-delta PCT]
- *                  [--abs-floor X] [--time-rel-delta PCT]
- *                  [--breaches-only]
+ *                  [--abs-floor X] [--breaches-only]
  *
- * For relief-stats-v1 / relief-pressure-v1 documents, every numeric
- * field of the memory-pressure block (totals, per-QoS rollups,
- * per-resource counters, contender slots matched by
- * source/qos/traffic) and the p50/p95/p99 of every histogram stat are
- * compared; a relative delta above the threshold (default 10%) is a
- * breach, and any breach makes the exit status non-zero — the CI hook
- * for "this change moved memory pressure". Values where both sides
- * sit below --abs-floor are skipped as noise.
- *
- * relief-bench-v1, relief-hostprof-v1, and relief-kernels-v1
- * documents diff with a noise
- * model for wall-clock metrics: each --diff side may be a
- * comma-separated list of repeat files (same binary, same flags), and
- * every metric is the per-field median across the repeats. Host-time
- * metrics (events_per_sec, ns/event, coverage) use the looser
- * --time-rel-delta threshold (default 25%) with per-metric absolute
- * floors; deterministic metrics (sim ticks/events, deadline
- * fractions, critical-path buckets) keep the strict threshold. The
- * CI perf gate runs this twice: repeats of the same binary must exit
- * 0, and a run with an injected per-event slowdown
- * (relief_bench --inject-spin-ns) must exit 2.
+ * Both documents must be relief-stats-v1, or both relief-pressure-v1;
+ * any other schema is an input error (exit 1). Every numeric field of
+ * the memory-pressure block (totals, per-QoS rollups, per-resource
+ * counters, contender slots matched by source/qos/traffic) and the
+ * p50/p95/p99 of every histogram stat are compared; a relative delta
+ * above the threshold (default 10%) is a breach, and any breach makes
+ * the exit status 2 — the CI hook for "this change moved memory
+ * pressure". Values where both sides sit below --abs-floor are skipped
+ * as noise. Host-time regressions are measured by
+ * perfbench/run_benchmark.py, not here.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <map>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -80,7 +67,6 @@ struct DiffReport
 {
     double maxRelPct = 10.0;  ///< Relative-delta breach threshold (%).
     double absFloor = 1.0;    ///< Both below this -> skipped as noise.
-    double timeRelPct = 25.0; ///< Threshold for wall-clock metrics (%).
     bool breachesOnly = false;
     int breaches = 0;
     int compared = 0;
@@ -94,18 +80,11 @@ struct DiffReport
     void
     row(const std::string &metric, double a, double b)
     {
-        rowWith(metric, a, b, maxRelPct, absFloor);
-    }
-
-    void
-    rowWith(const std::string &metric, double a, double b,
-            double rel_pct, double floor)
-    {
-        if (std::fabs(a) < floor && std::fabs(b) < floor)
+        if (std::fabs(a) < absFloor && std::fabs(b) < absFloor)
             return;
         double denom = std::max(std::fabs(a), std::fabs(b));
         double rel = std::fabs(a - b) / denom * 100.0;
-        bool breach = rel > rel_pct;
+        bool breach = rel > maxRelPct;
         compared += 1;
         breaches += breach ? 1 : 0;
         if (breachesOnly && !breach)
@@ -250,144 +229,6 @@ diffQuantiles(DiffReport &diff, const JsonValue &a, const JsonValue &b)
     }
 }
 
-/**
- * One comparable metric extracted from a bench/hostprof document.
- * timeLike metrics are host wall-clock (noisy across runs) and diff
- * under --time-rel-delta with a per-metric absolute floor;
- * deterministic metrics keep the strict --max-rel-delta.
- */
-struct Metric
-{
-    double value = 0.0;
-    bool timeLike = false;
-    double floor = -1.0; ///< Negative -> DiffReport's default floor.
-};
-
-using MetricMap = std::map<std::string, Metric>;
-
-/** Per-metric absolute floors for the wall-clock fields. Values where
- *  both sides sit below the floor are run-to-run scheduling noise. */
-constexpr double floorHostWallS = 1e-3;    // sub-ms cells: pure noise
-constexpr double floorEventsPerSec = 1e4;
-constexpr double floorWallNs = 1e5;        // < 0.1 ms of host time
-constexpr double floorNsPerEvent = 25.0;   // clock-granularity noise
-constexpr double floorCoverage = 0.05;
-constexpr double floorThroughput = 1.0;    // < 1 M units/s: noise
-constexpr double floorSpeedup = 0.25;
-
-/** Flatten one hostprof profile object under @p prefix. */
-void
-flattenHostProf(const JsonValue &hp, const std::string &prefix,
-                MetricMap &out)
-{
-    out[prefix + "total_wall_ns"] =
-        {hp.at("total_wall_ns").asNumber(), true, floorWallNs};
-    out[prefix + "coverage"] =
-        {hp.at("coverage").asNumber(), true, floorCoverage};
-    const JsonValue &cats = hp.at("categories");
-    for (const std::string &cat : cats.keys()) {
-        const JsonValue &c = cats.at(cat);
-        double events = c.at("events").asNumber();
-        out[prefix + cat + ".events"] = {events, false, -1.0};
-        out[prefix + cat + ".heap_allocs"] =
-            {c.at("heap_allocs").asNumber(), false, -1.0};
-        if (events > 0.0) {
-            out[prefix + cat + ".ns_per_event"] =
-                {c.at("wall_ns").asNumber() / events, true,
-                 floorNsPerEvent};
-        }
-    }
-}
-
-/** Flatten one run of a relief-kernels-v1 document: throughputs and
- *  speedups are wall-clock (noisy), bit-identity is deterministic. */
-void
-flattenKernels(const JsonValue &doc, MetricMap &out)
-{
-    const JsonValue &runs = doc.at("runs");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const JsonValue &run = runs.at(i);
-        std::string key = run.at("kernel").asString() + ".";
-        out[key + "scalar"] =
-            {run.at("scalar").asNumber(), true, floorThroughput};
-        out[key + "simd"] =
-            {run.at("simd").asNumber(), true, floorThroughput};
-        out[key + "speedup"] =
-            {run.at("speedup").asNumber(), true, floorSpeedup};
-        out[key + "identical"] =
-            {run.at("identical").asBool() ? 1.0 : 0.0, false, -1.0};
-    }
-    out["geomean_speedup"] =
-        {doc.at("geomean_speedup").asNumber(), true, floorSpeedup};
-}
-
-/** Flatten a relief-hostprof-v1, relief-bench-v1, or
- *  relief-kernels-v1 document. */
-MetricMap
-flattenDoc(const JsonValue &doc, const std::string &schema)
-{
-    MetricMap out;
-    if (schema == "relief-hostprof-v1") {
-        flattenHostProf(doc, "", out);
-        return out;
-    }
-    if (schema == "relief-kernels-v1") {
-        flattenKernels(doc, out);
-        return out;
-    }
-    const JsonValue &runs = doc.at("runs");
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        const JsonValue &run = runs.at(i);
-        std::string key = run.at("mix").asString() + "/" +
-                          run.at("policy").asString() + ".";
-        out[key + "host_wall_s"] =
-            {run.at("host_wall_s").asNumber(), true, floorHostWallS};
-        out[key + "events_per_sec"] =
-            {run.at("events_per_sec").asNumber(), true,
-             floorEventsPerSec};
-        for (const char *field :
-             {"sim_ticks", "sim_events", "dags_finished",
-              "node_deadline_fraction", "dag_deadline_fraction"}) {
-            if (const JsonValue *v = run.find(field))
-                out[key + field] = {v->asNumber(), false, -1.0};
-        }
-        if (const JsonValue *cp = run.find("critical_path_us")) {
-            for (const std::string &bucket : cp->keys())
-                out[key + "critical_path_us." + bucket] =
-                    {cp->at(bucket).asNumber(), false, -1.0};
-        }
-        if (const JsonValue *hp = run.find("hostprof"))
-            flattenHostProf(*hp, key + "hostprof.", out);
-    }
-    return out;
-}
-
-/** Per-key median across repeat documents; a key must appear in
- *  every repeat to survive (partial repeats are not comparable). */
-MetricMap
-medianMap(const std::vector<MetricMap> &maps)
-{
-    MetricMap out;
-    for (const auto &[key, first] : maps.front()) {
-        std::vector<double> values;
-        values.reserve(maps.size());
-        for (const MetricMap &m : maps) {
-            auto it = m.find(key);
-            if (it == m.end())
-                break;
-            values.push_back(it->second.value);
-        }
-        if (values.size() != maps.size())
-            continue;
-        std::sort(values.begin(), values.end());
-        std::size_t n = values.size();
-        double med = n % 2 ? values[n / 2]
-                           : 0.5 * (values[n / 2 - 1] + values[n / 2]);
-        out[key] = {med, first.timeLike, first.floor};
-    }
-    return out;
-}
-
 std::string
 docSchema(const JsonValue &doc)
 {
@@ -395,100 +236,33 @@ docSchema(const JsonValue &doc)
     return schema && schema->isString() ? schema->asString() : "";
 }
 
-/** Noise-aware diff of bench/hostprof repeat sets. */
-void
-diffMetricMaps(DiffReport &diff, const std::vector<JsonValue> &as,
-               const std::vector<JsonValue> &bs,
-               const std::string &schema)
-{
-    std::vector<MetricMap> maps_a, maps_b;
-    for (const JsonValue &doc : as)
-        maps_a.push_back(flattenDoc(doc, schema));
-    for (const JsonValue &doc : bs)
-        maps_b.push_back(flattenDoc(doc, schema));
-    MetricMap ma = medianMap(maps_a);
-    MetricMap mb = medianMap(maps_b);
-    for (const auto &[key, metric_a] : ma) {
-        auto it = mb.find(key);
-        if (it == mb.end())
-            continue;
-        double rel = metric_a.timeLike ? diff.timeRelPct
-                                       : diff.maxRelPct;
-        double floor =
-            metric_a.floor >= 0.0 ? metric_a.floor : diff.absFloor;
-        diff.rowWith(key, metric_a.value, it->second.value, rel, floor);
-    }
-}
-
-std::vector<std::string>
-splitPathList(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        std::size_t comma = list.find(',', start);
-        std::string item = list.substr(
-            start, comma == std::string::npos ? comma : comma - start);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return out;
-}
-
 int
-runDiff(const std::string &list_a, const std::string &list_b,
+runDiff(const std::string &path_a, const std::string &path_b,
         DiffReport &diff)
 {
-    std::vector<JsonValue> as, bs;
-    for (const std::string &path : splitPathList(list_a))
-        as.push_back(JsonValue::parseFile(path));
-    for (const std::string &path : splitPathList(list_b))
-        bs.push_back(JsonValue::parseFile(path));
-    if (as.empty() || bs.empty()) {
-        std::cerr << "empty --diff file list\n";
-        return 1;
-    }
+    const JsonValue a = JsonValue::parseFile(path_a);
+    const JsonValue b = JsonValue::parseFile(path_b);
+    const std::string schema = docSchema(a);
+    if (schema != "relief-stats-v1" && schema != "relief-pressure-v1")
+        fatal("--diff compares relief-stats-v1 or relief-pressure-v1 "
+              "documents, but ", path_a, " has schema '", schema, "'");
+    if (docSchema(b) != schema)
+        fatal("--diff documents disagree on schema ('", schema,
+              "' vs '", docSchema(b), "')");
 
-    std::string schema = docSchema(as.front());
-    for (const JsonValue *doc :
-         {&as.back(), &bs.front(), &bs.back()}) {
-        if (docSchema(*doc) != schema) {
-            std::cerr << "--diff documents disagree on schema ('"
-                      << schema << "' vs '" << docSchema(*doc)
-                      << "')\n";
-            return 1;
-        }
-    }
-
-    if (schema == "relief-bench-v1" || schema == "relief-hostprof-v1" ||
-        schema == "relief-kernels-v1") {
-        diffMetricMaps(diff, as, bs, schema);
-    } else {
-        if (as.size() > 1 || bs.size() > 1) {
-            std::cerr << "repeat lists are only supported for "
-                         "relief-bench-v1 / relief-hostprof-v1 / "
-                         "relief-kernels-v1 documents\n";
-            return 1;
-        }
-        const JsonValue &a = as.front();
-        const JsonValue &b = bs.front();
-        const JsonValue *pressure_a = pressureBlock(a);
-        const JsonValue *pressure_b = pressureBlock(b);
-        if (pressure_a && pressure_b)
-            diffPressure(diff, *pressure_a, *pressure_b);
-        else
-            std::cout << "note: no pressure block in both documents — "
-                         "skipping pressure diff\n";
-        diffQuantiles(diff, a, b);
-    }
+    const JsonValue *pressure_a = pressureBlock(a);
+    const JsonValue *pressure_b = pressureBlock(b);
+    if (pressure_a && pressure_b)
+        diffPressure(diff, *pressure_a, *pressure_b);
+    else
+        std::cout << "note: no pressure block in both documents — "
+                     "skipping pressure diff\n";
+    diffQuantiles(diff, a, b);
 
     diff.table.print(std::cout);
     std::cout << "\n"
               << diff.compared << " metrics compared, " << diff.breaches
-              << " above threshold (" << list_a << " vs " << list_b
+              << " above threshold (" << path_a << " vs " << path_b
               << ")\n";
     return diff.breaches > 0 ? 2 : 0;
 }
@@ -513,17 +287,14 @@ main(int argc, char **argv)
             diff.maxRelPct = std::atof(argv[++i]);
         } else if (arg == "--abs-floor" && i + 1 < argc) {
             diff.absFloor = std::atof(argv[++i]);
-        } else if (arg == "--time-rel-delta" && i + 1 < argc) {
-            diff.timeRelPct = std::atof(argv[++i]);
         } else if (arg == "--breaches-only") {
             diff.breachesOnly = true;
         } else if (arg == "--help" || arg == "-h") {
             std::cout << cliUsage()
                       << " [--workload FILE]\n"
-                         "   or: relief_compare --diff A.json[,A2...]"
-                         " B.json[,B2...]"
+                         "   or: relief_compare --diff A.json B.json"
                          " [--max-rel-delta PCT] [--abs-floor X]"
-                         " [--time-rel-delta PCT] [--breaches-only]\n";
+                         " [--breaches-only]\n";
             return 0;
         } else {
             args.push_back(arg);
@@ -533,18 +304,16 @@ main(int argc, char **argv)
     if (!diff_paths.empty()) {
         try {
             return runDiff(diff_paths[0], diff_paths[1], diff);
-        } catch (const FatalError &err) {
-            std::cerr << err.what() << "\n";
-            return 1;
+        } catch (const FatalError &) {
+            return 1; // fatal() already printed the message
         }
     }
 
     ExperimentConfig config;
     try {
         config = parseCliOptions(args);
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
 
     Table table("policy comparison — " +
@@ -563,9 +332,8 @@ main(int argc, char **argv)
         std::vector<DagPtr> dags;
         try {
             dags = buildWorkload(config, workload_path);
-        } catch (const FatalError &err) {
-            std::cerr << err.what() << "\n";
-            return 1;
+        } catch (const FatalError &) {
+            return 1; // fatal() already printed the message
         }
         for (DagPtr &dag : dags)
             soc.submit(dag, 0, config.continuous);

@@ -241,9 +241,8 @@ main(int argc, char **argv)
             out << "\n  ],\n  \"saturation\": []\n}\n";
             std::cout << "\nserve JSON written to " << out_path << "\n";
         }
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
     return 0;
 }

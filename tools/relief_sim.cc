@@ -68,9 +68,8 @@ main(int argc, char **argv)
     ExperimentConfig config;
     try {
         config = parseCliOptions(args);
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
 
     // Start the host-time meter before the platform exists so model
@@ -93,9 +92,8 @@ main(int argc, char **argv)
             for (AppId app : parseMix(config.mix))
                 dags.push_back(buildApp(app, config.app));
         }
-    } catch (const FatalError &err) {
-        std::cerr << err.what() << "\n";
-        return 1;
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
     }
     for (DagPtr &dag : dags) {
         if (!dot_dir.empty()) {
@@ -233,7 +231,7 @@ main(int argc, char **argv)
     }
     if (!hostprof_path.empty()) {
         // Freeze the meter (charging the open root scope up to now),
-        // then export the standalone relief-hostprof-v1 document.
+        // then export the relief-hostprof-v1 document.
         setHostProfEnabled(false);
         HostProfSnapshot snap = hostProfSnapshot();
         std::ofstream out(hostprof_path);
@@ -242,7 +240,7 @@ main(int argc, char **argv)
                       << "\n";
             return 1;
         }
-        snap.writeJson(out, /*standalone=*/true);
+        snap.writeJson(out);
         out << "\n";
         std::cout << "host profile written to " << hostprof_path
                   << " (coverage "
