@@ -34,7 +34,9 @@ Accelerator::startCompute(Tick duration, Callback on_done)
     Tick start = now();
     Tick end = start + duration;
     computeBusy_.add(start, end);
-    sim().at(end, HostCat::Kernels,
+    // The done event runs the manager's completion handling, so it is
+    // scheduler work; functional payloads charge Kernels themselves.
+    sim().at(end, HostCat::Sched,
              [this, cb = std::move(on_done)]() {
                  tasksExecuted_.add(1);
                  busy_ = false;

@@ -58,13 +58,25 @@ makeInputs(int seq_len, std::uint32_t seed)
     return xs;
 }
 
-/** mul(u, parent) with the weight vector captured. */
+/** A recurrent weight vector, shared by every step that reads it. */
+using SharedVec = std::shared_ptr<const Vec>;
+
+/** Member @p vec of the weights @p w, sharing their ownership (null
+ *  when @p w is: timing-only builds have no weights). */
+template <typename Weights>
+SharedVec
+share(const std::shared_ptr<const Weights> &w, Vec Weights::*vec)
+{
+    return w ? SharedVec(w, &((*w).*vec)) : nullptr;
+}
+
+/** mul(u, parent) with the shared weight vector captured. */
 NodeFn
-mulWeightFn(Vec u)
+mulWeightFn(SharedVec u)
 {
     return [u = std::move(u)](const Inputs &in) {
         RELIEF_ASSERT(in.size() == 1, "recurrent mul needs 1 input");
-        return elemwise(ElemOp::Mul, u, in[0]);
+        return elemwise(ElemOp::Mul, *u, in[0]);
     };
 }
 
@@ -103,12 +115,14 @@ binaryFn(ElemOp op)
     };
 }
 
-/** Pre-activation vector w*x + b for functional mode. */
+/** Pre-activation vector w*x + b for functional mode, summed in place. */
 Vec
 preact(const Vec &w, const Vec &x, const Vec &b)
 {
-    Vec wx = elemwise(ElemOp::Mul, w, &x);
-    return elemwise(ElemOp::Add, wx, &b);
+    Vec out = elemwise(ElemOp::Mul, w, &x);
+    elemwiseBuf(ElemOp::Add, out.data(), b.data(), 0.0f, out.data(),
+                out.size());
+    return out;
 }
 
 /**
@@ -117,7 +131,7 @@ preact(const Vec &w, const Vec &x, const Vec &b)
  */
 Node *
 addGate(Dag &dag, const std::string &prefix, Node *h, ElemOp activation,
-        bool functional, const Vec *u, Vec xg)
+        bool functional, const SharedVec &u, Vec xg)
 {
     Node *m = dag.addNode(emTask(ElemOp::Mul, 2, rnnElems),
                           prefix + ".mul");
@@ -130,7 +144,7 @@ addGate(Dag &dag, const std::string &prefix, Node *h, ElemOp activation,
     dag.addEdge(m, a);
     dag.addEdge(a, act);
     if (functional) {
-        m->fn = h ? mulWeightFn(*u) : mulWeightZeroFn();
+        m->fn = h ? mulWeightFn(u) : mulWeightZeroFn();
         a->fn = addPreactFn(std::move(xg));
         act->fn = unaryFn(activation);
     }
@@ -158,10 +172,11 @@ buildGru(const AppConfig &config)
 {
     auto dag = std::make_shared<Dag>("gru", 'G');
     const bool fun = config.functional;
-    GruWeights w;
+    std::shared_ptr<const GruWeights> w;
     std::vector<Vec> xs;
     if (fun) {
-        w = makeGruWeights(int(rnnElems), config.seed + 17);
+        w = std::make_shared<const GruWeights>(
+            makeGruWeights(int(rnnElems), config.seed + 17));
         xs = makeInputs(config.seqLen, config.seed);
     }
 
@@ -170,13 +185,13 @@ buildGru(const AppConfig &config)
         std::string p = "gru.t" + std::to_string(t);
         Vec xz, xr;
         if (fun) {
-            xz = preact(w.wz, xs[std::size_t(t)], w.bz);
-            xr = preact(w.wr, xs[std::size_t(t)], w.br);
+            xz = preact(w->wz, xs[std::size_t(t)], w->bz);
+            xr = preact(w->wr, xs[std::size_t(t)], w->br);
         }
-        Node *z = addGate(*dag, p + ".z", h, ElemOp::Sigmoid, fun, &w.uz,
-                          std::move(xz));
-        Node *r = addGate(*dag, p + ".r", h, ElemOp::Sigmoid, fun, &w.ur,
-                          std::move(xr));
+        Node *z = addGate(*dag, p + ".z", h, ElemOp::Sigmoid, fun,
+                          share(w, &GruWeights::uz), std::move(xz));
+        Node *r = addGate(*dag, p + ".r", h, ElemOp::Sigmoid, fun,
+                          share(w, &GruWeights::ur), std::move(xr));
 
         // Candidate: c = tanh(uc * (r*h) + xc).
         Node *rh = dag->addNode(emTask(ElemOp::Mul, 2, rnnElems),
@@ -221,8 +236,8 @@ buildGru(const AppConfig &config)
                 // (1-z) * 0 = 0.
                 keep->fn = mulWeightZeroFn();
             }
-            ucrh->fn = mulWeightFn(w.uc);
-            Vec xc2 = preact(w.wc, xs[std::size_t(t)], w.bc);
+            ucrh->fn = mulWeightFn(share(w, &GruWeights::uc));
+            Vec xc2 = preact(w->wc, xs[std::size_t(t)], w->bc);
             cpre->fn = addPreactFn(std::move(xc2));
             c->fn = unaryFn(ElemOp::Tanh);
             omz->fn = unaryFn(ElemOp::OneMinus);
@@ -239,10 +254,11 @@ buildLstm(const AppConfig &config)
 {
     auto dag = std::make_shared<Dag>("lstm", 'L');
     const bool fun = config.functional;
-    LstmWeights w;
+    std::shared_ptr<const LstmWeights> w;
     std::vector<Vec> xs;
     if (fun) {
-        w = makeLstmWeights(int(rnnElems), config.seed + 23);
+        w = std::make_shared<const LstmWeights>(
+            makeLstmWeights(int(rnnElems), config.seed + 23));
         xs = makeInputs(config.seqLen, config.seed);
     }
 
@@ -252,19 +268,19 @@ buildLstm(const AppConfig &config)
         std::string p = "lstm.t" + std::to_string(t);
         Vec xi, xf, xo, xg;
         if (fun) {
-            xi = preact(w.wi, xs[std::size_t(t)], w.bi);
-            xf = preact(w.wf, xs[std::size_t(t)], w.bf);
-            xo = preact(w.wo, xs[std::size_t(t)], w.bo);
-            xg = preact(w.wc, xs[std::size_t(t)], w.bc);
+            xi = preact(w->wi, xs[std::size_t(t)], w->bi);
+            xf = preact(w->wf, xs[std::size_t(t)], w->bf);
+            xo = preact(w->wo, xs[std::size_t(t)], w->bo);
+            xg = preact(w->wc, xs[std::size_t(t)], w->bc);
         }
-        Node *i = addGate(*dag, p + ".i", h, ElemOp::Sigmoid, fun, &w.ui,
-                          std::move(xi));
-        Node *f = addGate(*dag, p + ".f", h, ElemOp::Sigmoid, fun, &w.uf,
-                          std::move(xf));
-        Node *o = addGate(*dag, p + ".o", h, ElemOp::Sigmoid, fun, &w.uo,
-                          std::move(xo));
-        Node *g = addGate(*dag, p + ".g", h, ElemOp::Tanh, fun, &w.uc,
-                          std::move(xg));
+        Node *i = addGate(*dag, p + ".i", h, ElemOp::Sigmoid, fun,
+                          share(w, &LstmWeights::ui), std::move(xi));
+        Node *f = addGate(*dag, p + ".f", h, ElemOp::Sigmoid, fun,
+                          share(w, &LstmWeights::uf), std::move(xf));
+        Node *o = addGate(*dag, p + ".o", h, ElemOp::Sigmoid, fun,
+                          share(w, &LstmWeights::uo), std::move(xo));
+        Node *g = addGate(*dag, p + ".g", h, ElemOp::Tanh, fun,
+                          share(w, &LstmWeights::uc), std::move(xg));
 
         // c' = f*c + i*g.
         Node *fc = dag->addNode(emTask(ElemOp::Mul, 2, rnnElems),

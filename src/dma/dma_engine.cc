@@ -57,15 +57,27 @@ DmaEngine::makeTag(TrafficClass cls, const TransferCtx &ctx) const
     return tag;
 }
 
-Tick
-DmaEngine::launch(std::vector<BandwidthResource *> path,
-                  std::uint64_t bytes, TrafficClass cls, Callback on_done,
-                  const RequestorTag &tag)
+DmaEngine::Route &
+DmaEngine::routeSlot(std::vector<Route> &table, int index)
 {
-    if (config_.burstBytes > 0 && bytes > config_.burstBytes) {
-        return launchChunked(std::move(path), bytes, cls,
-                             std::move(on_done), tag);
+    if (fabric_.numPorts() != routedPorts_) {
+        readRoutes_.clear();
+        writeRoutes_.clear();
+        forwardRoutes_.clear();
+        streamRoutes_.clear();
+        routedPorts_ = fabric_.numPorts();
     }
+    if (std::size_t(index) >= table.size())
+        table.resize(std::size_t(index) + 1);
+    return table[std::size_t(index)];
+}
+
+Tick
+DmaEngine::launch(const Route &path, std::uint64_t bytes, TrafficClass cls,
+                  Callback on_done, const RequestorTag &tag)
+{
+    if (config_.burstBytes > 0 && bytes > config_.burstBytes)
+        return launchChunked(path, bytes, cls, std::move(on_done), tag);
     auto timing = reserveTransfer(path, now(), bytes, tag);
     fabric_.recordTransfer(timing.start, timing.end, bytes);
     // Producer-side read energy of forwards is accounted by the
@@ -86,9 +98,9 @@ DmaEngine::launch(std::vector<BandwidthResource *> path,
 }
 
 Tick
-DmaEngine::launchChunked(std::vector<BandwidthResource *> path,
-                         std::uint64_t bytes, TrafficClass cls,
-                         Callback on_done, const RequestorTag &tag)
+DmaEngine::launchChunked(const Route &path, std::uint64_t bytes,
+                         TrafficClass cls, Callback on_done,
+                         const RequestorTag &tag)
 {
     accountTraffic(bytes, cls);
     DPRINTF(Dma, trafficClassName(cls), " chunked launch ", bytes,
@@ -101,7 +113,7 @@ DmaEngine::launchChunked(std::vector<BandwidthResource *> path,
     // nothing else queues behind us); the callback fires at the true
     // completion time.
     ChunkState *state = acquireChunk();
-    state->path = std::move(path);
+    state->path.assign(path.begin(), path.end());
     state->remaining = bytes;
     state->onDone = std::move(on_done);
     state->tag = tag;
@@ -189,13 +201,17 @@ DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
                         std::uint64_t stream_hint,
                         const TransferCtx &ctx)
 {
-    auto path = fabric_.path(dramPort_, port_);
-    auto mem = dram_.path(stream_hint);
-    path.insert(path.begin(), mem.begin(), mem.end());
-    path.insert(path.begin(), &readChannel_);
-    path.push_back(&localSpm_.port());
-    return launch(std::move(path), bytes, TrafficClass::DramRead,
-                  std::move(on_done),
+    int mem_route = dram_.route(stream_hint);
+    Route &path = routeSlot(readRoutes_, mem_route);
+    if (path.empty()) {
+        auto mem = dram_.routePath(mem_route);
+        auto fabric = fabric_.path(dramPort_, port_);
+        path.push_back(&readChannel_);
+        path.insert(path.end(), mem.begin(), mem.end());
+        path.insert(path.end(), fabric.begin(), fabric.end());
+        path.push_back(&localSpm_.port());
+    }
+    return launch(path, bytes, TrafficClass::DramRead, std::move(on_done),
                   makeTag(TrafficClass::DramRead, ctx));
 }
 
@@ -203,13 +219,17 @@ Tick
 DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
                        std::uint64_t stream_hint, const TransferCtx &ctx)
 {
-    auto path = fabric_.path(port_, dramPort_);
-    path.insert(path.begin(), &localSpm_.port());
-    path.insert(path.begin(), &writeChannel_);
-    auto mem = dram_.path(stream_hint);
-    path.insert(path.end(), mem.begin(), mem.end());
-    return launch(std::move(path), bytes, TrafficClass::DramWrite,
-                  std::move(on_done),
+    int mem_route = dram_.route(stream_hint);
+    Route &path = routeSlot(writeRoutes_, mem_route);
+    if (path.empty()) {
+        auto fabric = fabric_.path(port_, dramPort_);
+        auto mem = dram_.routePath(mem_route);
+        path.push_back(&writeChannel_);
+        path.push_back(&localSpm_.port());
+        path.insert(path.end(), fabric.begin(), fabric.end());
+        path.insert(path.end(), mem.begin(), mem.end());
+    }
+    return launch(path, bytes, TrafficClass::DramWrite, std::move(on_done),
                   makeTag(TrafficClass::DramWrite, ctx));
 }
 
@@ -222,11 +242,18 @@ DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
                   name(), ": use colocation, not forwarding, for the "
                   "local scratchpad");
     producer.recordRead(bytes);
-    auto path = fabric_.path(producer_port, port_);
-    path.insert(path.begin(), &producer.port());
-    path.insert(path.begin(), &readChannel_);
-    path.push_back(&localSpm_.port());
-    return launch(std::move(path), bytes, TrafficClass::SpmForward,
+    Route &path = routeSlot(forwardRoutes_, producer_port);
+    // The producer's scratchpad is an argument of its own; rebuild if
+    // it is not the one this port's route was built for.
+    if (path.empty() || path[1] != &producer.port()) {
+        auto fabric = fabric_.path(producer_port, port_);
+        path.clear();
+        path.push_back(&readChannel_);
+        path.push_back(&producer.port());
+        path.insert(path.end(), fabric.begin(), fabric.end());
+        path.push_back(&localSpm_.port());
+    }
+    return launch(path, bytes, TrafficClass::SpmForward,
                   std::move(on_done),
                   makeTag(TrafficClass::SpmForward, ctx));
 }
@@ -242,7 +269,9 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     localSpm_.recordWrite(bytes);
     forwardBytes_.add(bytes);
 
-    auto path = fabric_.path(producer_port, port_);
+    Route &path = routeSlot(streamRoutes_, producer_port);
+    if (path.empty())
+        path = fabric_.path(producer_port, port_);
     auto timing = reserveTransfer(path, now(), bytes,
                                   makeTag(TrafficClass::SpmForward, ctx));
     timing.end += config_.streamSetupLatency;

@@ -152,16 +152,23 @@ class DmaEngine : public SimObject
     void resetStats();
 
   private:
+    /** Resources one transfer claims, in order. */
+    using Route = std::vector<BandwidthResource *>;
+
     /**
      * In-flight burst-mode transfer. Instances are pooled: the engine
      * owns them (chunkPool_) and recycles through a free list, so a
      * long run of chunked transfers allocates a bounded number of
-     * states instead of one shared_ptr per transfer. Completion events
-     * capture the raw pointer; the engine outlives its events.
+     * states instead of one shared_ptr per transfer. Each state copies
+     * its route out of the route table (the table may grow while the
+     * transfer is in flight) into a path whose capacity survives
+     * recycling, so a warm pool issues transfers without allocating.
+     * Completion events capture the raw pointer; the engine outlives
+     * its events.
      */
     struct ChunkState
     {
-        std::vector<BandwidthResource *> path;
+        Route path;
         std::uint64_t remaining = 0;
         Callback onDone;
         RequestorTag tag;
@@ -173,12 +180,19 @@ class DmaEngine : public SimObject
     /** Ledger tag for a transfer of class @p cls under @p ctx. */
     RequestorTag makeTag(TrafficClass cls, const TransferCtx &ctx) const;
 
-    Tick launch(std::vector<BandwidthResource *> path, std::uint64_t bytes,
-                TrafficClass cls, Callback on_done,
-                const RequestorTag &tag);
-    Tick launchChunked(std::vector<BandwidthResource *> path,
-                       std::uint64_t bytes, TrafficClass cls,
-                       Callback on_done, const RequestorTag &tag);
+    /**
+     * Slot @p index of route table @p table, grown on demand; an empty
+     * slot has not been built yet. Drops every built route first if
+     * the fabric gained a port since (a ring's routes depend on its
+     * port count).
+     */
+    Route &routeSlot(std::vector<Route> &table, int index);
+
+    Tick launch(const Route &path, std::uint64_t bytes, TrafficClass cls,
+                Callback on_done, const RequestorTag &tag);
+    Tick launchChunked(const Route &path, std::uint64_t bytes,
+                       TrafficClass cls, Callback on_done,
+                       const RequestorTag &tag);
     void issueNextChunk(ChunkState *state);
     void accountTraffic(std::uint64_t bytes, TrafficClass cls);
 
@@ -195,6 +209,16 @@ class DmaEngine : public SimObject
     Counter forwardBytes_;
     std::uint64_t outstanding_ = 0;
     int sourceId_ = -1;
+    /**
+     * Route table, built on first use: a route depends only on the
+     * direction, the memory route (MainMemory::route) and the producer
+     * port, so each is built once instead of per transfer.
+     */
+    std::vector<Route> readRoutes_;    ///< By memory route.
+    std::vector<Route> writeRoutes_;   ///< By memory route.
+    std::vector<Route> forwardRoutes_; ///< By producer port.
+    std::vector<Route> streamRoutes_;  ///< By producer port.
+    int routedPorts_ = 0; ///< Fabric port count the routes were built for.
     std::vector<std::unique_ptr<ChunkState>> chunkPool_;
     std::vector<ChunkState *> chunkFree_;
 };

@@ -81,11 +81,22 @@ HardwareManager::occupyManager(Tick cost)
     return end;
 }
 
-Tick
-HardwareManager::actualComputeTime(const Node &node) const
+namespace
 {
-    Tick base = node.fixedRuntime ? node.fixedRuntime
-                                  : computeTime(node.params);
+
+/** Modelled compute time of @p node, before jitter. */
+Tick
+baseComputeTime(const Node &node)
+{
+    return node.fixedRuntime ? node.fixedRuntime
+                             : computeTime(node.params);
+}
+
+} // namespace
+
+Tick
+HardwareManager::actualComputeTime(const Node &node, Tick base) const
+{
     if (config_.computeJitter <= 0.0)
         return base;
     // Deterministic per-node jitter in [-amplitude, +amplitude]: models
@@ -118,17 +129,37 @@ HardwareManager::beginDag(Dag *dag)
     dag->submit(now());
 
     DeadlineScheme scheme = policy_->deadlineScheme();
-    std::vector<Node *> ready;
-    for (Node *node : dag->allNodes()) {
+    std::vector<Node *> *ready = acquireReadyList();
+    for (int i = 0; i < dag->numNodes(); ++i) {
+        Node *node = dag->node(i);
         node->deadline = now() + dag->nodeRelativeDeadline(*node, scheme);
         node->scoreDeadline = now() + node->relDeadlineCp;
         node->lifecycle.submitted = now();
         if (node->isRoot()) {
             node->lifecycle.depsReady = now();
-            ready.push_back(node);
+            ready->push_back(node);
         }
     }
-    scheduleReadyNodes(std::move(ready));
+    scheduleReadyNodes(ready);
+}
+
+std::vector<Node *> *
+HardwareManager::acquireReadyList()
+{
+    if (readyFree_.empty()) {
+        readyPool_.push_back(std::make_unique<std::vector<Node *>>());
+        return readyPool_.back().get();
+    }
+    std::vector<Node *> *list = readyFree_.back();
+    readyFree_.pop_back();
+    return list;
+}
+
+void
+HardwareManager::releaseReadyList(std::vector<Node *> *list)
+{
+    list->clear(); // keeps capacity for the next completion
+    readyFree_.push_back(list);
 }
 
 void
@@ -136,8 +167,8 @@ HardwareManager::invalidateDagResidue(Dag *dag)
 {
     for (AccState &state : accs_) {
         Scratchpad &spm = state.acc->spm();
-        for (Node *node : dag->allNodes()) {
-            int part = spm.findOutput(node->id);
+        for (int i = 0; i < dag->numNodes(); ++i) {
+            int part = spm.findOutput(dag->node(i)->id);
             if (part >= 0 && spm.partition(part).ongoingReads == 0)
                 spm.release(part);
         }
@@ -145,15 +176,16 @@ HardwareManager::invalidateDagResidue(Dag *dag)
 }
 
 void
-HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
+HardwareManager::scheduleReadyNodes(std::vector<Node *> *ready)
 {
-    if (ready.empty()) {
+    if (ready->empty()) {
+        releaseReadyList(ready);
         tryLaunchAll();
         return;
     }
 
     Tick cost = config_.isrLatency;
-    for (Node *node : ready) {
+    for (Node *node : *ready) {
         Tick push =
             policy_->pushCost(queues_[accIndex(node->params.type)].size());
         metrics_.pushLatency.sample(double(push));
@@ -168,12 +200,12 @@ HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
     Tick done = occupyManager(cost);
 
     sim().at(done, HostCat::Sched,
-             [this, ready = std::move(ready)]() {
+             [this, ready]() {
                  SchedContext ctx;
                  ctx.now = now();
                  for (AccType type : allAccTypes)
                      ctx.idleCount[accIndex(type)] = idleCount(type);
-                 for (Node *node : ready) {
+                 for (Node *node : *ready) {
                      node->status = NodeStatus::Ready;
                      node->readyAt = now();
                      node->lifecycle.queued = now();
@@ -182,7 +214,8 @@ HardwareManager::scheduleReadyNodes(std::vector<Node *> ready)
                          STick(node->deadline) -
                          STick(node->predictedRuntime);
                  }
-                 policy_->onNodesReady(ready, ctx, queues_);
+                 policy_->onNodesReady(*ready, ctx, queues_);
+                 releaseReadyList(ready);
                  tryLaunchAll();
              },
              [this] { return name() + ".sched"; });
@@ -444,7 +477,9 @@ HardwareManager::startCompute(AccState &state)
     Node *node = state.current;
     node->actualMemTime += now() - state.inputStart;
     node->lifecycle.loadEnd = now();
-    Tick duration = actualComputeTime(*node);
+    state.computeBase = baseComputeTime(*node);
+    state.computeDuration = actualComputeTime(*node, state.computeBase);
+    Tick duration = state.computeDuration;
     if (trace_) {
         int lane_id = trace_->lane(state.acc->name());
         trace_->span(lane_id, "~load " + node->label, state.inputStart,
@@ -492,12 +527,10 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     if (node->deadlineMet())
         ++metrics_.nodeDeadlinesMet;
 
-    // Compute-time prediction outcome (Table VIII).
-    Tick predicted_compute = node->fixedRuntime
-                                 ? node->fixedRuntime
-                                 : computeTime(node->params);
-    predictor_->recordComputeOutcome(predicted_compute,
-                                     actualComputeTime(*node));
+    // Compute-time prediction outcome (Table VIII). state still holds
+    // node's compute times: nothing has launched on it since.
+    Tick base = state.computeBase;
+    predictor_->recordComputeOutcome(base, state.computeDuration);
 
     Dag *dag = node->dag;
     dag->noteNodeFinished();
@@ -532,7 +565,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
 
     // Record where this output lives so the children's drivers can
     // find it (Table III: producer_acc / producer_spm).
-    std::vector<Node *> ready;
+    std::vector<Node *> *ready = acquireReadyList();
     for (Node *child : node->children) {
         for (std::size_t i = 0; i < child->parents.size(); ++i) {
             if (child->parents[i] == node) {
@@ -543,13 +576,13 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
         if (++child->completedParents ==
             std::uint32_t(child->parents.size())) {
             child->lifecycle.depsReady = now();
-            ready.push_back(child);
+            ready->push_back(child);
         }
     }
 
     // ISR + scheduler run, serialized on the manager.
     Tick cost = config_.isrLatency;
-    for (Node *r : ready) {
+    for (Node *r : *ready) {
         Tick push =
             policy_->pushCost(queues_[accIndex(r->params.type)].size());
         metrics_.pushLatency.sample(double(push));
@@ -565,13 +598,12 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     Tick done = occupyManager(cost);
     AccState *state_ptr = &state;
     sim().at(done, HostCat::Sched,
-             [this, state_ptr, node, partition,
-              ready = std::move(ready)]() {
+             [this, state_ptr, node, partition, ready, base]() {
                  SchedContext ctx;
                  ctx.now = now();
                  for (AccType type : allAccTypes)
                      ctx.idleCount[accIndex(type)] = idleCount(type);
-                 for (Node *r : ready) {
+                 for (Node *r : *ready) {
                      r->status = NodeStatus::Ready;
                      r->readyAt = now();
                      r->lifecycle.queued = now();
@@ -579,17 +611,18 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                      r->laxityKey = STick(r->deadline) -
                                     STick(r->predictedRuntime);
                  }
-                 policy_->onNodesReady(ready, ctx, queues_);
+                 policy_->onNodesReady(*ready, ctx, queues_);
+                 releaseReadyList(ready);
                  handleWriteBack(*state_ptr, node, partition);
 
                  // Memory-time prediction outcome (Table VIII), now
-                 // that the write-back decision is in.
-                 Tick predicted_mem = node->predictedRuntime >=
-                                              computeTime(node->params)
-                                          ? node->predictedRuntime -
-                                                computeTime(node->params)
-                                          : 0;
+                 // that the write-back decision is in. Without a fixed
+                 // runtime, base is computeTime(node->params).
                  if (!node->fixedRuntime) {
+                     Tick predicted_mem =
+                         node->predictedRuntime >= base
+                             ? node->predictedRuntime - base
+                             : 0;
                      predictor_->recordMemoryOutcome(predicted_mem,
                                                      node->actualMemTime);
                  }

@@ -143,6 +143,10 @@ class HardwareManager : public SimObject
         unsigned colocMask = 0;     ///< Partitions read in place.
         int pendingInputs = 0;      ///< Outstanding input transfers.
         Tick inputStart = 0;        ///< When input loading began.
+        /** current's compute time before and after jitter, fixed when
+         *  its compute starts. */
+        Tick computeBase = 0;
+        Tick computeDuration = 0;
         /** Node that most recently executed here. The scheduler
          *  performs colocations by tracking the previously executed
          *  node on an accelerator (paper Section III-B), so only the
@@ -154,8 +158,17 @@ class HardwareManager : public SimObject
     void beginDag(Dag *dag);
 
     /** Make nodes ready: predict runtimes, charge scheduling cost, and
-     *  hand them to the policy, then try to launch. */
-    void scheduleReadyNodes(std::vector<Node *> ready);
+     *  hand them to the policy, then try to launch. Takes back the
+     *  pooled list @p ready. */
+    void scheduleReadyNodes(std::vector<Node *> *ready);
+
+    /**
+     * Ready lists are pooled like DmaEngine's chunk states: the ISR
+     * closure that hands a list to the policy captures a raw pointer
+     * and returns the list, which keeps its capacity, to the free list.
+     */
+    std::vector<Node *> *acquireReadyList();
+    void releaseReadyList(std::vector<Node *> *list);
 
     /** Pull work onto every idle accelerator. */
     void tryLaunchAll();
@@ -204,8 +217,9 @@ class HardwareManager : public SimObject
      *  tick (identity when latency modeling is off). */
     Tick occupyManager(Tick cost);
 
-    /** Deterministic per-node compute duration (with jitter). */
-    Tick actualComputeTime(const Node &node) const;
+    /** Deterministic compute duration of @p node: @p base (its
+     *  modelled compute time) with per-node jitter. */
+    Tick actualComputeTime(const Node &node, Tick base) const;
 
     std::unique_ptr<Policy> policy_;
     std::unique_ptr<RuntimePredictor> predictor_;
@@ -215,6 +229,8 @@ class HardwareManager : public SimObject
     ReadyQueues queues_;
     RunMetrics metrics_;
     std::vector<DagLatencyRecord> latencyRecords_;
+    std::vector<std::unique_ptr<std::vector<Node *>>> readyPool_;
+    std::vector<std::vector<Node *> *> readyFree_;
     Tick managerFreeAt_ = 0;
     std::function<void(Dag *)> onDagComplete_;
     DagAttributionHandler onDagAttributed_;

@@ -36,13 +36,13 @@ BankedMemory::BankedMemory(Simulator &sim, std::string name,
     }
 }
 
-std::vector<BandwidthResource *>
-BankedMemory::path(std::uint64_t stream_hint)
+int
+BankedMemory::route(std::uint64_t stream_hint)
 {
     std::uint64_t h = stream_hint * 2654435761ull;
     auto bank_index = std::size_t(h % std::uint64_t(banks_.size()));
     DPRINTF(Mem, "stream ", stream_hint, " -> bank ", bank_index);
-    return {banks_[bank_index].get(), &channel()};
+    return int(bank_index);
 }
 
 void

@@ -45,8 +45,14 @@ class BankedMemory : public MainMemory
     BankedMemory(Simulator &sim, std::string name,
                  const BankedMemoryConfig &config = {});
 
-    std::vector<BandwidthResource *>
-    path(std::uint64_t stream_hint) override;
+    /** The bank @p stream_hint maps to. */
+    int route(std::uint64_t stream_hint) override;
+
+    /** Bank @p index, then the shared channel. */
+    std::vector<BandwidthResource *> routePath(int index) override
+    {
+        return {&bank(index), &channel()};
+    }
 
     std::vector<BandwidthResource *> pressureResources() override
     {

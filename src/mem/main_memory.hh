@@ -45,16 +45,33 @@ class MainMemory : public SimObject
     const BandwidthResource &channel() const { return channel_; }
 
     /**
-     * Resources a transfer touching this memory must claim, in order.
-     * @p stream_hint identifies the buffer/stream (e.g. the task-node
-     * id); the flat model ignores it, the banked model (BankedMemory)
-     * maps it to a bank so independent streams can overlap.
+     * Index of the route a transfer of stream @p stream_hint takes
+     * through this memory. @p stream_hint identifies the buffer/stream
+     * (e.g. the task-node id); the flat model has the single route 0,
+     * the banked model (BankedMemory) maps the hint to a bank so
+     * independent streams can overlap, and returns the bank index.
      */
-    virtual std::vector<BandwidthResource *>
-    path(std::uint64_t stream_hint)
+    virtual int
+    route(std::uint64_t stream_hint)
     {
         (void)stream_hint;
+        return 0;
+    }
+
+    /** Resources a transfer on route @p index must claim, in order. */
+    virtual std::vector<BandwidthResource *>
+    routePath(int index)
+    {
+        (void)index;
         return {&channel_};
+    }
+
+    /** Resources a transfer touching this memory must claim, in
+     *  order: the path of route(@p stream_hint). */
+    std::vector<BandwidthResource *>
+    path(std::uint64_t stream_hint)
+    {
+        return routePath(route(stream_hint));
     }
 
     /**

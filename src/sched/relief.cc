@@ -48,7 +48,8 @@ ReliefPolicy::onNodesReady(const std::vector<Node *> &ready,
     // Algorithm 1, lines 2-8: laxity-sorted forwarding-candidate lists,
     // one per accelerator type. Root nodes (no just-finished parent)
     // have nothing to forward and go straight to sorted insertion.
-    std::array<std::vector<Node *>, std::size_t(numAccTypes)> fwd_nodes;
+    for (auto &list : fwdNodes_)
+        list.clear();
     for (Node *node : ready) {
         auto &q = queues[accIndex(node->params.type)];
         if (node->isRoot()) {
@@ -56,7 +57,7 @@ ReliefPolicy::onNodesReady(const std::vector<Node *> &ready,
             q.insertAt(q.findLaxityPos(node), node);
             continue;
         }
-        auto &list = fwd_nodes[accIndex(node->params.type)];
+        auto &list = fwdNodes_[accIndex(node->params.type)];
         auto pos = std::find_if(list.begin(), list.end(),
                                 [node](const Node *other) {
                                     return other->laxityKey >
@@ -69,7 +70,7 @@ ReliefPolicy::onNodesReady(const std::vector<Node *> &ready,
     for (std::size_t t = 0; t < std::size_t(numAccTypes); ++t) {
         int max_forwards = ctx.idleCount[t];
         auto &q = queues[t];
-        for (Node *node : fwd_nodes[t]) {
+        for (Node *node : fwdNodes_[t]) {
             std::size_t index = q.findLaxityPos(node);
 
             PromotionDecision d;

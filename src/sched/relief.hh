@@ -21,6 +21,9 @@
 #ifndef RELIEF_SCHED_RELIEF_HH
 #define RELIEF_SCHED_RELIEF_HH
 
+#include <array>
+#include <vector>
+
 #include "sched/decision_log.hh"
 #include "sched/policy.hh"
 
@@ -105,6 +108,9 @@ class ReliefPolicy : public Policy
     std::uint64_t promotions_ = 0;
     std::uint64_t throttled_ = 0;
     DecisionLog log_;
+    /** onNodesReady's per-type forwarding-candidate lists, cleared on
+     *  each call and kept for their capacity. */
+    std::array<std::vector<Node *>, std::size_t(numAccTypes)> fwdNodes_;
 };
 
 } // namespace relief

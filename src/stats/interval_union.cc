@@ -10,10 +10,21 @@ IntervalUnion::add(Tick start, Tick end)
 {
     if (end <= start)
         return;
-    if (!intervals_.empty() && start < intervals_.back().first)
-        sorted_ = false;
-    intervals_.emplace_back(start, end);
     rawSum_ += end - start;
+    if (!intervals_.empty()) {
+        auto &last = intervals_.back();
+        if (start < last.first) {
+            sorted_ = false;
+        } else if (sorted_ && start <= last.second) {
+            // Starts inside (or touching) the last interval: extending
+            // it leaves the union unchanged. Back-to-back FIFO claims
+            // take this path, so a busy resource stores one interval
+            // per busy period rather than one per claim.
+            last.second = std::max(last.second, end);
+            return;
+        }
+    }
+    intervals_.emplace_back(start, end);
 }
 
 Tick

@@ -3,7 +3,9 @@
  * Union of time intervals, used for occupancy statistics ("fraction of
  * time at least one transaction was in flight"). Intervals may be added
  * out of order and may overlap; the covered time is computed by a merge
- * at query time.
+ * at query time. While additions arrive in start order, one that starts
+ * inside or at the end of the last stored interval extends it instead
+ * of being stored.
  */
 
 #ifndef RELIEF_STATS_INTERVAL_UNION_HH
@@ -30,6 +32,7 @@ class IntervalUnion
     /** Sum of raw interval lengths (counts overlap multiple times). */
     Tick rawSum() const { return rawSum_; }
 
+    /** Number of stored (coalesced) intervals. */
     std::size_t numIntervals() const { return intervals_.size(); }
     void clear();
 

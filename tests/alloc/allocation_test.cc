@@ -1,0 +1,127 @@
+/**
+ * @file
+ * Heap allocations on the simulator's hot paths, counted with the
+ * benchmark's operator-new replacement (perfbench/alloc_count.cc is
+ * linked into this binary). A DMA transfer reuses its engine's route
+ * table and pooled chunk states, so once warm it allocates nothing;
+ * whole runs allocate only as their statistics grow.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "alloc_count.hh"
+#include "core/soc.hh"
+#include "dag/apps/apps.hh"
+#include "workload/scenario.hh"
+
+namespace relief
+{
+namespace
+{
+
+struct Platform
+{
+    const char *name;
+    FabricKind fabric;
+    bool banked;
+    std::uint64_t burstBytes;
+};
+
+const Platform platforms[] = {
+    {"flat bus", FabricKind::Bus, false, 0},
+    {"banked bus", FabricKind::Bus, true, 0},
+    {"banked crossbar, 1 KiB bursts", FabricKind::Crossbar, true, 1024},
+    {"flat ring", FabricKind::Ring, false, 0},
+};
+
+SocConfig
+socConfig(const Platform &platform)
+{
+    SocConfig config;
+    config.fabric = platform.fabric;
+    config.bankedMemory = platform.banked;
+    config.dma.burstBytes = platform.burstBytes;
+    return config;
+}
+
+/**
+ * @p rounds rounds of one DRAM read, one write-back and one forward
+ * from @p producer's scratchpad into @p acc's, each round run to
+ * completion. Stream hints cycle so banked memory uses every bank.
+ */
+void
+transferRounds(Soc &soc, Accelerator &acc, Accelerator &producer,
+               int rounds)
+{
+    for (int i = 0; i < rounds; ++i) {
+        auto hint = std::uint64_t(i % 16);
+        acc.dma().readFromDram(4096, nullptr, hint);
+        acc.dma().writeToDram(4096, nullptr, hint);
+        acc.dma().forwardFrom(producer.spm(), producer.dma().port(), 4096,
+                              nullptr);
+        soc.run();
+    }
+}
+
+TEST(AllocationTest, WarmTransfersAllocateNothing)
+{
+    for (const Platform &platform : platforms) {
+        Soc soc(socConfig(platform));
+        std::vector<Accelerator *> accs = soc.accelerators();
+        ASSERT_GE(accs.size(), 2u);
+        Accelerator &acc = *accs[0];
+        Accelerator &producer = *accs[1];
+
+        // Warm-up: each route's first transfer builds it; the rest
+        // size the event slab and the occupancy interval stores,
+        // which resetStats() empties without shrinking.
+        transferRounds(soc, acc, producer, 1000);
+        for (Accelerator *a : accs)
+            a->resetStats();
+        soc.dram().resetStats();
+        soc.fabric().resetStats();
+
+        std::uint64_t before = allocationCount();
+        transferRounds(soc, acc, producer, 1000);
+        std::uint64_t allocs = allocationCount() - before;
+        EXPECT_EQ(allocs, 0u) << platform.name;
+        EXPECT_EQ(acc.dma().outstandingBytes(), 0u) << platform.name;
+    }
+}
+
+/** Allocations per executed event inside Soc::run of a continuous CDL
+ *  run under RELIEF; set-up (Soc, DAG builds) is not counted. */
+double
+continuousAllocsPerEvent(const SocConfig &config)
+{
+    resetNodeIds();
+    Soc soc(config);
+    for (AppId app : parseMix("CDL"))
+        soc.submit(buildApp(app), 0, true);
+    std::uint64_t before = allocationCount();
+    soc.run(continuousWindow);
+    std::uint64_t allocs = allocationCount() - before;
+    std::uint64_t events = soc.sim().events().numExecuted();
+    EXPECT_GT(events, 0u);
+    return events ? double(allocs) / double(events) : 0.0;
+}
+
+TEST(AllocationTest, ContinuousReliefRunAllocatesRarely)
+{
+    SocConfig config;
+    config.policy = PolicyKind::Relief;
+    EXPECT_LE(continuousAllocsPerEvent(config), 0.2);
+}
+
+TEST(AllocationTest, BankedBurstRunAllocatesRarely)
+{
+    SocConfig config = socConfig(platforms[2]);
+    config.policy = PolicyKind::Relief;
+    EXPECT_LE(continuousAllocsPerEvent(config), 0.02);
+}
+
+} // namespace
+} // namespace relief

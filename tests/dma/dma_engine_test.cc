@@ -4,6 +4,7 @@
 
 #include "dma/dma_engine.hh"
 #include "interconnect/bus.hh"
+#include "interconnect/ring.hh"
 #include "sim/logging.hh"
 
 namespace relief
@@ -118,6 +119,21 @@ TEST_F(DmaEngineTest, ForwardMovesSpmToSpm)
     EXPECT_EQ(spm->writeBytes(), 1000u);
     EXPECT_EQ(dma->bytesMoved(TrafficClass::SpmForward), 1000u);
     EXPECT_EQ(end, fromNs(10.0));
+}
+
+TEST_F(DmaEngineTest, ForwardClaimsTheProducerItIsGiven)
+{
+    // Routes are cached per producer port; a different scratchpad
+    // behind the same port must still be the one claimed.
+    build();
+    Scratchpad first(sim, "first", spm_config);
+    Scratchpad second(sim, "second", spm_config);
+    PortId producer_port = bus->registerPort("producer");
+    dma->forwardFrom(first, producer_port, 100, nullptr);
+    dma->forwardFrom(second, producer_port, 100, nullptr);
+    dma->forwardFrom(second, producer_port, 100, nullptr);
+    EXPECT_EQ(first.port().numTransfers(), 1u);
+    EXPECT_EQ(second.port().numTransfers(), 2u);
 }
 
 TEST_F(DmaEngineTest, ForwardFromSelfPanics)
@@ -242,6 +258,32 @@ TEST_F(DmaEngineTest, ChunkedForwardAlsoWorks)
     EXPECT_TRUE(done);
     EXPECT_EQ(dma->bytesMoved(TrafficClass::SpmForward), 250u);
     EXPECT_EQ(producer.readBytes(), 250u);
+}
+
+TEST(DmaEngineRouteTest, RoutesFollowPortsRegisteredLater)
+{
+    // A ring routes the shortest way round, which depends on its port
+    // count: a route built before another port attached is stale.
+    Simulator sim;
+    Ring ring(sim, "ring");
+    MainMemory dram(sim, "dram");
+    PortId dram_port = ring.registerPort("dram");
+    Scratchpad spm(sim, "spm");
+    DmaEngine dma(sim, "dma", ring, dram_port, dram, spm);
+
+    auto two_ports = ring.path(dma.port(), dram_port);
+    dma.writeToDram(64, nullptr);
+    sim.run();
+    ring.registerPort("late");
+    auto three_ports = ring.path(dma.port(), dram_port);
+    dma.writeToDram(64, nullptr);
+    sim.run();
+
+    ASSERT_EQ(two_ports.size(), 1u);
+    ASSERT_EQ(three_ports.size(), 1u);
+    ASSERT_NE(two_ports[0], three_ports[0]);
+    EXPECT_EQ(two_ports[0]->numTransfers(), 1u);
+    EXPECT_EQ(three_ports[0]->numTransfers(), 1u);
 }
 
 } // namespace

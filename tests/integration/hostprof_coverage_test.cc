@@ -73,5 +73,32 @@ TEST(HostProfCoverageTest, ProfilingOffLeavesNoResidue)
     EXPECT_GE(snap.coverage(), 0.9);
 }
 
+TEST(HostProfCoverageTest, TimingOnlyRunChargesNothingToKernels)
+{
+    // Compute-done events run the manager's completion handling, which
+    // is scheduler work; with no functional payloads no kernel runs.
+    setHostProfEnabled(true);
+    MetricsReport report = runMixPolicy("CG", PolicyKind::Relief, false);
+    setHostProfEnabled(false);
+    HostProfSnapshot snap = hostProfSnapshot();
+    const auto kernels = static_cast<std::size_t>(HostCat::Kernels);
+    EXPECT_GT(report.run.nodesFinished, 0u);
+    EXPECT_EQ(snap.cats[kernels].events, 0u);
+    EXPECT_EQ(snap.cats[kernels].wallNs, 0u);
+}
+
+TEST(HostProfCoverageTest, FunctionalRunChargesKernels)
+{
+    ExperimentConfig config;
+    config.mix = "CG";
+    config.app.functional = true;
+    setHostProfEnabled(true);
+    runExperiment(config);
+    setHostProfEnabled(false);
+    HostProfSnapshot snap = hostProfSnapshot();
+    const auto kernels = static_cast<std::size_t>(HostCat::Kernels);
+    EXPECT_GT(snap.cats[kernels].wallNs, 0u);
+}
+
 } // namespace
 } // namespace relief

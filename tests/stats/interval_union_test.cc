@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "stats/interval_union.hh"
 
 namespace relief
@@ -95,6 +101,167 @@ TEST(IntervalUnionTest, ClearResets)
     u.clear();
     EXPECT_EQ(u.covered(), 0u);
     EXPECT_EQ(u.rawSum(), 0u);
+}
+
+TEST(IntervalUnionTest, BackToBackIntervalsAreStoredOnce)
+{
+    IntervalUnion u;
+    for (Tick t = 0; t < 100; t += 10)
+        u.add(t, t + 10);
+    EXPECT_EQ(u.numIntervals(), 1u);
+    EXPECT_EQ(u.covered(), 100u);
+    EXPECT_EQ(u.covered(55), 55u);
+    EXPECT_EQ(u.rawSum(), 100u);
+}
+
+/** Ticks every interval of an equivalence stream lies within. */
+constexpr Tick streamSpan = 2048;
+
+using Interval = std::pair<Tick, Tick>;
+
+/** covered(upTo) for every upTo in [0, streamSpan], counted one tick
+ *  at a time: element t is the number of busy ticks below t. */
+std::vector<Tick>
+bruteCovered(const std::vector<Interval> &added)
+{
+    std::vector<bool> busy(std::size_t(streamSpan), false);
+    for (const auto &[s, e] : added)
+        for (Tick t = s; t < e; ++t)
+            busy[std::size_t(t)] = true;
+    std::vector<Tick> below(std::size_t(streamSpan) + 1, 0);
+    for (Tick t = 0; t < streamSpan; ++t)
+        below[std::size_t(t) + 1] =
+            below[std::size_t(t)] + (busy[std::size_t(t)] ? 1 : 0);
+    return below;
+}
+
+Tick
+bruteRawSum(const std::vector<Interval> &added)
+{
+    Tick total = 0;
+    for (const auto &[s, e] : added)
+        total += e > s ? e - s : 0;
+    return total;
+}
+
+enum class Stream
+{
+    Sorted,     ///< Increasing starts, random lengths (overlap or gap).
+    BackToBack, ///< Each starts where the previous ended.
+    Nested,     ///< Inside a long first interval, in start order.
+    Overlapping, ///< Each starts inside the previous one.
+    OutOfOrder, ///< Uniformly random.
+};
+
+std::vector<Interval>
+makeStream(Stream kind, std::mt19937_64 &rng, int count)
+{
+    auto pick = [&rng](Tick lo, Tick hi) {
+        return std::uniform_int_distribution<Tick>(lo, hi)(rng);
+    };
+    std::vector<Interval> out;
+    Tick cursor = 0;
+    for (int i = 0; i < count; ++i) {
+        Tick s = 0, e = 0;
+        switch (kind) {
+          case Stream::Sorted:
+            s = cursor + pick(0, 20);
+            e = s + pick(0, 30); // empty intervals included
+            cursor = s;
+            break;
+          case Stream::BackToBack:
+            s = cursor;
+            e = s + pick(1, 20);
+            cursor = e;
+            break;
+          case Stream::Nested:
+            if (i == 0) {
+                s = 10;
+                e = 10 + 40 * Tick(count);
+            } else {
+                s = cursor + pick(0, 30);
+                e = s + pick(1, 50);
+            }
+            cursor = s;
+            break;
+          case Stream::Overlapping:
+            s = i == 0 ? 0 : pick(out.back().first, out.back().second);
+            e = s + pick(1, 25);
+            break;
+          case Stream::OutOfOrder:
+            s = pick(0, streamSpan - 64);
+            e = s + pick(0, 60);
+            break;
+        }
+        e = std::min(e, streamSpan);
+        s = std::min(s, e);
+        out.emplace_back(s, e);
+    }
+    return out;
+}
+
+/** Query points: 0, the end, every interval edge and a tick either
+ *  side of it (so some queries clip mid-interval), and random ticks. */
+std::vector<Tick>
+queryPoints(const std::vector<Interval> &added, std::mt19937_64 &rng)
+{
+    std::vector<Tick> out = {0, 1, streamSpan, maxTick};
+    for (const auto &[s, e] : added) {
+        for (Tick t : {s, e, s + 1, e > 0 ? e - 1 : 0, (s + e) / 2})
+            out.push_back(t);
+    }
+    for (int i = 0; i < 32; ++i)
+        out.push_back(std::uniform_int_distribution<Tick>(
+            0, streamSpan)(rng));
+    return out;
+}
+
+void
+expectMatchesReference(const IntervalUnion &u,
+                        const std::vector<Interval> &added,
+                        std::mt19937_64 &rng)
+{
+    EXPECT_EQ(u.rawSum(), bruteRawSum(added));
+    EXPECT_LE(u.numIntervals(), added.size());
+    std::vector<Tick> below = bruteCovered(added);
+    for (Tick up_to : queryPoints(added, rng))
+        ASSERT_EQ(u.covered(up_to),
+                  below[std::size_t(std::min(up_to, streamSpan))])
+            << "upTo " << up_to;
+}
+
+TEST(IntervalUnionTest, CoalescingMatchesBruteForceReference)
+{
+    for (Stream kind : {Stream::Sorted, Stream::BackToBack, Stream::Nested,
+                        Stream::Overlapping, Stream::OutOfOrder}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            SCOPED_TRACE(testing::Message()
+                         << "stream " << int(kind) << " seed " << seed);
+            std::mt19937_64 rng(seed);
+            std::vector<Interval> added = makeStream(kind, rng, 40);
+            IntervalUnion u;
+            for (const auto &[s, e] : added)
+                u.add(s, e);
+            expectMatchesReference(u, added, rng);
+
+            // A query sorts the store; additions after it coalesce
+            // again and must still agree.
+            std::vector<Interval> more = makeStream(kind, rng, 20);
+            for (const auto &[s, e] : more) {
+                u.add(s, e);
+                added.emplace_back(s, e);
+            }
+            expectMatchesReference(u, added, rng);
+
+            // After clear() only the new stream counts.
+            u.clear();
+            EXPECT_EQ(u.numIntervals(), 0u);
+            std::vector<Interval> fresh = makeStream(kind, rng, 30);
+            for (const auto &[s, e] : fresh)
+                u.add(s, e);
+            expectMatchesReference(u, fresh, rng);
+        }
+    }
 }
 
 } // namespace
