@@ -33,7 +33,7 @@ Accelerator::startCompute(Tick duration, Callback on_done)
     RELIEF_ASSERT(busy_, name(), ": compute without acquisition");
     Tick start = now();
     Tick end = start + duration;
-    computeBusy_.add(start, end);
+    computeBusy_.add(now(), start, end);
     // The done event runs the manager's completion handling, so it is
     // scheduler work; functional payloads charge Kernels themselves.
     sim().at(end, HostCat::Sched,

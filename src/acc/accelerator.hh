@@ -72,7 +72,9 @@ class Accelerator : public SimObject
     /** Release the functional unit without computing (error paths). */
     void release();
 
-    /** Pure compute busy time (the Fig. 7 occupancy numerator). */
+    /** Pure compute busy time (the Fig. 7 occupancy numerator),
+     *  clipped to [0, upTo); @p upTo must not precede the latest
+     *  startCompute() call. */
     Tick computeBusyTime(Tick upTo = maxTick) const
     {
         return computeBusy_.covered(upTo);

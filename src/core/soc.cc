@@ -170,7 +170,7 @@ Soc::registerStats()
                      [this] { return dram_->energyPJ(); });
     stats_.addScalar("dram.channel.busy_us", "channel busy time",
                      [this] {
-                         return toUs(dram_->channel().busyTime(endTick_));
+                         return toUs(dram_->channel().busyTime(sim_.now()));
                      });
     stats_.addCounter("dram.channel.transfers", "channel reservations",
                       [this] {
@@ -182,7 +182,7 @@ Soc::registerStats()
     stats_.addCounter("fabric.transfers", "fabric transactions",
                       [this] { return fabric_->numTransfers(); });
     stats_.addFormula("fabric.occupancy", "fraction of time busy",
-                      [this] { return fabric_->occupancy(endTick_); });
+                      [this] { return fabric_->occupancy(sim_.now()); });
 
     for (const auto &acc_ptr : accs_) {
         Accelerator *acc = acc_ptr.get();
@@ -191,7 +191,7 @@ Soc::registerStats()
                           [acc] { return acc->tasksExecuted(); });
         stats_.addScalar(prefix + ".compute_busy_us",
                          "compute busy time", [this, acc] {
-                             return toUs(acc->computeBusyTime(endTick_));
+                             return toUs(acc->computeBusyTime(sim_.now()));
                          });
         stats_.addCounter(prefix + ".spm.read_bytes",
                           "scratchpad bytes read",
@@ -446,7 +446,7 @@ Soc::writeStatsJson(std::ostream &os) const
            << "}";
     }
     os << "\n  ],\n  \"pressure\": ";
-    ledger_->writeJson(os, endTick_, 8, pressureSummary(), nullptr);
+    ledger_->writeJson(os, sim_.now(), 8, pressureSummary(), nullptr);
     os << "\n}\n";
 }
 
@@ -470,7 +470,7 @@ void
 Soc::writePressureJson(std::ostream &os, int top_k) const
 {
     HostProfScope prof(HostCat::Stats);
-    ledger_->writeJson(os, endTick_, top_k, pressureSummary(),
+    ledger_->writeJson(os, sim_.now(), top_k, pressureSummary(),
                        "relief-pressure-v1");
     os << "\n";
 }
@@ -578,8 +578,7 @@ Soc::run(Tick limit)
     runLimit_ = limit;
     if (sampler_)
         sampler_->start();
-    endTick_ = sim_.run(limit);
-    return endTick_;
+    return sim_.run(limit);
 }
 
 MetricsReport
@@ -588,7 +587,8 @@ Soc::report() const
     HostProfScope prof(HostCat::Stats);
     MetricsReport report;
     report.run = manager_->metrics();
-    report.execTime = endTick_;
+    const Tick end = sim_.now();
+    report.execTime = end;
     report.dramBytes = dram_->totalBytes();
     report.dramEnergyPJ = dram_->energyPJ();
 
@@ -598,11 +598,10 @@ Soc::report() const
             acc->dma().bytesMoved(TrafficClass::SpmForward);
         report.spmBytes += acc->spm().readBytes() + acc->spm().writeBytes();
         report.spmEnergyPJ += acc->spm().energyPJ();
-        busy_sum += acc->computeBusyTime(endTick_);
+        busy_sum += acc->computeBusyTime(end);
     }
-    report.accOccupancy =
-        endTick_ ? double(busy_sum) / double(endTick_) : 0.0;
-    report.fabricOccupancy = fabric_->occupancy(endTick_);
+    report.accOccupancy = end ? double(busy_sum) / double(end) : 0.0;
+    report.fabricOccupancy = fabric_->occupancy(end);
 
     for (const Submission &sub : submissions_)
         report.apps.push_back(sub.outcome);

@@ -250,7 +250,6 @@ class Soc
     std::unique_ptr<IntervalSampler> sampler_;
     StatRegistry stats_;
     Tick runLimit_ = maxTick;
-    Tick endTick_ = 0;
 };
 
 } // namespace relief

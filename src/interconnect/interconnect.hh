@@ -43,14 +43,16 @@ class Interconnect : public SimObject
     void
     recordTransfer(Tick start, Tick end, std::uint64_t bytes)
     {
-        busy_.add(start, end);
+        busy_.add(now(), start, end);
         bytes_.add(bytes);
         transfers_.add(1);
         DPRINTF(Fabric, bytes, " bytes reserved [", start, ", ", end,
                 ")");
     }
 
-    /** Time during which at least one transaction was in flight. */
+    /** Time during which at least one transaction was in flight,
+     *  clipped to [0, upTo); @p upTo must not precede the latest
+     *  recordTransfer() call's now(). */
     Tick busyTime(Tick upTo = maxTick) const { return busy_.covered(upTo); }
 
     /** Fraction of [0, upTo) with at least one transaction in flight. */

@@ -47,7 +47,7 @@ BandwidthResource::claim(Tick earliest, std::uint64_t bytes,
     Tick hold = holdTime(bytes);
     Tick end = start + hold;
     nextFree_ = end;
-    busy_.add(start, end);
+    busy_.add(request_time, start, end);
     totalBytes_.add(bytes);
     numTransfers_.add(1);
     if (ledger_)

@@ -66,7 +66,10 @@ class BandwidthResource
      * asked for the pipe, which reserveTransfer may have pushed past
      * via other resources in the chain) and the attached pressure
      * ledger attributes it to @p tag. The untagged claim() overload
-     * is claim(earliest, bytes, earliest, untagged).
+     * is claim(earliest, bytes, earliest, untagged). @p earliest must
+     * not precede @p request_time; FIFO queueing then starts every
+     * claim after every earlier request time, so the busy time before
+     * the latest one is final.
      */
     Tick claim(Tick earliest, std::uint64_t bytes, Tick request_time,
                const RequestorTag &tag);
@@ -95,7 +98,8 @@ class BandwidthResource
     PressureLedger *ledger() const { return ledger_; }
     int ledgerId() const { return ledgerId_; }
 
-    /** Time covered by at least one reservation, clipped to [0, upTo). */
+    /** Time covered by at least one reservation, clipped to [0, upTo).
+     *  @p upTo must not precede any claim's request time. */
     Tick busyTime(Tick upTo = maxTick) const { return busy_.covered(upTo); }
 
     /** Fraction of [0, upTo) covered by reservations. */

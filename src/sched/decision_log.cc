@@ -50,26 +50,30 @@ DecisionLog::record(PromotionDecision decision)
 {
     if (decision.granted)
         ++granted_;
-    decisions_.push_back(std::move(decision));
+    if (kept_.size() < capacity)
+        kept_.push_back(std::move(decision));
+    else
+        kept_[recorded_ % capacity] = std::move(decision);
+    ++recorded_;
 }
 
 const PromotionDecision &
 DecisionLog::at(std::size_t index) const
 {
-    RELIEF_ASSERT(index < decisions_.size(),
-                  "decision index ", index, " out of range");
-    return decisions_[index];
+    RELIEF_ASSERT(index >= first() && index < size(), "decision index ",
+                  index, " is not kept (kept: [", first(), ", ", size(),
+                  "))");
+    return kept_[index % capacity];
 }
 
 void
 DecisionLog::writeJson(std::ostream &os) const
 {
     os << "[\n";
-    bool first = true;
-    for (const PromotionDecision &d : decisions_) {
-        if (!first)
+    for (std::size_t i = first(); i < size(); ++i) {
+        const PromotionDecision &d = at(i);
+        if (i != first())
             os << ",\n";
-        first = false;
         os << "  {\"tick\": " << d.when << ", \"node\": " << d.node
            << ", \"label\": \"" << jsonEscape(d.label)
            << "\", \"acc\": \"" << accTypeName(d.type)
@@ -89,7 +93,8 @@ DecisionLog::writeJson(std::ostream &os) const
 void
 DecisionLog::clear()
 {
-    decisions_.clear();
+    kept_.clear();
+    recorded_ = 0;
     granted_ = 0;
 }
 

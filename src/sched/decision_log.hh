@@ -10,10 +10,13 @@
  * candidate's runtime — and the (negative) slack it would have been
  * left with.
  *
- * The log is queryable in-process (tests assert on individual
- * decisions), exportable as a JSON array, and mirrored line-by-line on
- * the Sched debug flag, so `--debug-flags Sched` prints exactly what
- * the log records.
+ * The log counts every decision but keeps only the most recent
+ * DecisionLog::capacity of them, so a long run holds a fixed amount
+ * of memory instead of one record per decision. The kept decisions are
+ * queryable in-process (tests assert on individual decisions) and
+ * exportable as a JSON array. Every decision is mirrored line-by-line
+ * on the Sched debug flag, so `--debug-flags Sched` prints the whole
+ * history.
  */
 
 #ifndef RELIEF_SCHED_DECISION_LOG_HH
@@ -70,28 +73,33 @@ struct PromotionDecision
 class DecisionLog
 {
   public:
+    /** How many of the most recent decisions the log keeps. */
+    static constexpr std::size_t capacity = 1024;
+
     void record(PromotionDecision decision);
 
-    std::size_t size() const { return decisions_.size(); }
+    /** Decisions recorded since construction or the last clear(). */
+    std::size_t size() const { return recorded_; }
+    /** Index of the oldest decision still kept (0 until more than
+     *  capacity decisions have been recorded). */
+    std::size_t first() const { return recorded_ - kept_.size(); }
+    /** Decision @p index, counting from the first one recorded;
+     *  panics unless first() <= index < size(). */
     const PromotionDecision &at(std::size_t index) const;
-    const std::vector<PromotionDecision> &decisions() const
-    {
-        return decisions_;
-    }
 
     std::uint64_t numGranted() const { return granted_; }
-    std::uint64_t numDenied() const
-    {
-        return decisions_.size() - granted_;
-    }
+    std::uint64_t numDenied() const { return recorded_ - granted_; }
 
-    /** JSON array of decision objects (times in ticks). */
+    /** JSON array of the kept decision objects, oldest first (times in
+     *  ticks). */
     void writeJson(std::ostream &os) const;
 
     void clear();
 
   private:
-    std::vector<PromotionDecision> decisions_;
+    /** Ring of the kept decisions: decision i sits at i % capacity. */
+    std::vector<PromotionDecision> kept_;
+    std::uint64_t recorded_ = 0;
     std::uint64_t granted_ = 0;
 };
 

@@ -3,8 +3,10 @@
  * Heap allocations on the simulator's hot paths, counted with the
  * benchmark's operator-new replacement (perfbench/alloc_count.cc is
  * linked into this binary). A DMA transfer reuses its engine's route
- * table and pooled chunk states, so once warm it allocates nothing;
- * whole runs allocate only as their statistics grow.
+ * table and pooled chunk states, so once warm it allocates nothing.
+ * Busy-time accounting keeps only the intervals still in flight, so
+ * whole runs allocate only as their records grow (latency records,
+ * decision logs).
  */
 
 #include <gtest/gtest.h>
@@ -76,8 +78,9 @@ TEST(AllocationTest, WarmTransfersAllocateNothing)
         Accelerator &producer = *accs[1];
 
         // Warm-up: each route's first transfer builds it; the rest
-        // size the event slab and the occupancy interval stores,
-        // which resetStats() empties without shrinking.
+        // size the event slab. The occupancy interval stores hold only
+        // the intervals in flight, a few entries each, and
+        // resetStats() empties them without shrinking.
         transferRounds(soc, acc, producer, 1000);
         for (Accelerator *a : accs)
             a->resetStats();

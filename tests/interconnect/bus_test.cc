@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "interconnect/bus.hh"
 #include "sim/logging.hh"
 
@@ -82,6 +87,58 @@ TEST_F(BusTest, OccupancyTracksRecordedTransfers)
     EXPECT_DOUBLE_EQ(bus.occupancy(fromNs(150.0)), 0.5);
     EXPECT_EQ(bus.totalBytes(), 1500u);
     EXPECT_EQ(bus.numTransfers(), 2u);
+}
+
+/** Time covered by the union of @p spans clipped to [0, upTo), by
+ *  sorting and merging. */
+Tick
+unionUpTo(std::vector<std::pair<Tick, Tick>> spans, Tick up_to)
+{
+    std::sort(spans.begin(), spans.end());
+    Tick total = 0, reach = 0;
+    for (auto [s, e] : spans) {
+        s = std::max(s, reach);
+        e = std::min(e, up_to);
+        if (e > s) {
+            total += e - s;
+            reach = e;
+        }
+    }
+    return total;
+}
+
+TEST_F(BusTest, OverlappingTransfersMatchUnionAsClockAdvances)
+{
+    Bus bus = makeBus();
+    std::mt19937_64 rng(11);
+    auto pick = [&rng](int lo, int hi) {
+        return fromNs(double(std::uniform_int_distribution<int>(lo, hi)(rng)));
+    };
+    std::vector<std::pair<Tick, Tick>> spans;
+    Tick when = 0;
+    for (int i = 0; i < 300; ++i) {
+        when += pick(0, 40);
+        Tick start = when + pick(0, 30);
+        Tick end = start + pick(10, 100);
+        sim.at(when, [&bus, &spans, start, end] {
+            bus.recordTransfer(start, end, 64);
+            spans.emplace_back(start, end);
+        });
+    }
+    // Stop halfway: transfers recorded so far reach past the clock.
+    sim.run(when / 2);
+    Tick mid = sim.now();
+    ASSERT_GT(spans.size(), 0u);
+    for (Tick up_to : {mid, mid + fromNs(15.0), mid + fromNs(120.0), maxTick})
+        EXPECT_EQ(bus.busyTime(up_to), unionUpTo(spans, up_to))
+            << "upTo " << up_to;
+    EXPECT_THROW(bus.busyTime(mid - 1), PanicError);
+
+    sim.run();
+    EXPECT_EQ(spans.size(), 300u);
+    for (Tick up_to : {sim.now(), sim.now() + fromNs(50.0), maxTick})
+        EXPECT_EQ(bus.busyTime(up_to), unionUpTo(spans, up_to))
+            << "upTo " << up_to;
 }
 
 TEST_F(BusTest, ResetStatsClearsOccupancy)

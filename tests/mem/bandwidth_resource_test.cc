@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "mem/bandwidth_resource.hh"
 #include "sim/logging.hh"
 
@@ -49,6 +55,37 @@ TEST(BandwidthResourceTest, OccupancyCountsBusyFraction)
     res.claim(0, 100); // busy [0, 100ns)
     EXPECT_DOUBLE_EQ(res.occupancy(fromNs(200.0)), 0.5);
     EXPECT_DOUBLE_EQ(res.occupancy(fromNs(100.0)), 1.0);
+}
+
+TEST(BandwidthResourceTest, BusyTimeOfGappedStreamMatchesClippedHolds)
+{
+    // Bursts of claims at one request time queue FIFO; the next burst
+    // comes after an idle gap, or before the backlog drains.
+    BandwidthResource res("r", 1.0, fromNs(5.0)); // 1 B/ns
+    std::mt19937_64 rng(3);
+    auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    std::vector<std::pair<Tick, Tick>> holds;
+    Tick now = 0;
+    for (int burst = 0; burst < 200; ++burst) {
+        now += fromNs(double(pick(0, 400)));
+        for (std::uint64_t i = 0, n = pick(1, 4); i < n; ++i) {
+            std::uint64_t bytes = pick(1, 100);
+            Tick start = res.claim(now, bytes);
+            holds.emplace_back(start, start + res.holdTime(bytes));
+        }
+    }
+    ASSERT_GT(holds.back().second, now); // the last claims end later
+    // FIFO holds never overlap: the union is the sum of clipped holds.
+    for (Tick up_to : {now, now + fromNs(1.0), holds.back().first + 1,
+                       holds.back().second, maxTick}) {
+        Tick expected = 0;
+        for (const auto &[s, e] : holds)
+            expected += s < up_to ? std::min(e, up_to) - s : 0;
+        EXPECT_EQ(res.busyTime(up_to), expected) << "upTo " << up_to;
+    }
+    EXPECT_THROW(res.busyTime(now - 1), PanicError);
 }
 
 TEST(BandwidthResourceTest, ZeroBandwidthIsRejected)

@@ -231,5 +231,47 @@ TEST_F(DecisionLogTest, OutOfRangeAccessPanics)
     EXPECT_THROW(policy.decisionLog().at(0), PanicError);
 }
 
+TEST(DecisionLogRingTest, KeepsOnlyTheMostRecentDecisions)
+{
+    // Two and a half laps of the ring: the counts cover every decision,
+    // the kept window is the last `capacity` of them, in order.
+    const std::size_t total = 2 * DecisionLog::capacity + 10;
+    DecisionLog log;
+    for (std::size_t i = 0; i < total; ++i) {
+        PromotionDecision d;
+        d.node = NodeId(i);
+        d.label = "candidate-with-a-long-label-" + std::to_string(i);
+        d.granted = i % 3 == 0;
+        d.reason = d.granted ? PromotionReason::Feasible
+                             : PromotionReason::NoIdleInstance;
+        log.record(std::move(d));
+    }
+    EXPECT_EQ(log.size(), total);
+    EXPECT_EQ(log.numGranted(), (total + 2) / 3);
+    EXPECT_EQ(log.numDenied(), total - (total + 2) / 3);
+    ASSERT_EQ(log.first(), total - DecisionLog::capacity);
+    for (std::size_t i = log.first(); i < total; ++i) {
+        EXPECT_EQ(log.at(i).node, NodeId(i));
+        EXPECT_EQ(log.at(i).label,
+                  "candidate-with-a-long-label-" + std::to_string(i));
+    }
+    EXPECT_THROW(log.at(log.first() - 1), PanicError);
+    EXPECT_THROW(log.at(total), PanicError);
+
+    std::ostringstream os;
+    log.writeJson(os);
+    JsonValue json = JsonValue::parse(os.str());
+    ASSERT_EQ(json.size(), DecisionLog::capacity);
+    EXPECT_EQ(json.at(std::size_t(0)).at("node").asNumber(),
+              double(log.first()));
+    EXPECT_EQ(json.at(DecisionLog::capacity - 1).at("node").asNumber(),
+              double(total - 1));
+
+    log.clear();
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_EQ(log.first(), 0u);
+    EXPECT_THROW(log.at(0), PanicError);
+}
+
 } // namespace
 } // namespace relief

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <set>
@@ -329,6 +330,54 @@ TEST(ServeDriverTest, ExpositionPublishesPeriodicSnapshots)
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
     EXPECT_NE(text.find("relief_serve_offered"), std::string::npos);
+    std::remove(config.telemetry.exposition.path.c_str());
+}
+
+/** Sum of the sample lines in one exposition snapshot whose metric
+ *  name ends with @p suffix; -1 when there are none. */
+double
+sampleSum(const std::string &snapshot, const std::string &suffix)
+{
+    std::istringstream in(snapshot);
+    std::string line;
+    double sum = -1.0;
+    while (std::getline(in, line)) {
+        std::size_t space = line.find(' ');
+        if (line.empty() || line[0] == '#' || space < suffix.size() ||
+            line.compare(space - suffix.size(), suffix.size(), suffix) != 0)
+            continue;
+        sum = std::max(sum, 0.0) + std::stod(line.substr(space + 1));
+    }
+    return sum;
+}
+
+TEST(ServeDriverTest, MidRunSnapshotsReportBusyTime)
+{
+    ServeConfig config = smallConfig();
+    config.telemetry.exposition.path =
+        ::testing::TempDir() + "relief_serve_busy_expo_test.prom";
+    config.telemetry.exposition.period = fromMs(1.0);
+    std::remove(config.telemetry.exposition.path.c_str());
+
+    ServeDriver driver(config);
+    driver.run();
+    ASSERT_NE(driver.exposition(), nullptr);
+    const std::vector<std::string> &snaps =
+        driver.exposition()->snapshots();
+    // t=0, at least one mid-run snapshot, and the end-of-run one.
+    ASSERT_GE(snaps.size(), 3u);
+    // Busy gauges clip at the snapshot's own tick: past t=0 the
+    // system has moved data and computed, and the gauges only grow.
+    double prev_dram = 0.0;
+    for (std::size_t i = 1; i < snaps.size(); ++i) {
+        SCOPED_TRACE(testing::Message() << "snapshot " << i);
+        double dram = sampleSum(snaps[i], "relief_dram_channel_busy_us");
+        EXPECT_GT(dram, 0.0);
+        EXPECT_GE(dram, prev_dram);
+        prev_dram = dram;
+        EXPECT_GT(sampleSum(snaps[i], "relief_fabric_occupancy"), 0.0);
+        EXPECT_GT(sampleSum(snaps[i], "_compute_busy_us"), 0.0);
+    }
     std::remove(config.telemetry.exposition.path.c_str());
 }
 
