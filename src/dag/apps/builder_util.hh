@@ -1,18 +1,15 @@
 /**
  * @file
  * Shared helpers for the application DAG builders: TaskParams
- * factories and Plane <-> flat-vector adapters used by the functional
- * payloads.
+ * factories.
  */
 
 #ifndef RELIEF_DAG_APPS_BUILDER_UTIL_HH
 #define RELIEF_DAG_APPS_BUILDER_UTIL_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "acc/compute_model.hh"
-#include "kernels/image.hh"
 
 namespace relief
 {
@@ -49,15 +46,6 @@ simpleTask(AccType type, std::uint32_t elems, int num_inputs = 1)
     p.type = type;
     p.numInputs = num_inputs;
     p.elems = elems;
-    return p;
-}
-
-/** Wrap a flat vector as a Plane of the given shape (copies). */
-inline Plane
-planeFromVec(const std::vector<float> &v, int width, int height)
-{
-    Plane p(width, height);
-    p.data() = v;
     return p;
 }
 

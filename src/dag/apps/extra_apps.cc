@@ -193,11 +193,12 @@ buildMotion(const AppConfig &config)
         n_diff->fn = emFn(ElemOp::Sub);
         n_diff2->fn = emFn(ElemOp::Sqr);
         n_mag->fn = emFn(ElemOp::Sqrt);
-        n_mask->fn = [w, h, threshold](const Inputs &in) {
+        n_mask->fn = [w, h, threshold](const Inputs &in,
+                                       std::vector<float> &out) {
             RELIEF_ASSERT(in.size() == 1, "motion mask needs 1 input");
-            return edgeTracking(planeFromVec(*in[0], w, h), threshold,
-                                threshold)
-                .data();
+            out.resize(std::size_t(w) * std::size_t(h));
+            edgeTrackingBuf(in[0]->data(), w, h, threshold, threshold,
+                            out.data());
         };
     }
     dag->setRelativeDeadline(fromMs(16.6));

@@ -21,20 +21,25 @@
 namespace relief::appfn
 {
 
-using Inputs = std::vector<const std::vector<float> *>;
+using Inputs = NodeInputs;
 
 /** Closure running a unary/binary elementwise op on flat buffers. */
 inline NodeFn
 emFn(ElemOp op, float scalar = 1.0f)
 {
-    return [op, scalar](const Inputs &in) {
+    return [op, scalar](const Inputs &in, std::vector<float> &out) {
         RELIEF_ASSERT(!in.empty(), "elem node with no inputs");
+        const float *b = nullptr;
         if (elemOpIsBinary(op)) {
             RELIEF_ASSERT(in.size() == 2,
                           "binary elem node needs 2 inputs");
-            return elemwise(op, *in[0], in[1], scalar);
+            RELIEF_ASSERT(in[0]->size() == in[1]->size(),
+                          "elem op operand size mismatch: ",
+                          in[0]->size(), " vs ", in[1]->size());
+            b = in[1]->data();
         }
-        return elemwise(op, *in[0], nullptr, scalar);
+        out.resize(in[0]->size());
+        elemwiseBuf(op, in[0]->data(), b, scalar, out.data(), out.size());
     };
 }
 
@@ -42,13 +47,12 @@ emFn(ElemOp op, float scalar = 1.0f)
 inline NodeFn
 convFn(Filter2D filter, int w, int h)
 {
-    return [filter, w, h](const Inputs &in) {
+    return [filter, w, h](const Inputs &in, std::vector<float> &out) {
         RELIEF_ASSERT(in.size() == 1, "conv node needs 1 input");
         RELIEF_ASSERT(in[0]->size() == std::size_t(w) * std::size_t(h),
                       "conv node input size mismatch");
-        std::vector<float> out(in[0]->size());
+        out.resize(in[0]->size());
         convolveBuf(in[0]->data(), w, h, filter, out.data());
-        return out;
     };
 }
 
@@ -57,17 +61,11 @@ convFn(Filter2D filter, int w, int h)
 inline NodeFn
 ispFn(BayerImage raw)
 {
-    return [raw = std::move(raw)](const Inputs &) {
-        RgbImage rgb = isp(raw);
-        std::vector<float> packed;
-        packed.reserve(rgb.r.size() * 3);
-        packed.insert(packed.end(), rgb.r.data().begin(),
-                      rgb.r.data().end());
-        packed.insert(packed.end(), rgb.g.data().begin(),
-                      rgb.g.data().end());
-        packed.insert(packed.end(), rgb.b.data().begin(),
-                      rgb.b.data().end());
-        return packed;
+    return [raw = std::move(raw)](const Inputs &, std::vector<float> &out) {
+        const std::size_t n =
+            std::size_t(raw.width) * std::size_t(raw.height);
+        out.resize(3 * n);
+        ispBuf(raw, out.data(), out.data() + n, out.data() + 2 * n);
     };
 }
 
@@ -75,17 +73,16 @@ ispFn(BayerImage raw)
 inline NodeFn
 grayFn(int w, int h)
 {
-    return [w, h](const Inputs &in) {
+    return [w, h](const Inputs &in, std::vector<float> &out) {
         RELIEF_ASSERT(in.size() == 1, "grayscale node needs 1 input");
         const auto &packed = *in[0];
         std::size_t n = std::size_t(w) * std::size_t(h);
         RELIEF_ASSERT(packed.size() == 3 * n, "bad packed RGB size");
         // The packed [R|R|...|G|...|B] layout is already three channel
         // buffers — feed them to the luma kernel without repacking.
-        std::vector<float> out(n);
+        out.resize(n);
         grayscaleBuf(packed.data(), packed.data() + n,
                      packed.data() + 2 * n, out.data(), n);
-        return out;
     };
 }
 

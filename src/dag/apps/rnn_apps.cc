@@ -8,9 +8,14 @@
  * task-count arithmetic (GRU: 1249.31 us / 10.94 us ~ 114 tasks).
  *
  * Gates use the elementwise (diagonal-weight) formulation; the
- * input-side pre-activations (w_g * x_t + b_g) are precomputed host
- * data fetched from DRAM, so each gate is the 3-task chain
- * mul(u_g, h) -> add(.., x_g) -> activation. The longest per-step
+ * input-side pre-activation x_g = w_g * x_t + b_g is an operand the
+ * timing model fetches from DRAM, so each gate is the 3-task chain
+ * mul(u_g, h) -> add(.., x_g) -> activation. Functional payloads do not
+ * precompute x_g at build time: the add node's payload computes it
+ * from the shared w_g, x_t and b_g into its own output buffer (mul,
+ * then add b_g, then add the parent: the same roundings in the same
+ * order as a stored x_g), so building a DAG allocates no per-gate
+ * buffers and a run recycles every one it uses. The longest per-step
  * chain (through the candidate state) is 9 nodes, matching the paper's
  * "long, linear chains (up to 9 nodes)" observation.
  *
@@ -25,6 +30,7 @@
 
 #include "dag/apps/apps.hh"
 #include "dag/apps/builder_util.hh"
+#include "dag/apps/functional_util.hh"
 #include "kernels/elemwise.hh"
 #include "kernels/rnn.hh"
 #include "sim/logging.hh"
@@ -35,16 +41,20 @@ namespace relief
 namespace
 {
 
-using Inputs = std::vector<const std::vector<float> *>;
+using appfn::Inputs;
+using appfn::emFn;
 
 constexpr std::uint32_t rnnElems = 16384; // 128 batch x 128 hidden.
 
+/** A recurrent weight vector, shared by every step that reads it. */
+using SharedVec = std::shared_ptr<const Vec>;
+
 /** Deterministic input sequence for functional mode. */
-std::vector<Vec>
+std::shared_ptr<const std::vector<Vec>>
 makeInputs(int seq_len, std::uint32_t seed)
 {
     std::uint32_t rng = seed ? seed : 1u;
-    std::vector<Vec> xs;
+    auto xs = std::make_shared<std::vector<Vec>>();
     for (int t = 0; t < seq_len; ++t) {
         Vec x(rnnElems);
         for (auto &v : x) {
@@ -53,13 +63,18 @@ makeInputs(int seq_len, std::uint32_t seed)
             rng ^= rng << 5;
             v = float(rng % 10000) / 10000.0f - 0.5f;
         }
-        xs.push_back(std::move(x));
+        xs->push_back(std::move(x));
     }
     return xs;
 }
 
-/** A recurrent weight vector, shared by every step that reads it. */
-using SharedVec = std::shared_ptr<const Vec>;
+/** Step @p t of the input sequence @p xs, sharing its ownership (null
+ *  when @p xs is: timing-only builds have no inputs). */
+SharedVec
+stepInput(const std::shared_ptr<const std::vector<Vec>> &xs, int t)
+{
+    return xs ? SharedVec(xs, &(*xs)[std::size_t(t)]) : nullptr;
+}
 
 /** Member @p vec of the weights @p w, sharing their ownership (null
  *  when @p w is: timing-only builds have no weights). */
@@ -70,13 +85,32 @@ share(const std::shared_ptr<const Weights> &w, Vec Weights::*vec)
     return w ? SharedVec(w, &((*w).*vec)) : nullptr;
 }
 
+/** The operands of a gate's input-side pre-activation w * x + b. */
+struct Preact
+{
+    SharedVec w, x, b;
+};
+
+/** Preact of weights @p wg and bias @p bg from @p w over input @p x. */
+template <typename Weights>
+Preact
+preact(const std::shared_ptr<const Weights> &w, Vec Weights::*wg,
+       const SharedVec &x, Vec Weights::*bg)
+{
+    return Preact{share(w, wg), x, share(w, bg)};
+}
+
 /** mul(u, parent) with the shared weight vector captured. */
 NodeFn
 mulWeightFn(SharedVec u)
 {
-    return [u = std::move(u)](const Inputs &in) {
+    return [u = std::move(u)](const Inputs &in, Vec &out) {
         RELIEF_ASSERT(in.size() == 1, "recurrent mul needs 1 input");
-        return elemwise(ElemOp::Mul, *u, in[0]);
+        RELIEF_ASSERT(in[0]->size() == u->size(),
+                      "recurrent mul operand size mismatch");
+        out.resize(u->size());
+        elemwiseBuf(ElemOp::Mul, u->data(), in[0]->data(), 1.0f,
+                    out.data(), out.size());
     };
 }
 
@@ -84,45 +118,26 @@ mulWeightFn(SharedVec u)
 NodeFn
 mulWeightZeroFn()
 {
-    return [](const Inputs &) { return Vec(rnnElems, 0.0f); };
+    return [](const Inputs &, Vec &out) { out.assign(rnnElems, 0.0f); };
 }
 
-/** add(parent, captured pre-activation x_g = w*x + b). */
+/** add(parent, x_g), computing x_g = w * x + b into the output first. */
 NodeFn
-addPreactFn(Vec xg)
+addPreactFn(Preact pre)
 {
-    return [xg = std::move(xg)](const Inputs &in) {
+    return [pre = std::move(pre)](const Inputs &in, Vec &out) {
         RELIEF_ASSERT(in.size() == 1, "pre-activation add needs 1 input");
-        return elemwise(ElemOp::Add, *in[0], &xg);
+        const std::size_t n = in[0]->size();
+        RELIEF_ASSERT(pre.w->size() == n && pre.x->size() == n &&
+                          pre.b->size() == n,
+                      "pre-activation operand size mismatch");
+        out.resize(n);
+        float *xg = out.data();
+        elemwiseBuf(ElemOp::Mul, pre.w->data(), pre.x->data(), 1.0f, xg,
+                    n);
+        elemwiseBuf(ElemOp::Add, xg, pre.b->data(), 1.0f, xg, n);
+        elemwiseBuf(ElemOp::Add, in[0]->data(), xg, 1.0f, xg, n);
     };
-}
-
-NodeFn
-unaryFn(ElemOp op)
-{
-    return [op](const Inputs &in) {
-        RELIEF_ASSERT(in.size() == 1, "unary elem node needs 1 input");
-        return elemwise(op, *in[0]);
-    };
-}
-
-NodeFn
-binaryFn(ElemOp op)
-{
-    return [op](const Inputs &in) {
-        RELIEF_ASSERT(in.size() == 2, "binary elem node needs 2 inputs");
-        return elemwise(op, *in[0], in[1]);
-    };
-}
-
-/** Pre-activation vector w*x + b for functional mode, summed in place. */
-Vec
-preact(const Vec &w, const Vec &x, const Vec &b)
-{
-    Vec out = elemwise(ElemOp::Mul, w, &x);
-    elemwiseBuf(ElemOp::Add, out.data(), b.data(), 0.0f, out.data(),
-                out.size());
-    return out;
 }
 
 /**
@@ -131,7 +146,7 @@ preact(const Vec &w, const Vec &x, const Vec &b)
  */
 Node *
 addGate(Dag &dag, const std::string &prefix, Node *h, ElemOp activation,
-        bool functional, const SharedVec &u, Vec xg)
+        bool functional, const SharedVec &u, Preact pre)
 {
     Node *m = dag.addNode(emTask(ElemOp::Mul, 2, rnnElems),
                           prefix + ".mul");
@@ -145,8 +160,8 @@ addGate(Dag &dag, const std::string &prefix, Node *h, ElemOp activation,
     dag.addEdge(a, act);
     if (functional) {
         m->fn = h ? mulWeightFn(u) : mulWeightZeroFn();
-        a->fn = addPreactFn(std::move(xg));
-        act->fn = unaryFn(activation);
+        a->fn = addPreactFn(std::move(pre));
+        act->fn = emFn(activation);
     }
     return act;
 }
@@ -157,14 +172,14 @@ std::vector<float>
 gruReferenceOutput(const AppConfig &config)
 {
     GruWeights w = makeGruWeights(int(rnnElems), config.seed + 17);
-    return gruSequence(makeInputs(config.seqLen, config.seed), w);
+    return gruSequence(*makeInputs(config.seqLen, config.seed), w);
 }
 
 std::vector<float>
 lstmReferenceOutput(const AppConfig &config)
 {
     LstmWeights w = makeLstmWeights(int(rnnElems), config.seed + 23);
-    return lstmSequence(makeInputs(config.seqLen, config.seed), w).h;
+    return lstmSequence(*makeInputs(config.seqLen, config.seed), w).h;
 }
 
 DagPtr
@@ -173,7 +188,7 @@ buildGru(const AppConfig &config)
     auto dag = std::make_shared<Dag>("gru", 'G');
     const bool fun = config.functional;
     std::shared_ptr<const GruWeights> w;
-    std::vector<Vec> xs;
+    std::shared_ptr<const std::vector<Vec>> xs;
     if (fun) {
         w = std::make_shared<const GruWeights>(
             makeGruWeights(int(rnnElems), config.seed + 17));
@@ -183,15 +198,13 @@ buildGru(const AppConfig &config)
     Node *h = nullptr; // Hidden state entering the step (null = zeros).
     for (int t = 0; t < config.seqLen; ++t) {
         std::string p = "gru.t" + std::to_string(t);
-        Vec xz, xr;
-        if (fun) {
-            xz = preact(w->wz, xs[std::size_t(t)], w->bz);
-            xr = preact(w->wr, xs[std::size_t(t)], w->br);
-        }
+        SharedVec x = stepInput(xs, t);
         Node *z = addGate(*dag, p + ".z", h, ElemOp::Sigmoid, fun,
-                          share(w, &GruWeights::uz), std::move(xz));
+                          share(w, &GruWeights::uz),
+                          preact(w, &GruWeights::wz, x, &GruWeights::bz));
         Node *r = addGate(*dag, p + ".r", h, ElemOp::Sigmoid, fun,
-                          share(w, &GruWeights::ur), std::move(xr));
+                          share(w, &GruWeights::ur),
+                          preact(w, &GruWeights::wr, x, &GruWeights::br));
 
         // Candidate: c = tanh(uc * (r*h) + xc).
         Node *rh = dag->addNode(emTask(ElemOp::Mul, 2, rnnElems),
@@ -229,20 +242,20 @@ buildGru(const AppConfig &config)
 
         if (fun) {
             if (h) {
-                rh->fn = binaryFn(ElemOp::Mul); // inputs: r, h
-                keep->fn = binaryFn(ElemOp::Mul);
+                rh->fn = emFn(ElemOp::Mul); // inputs: r, h
+                keep->fn = emFn(ElemOp::Mul);
             } else {
                 rh->fn = mulWeightZeroFn();
                 // (1-z) * 0 = 0.
                 keep->fn = mulWeightZeroFn();
             }
             ucrh->fn = mulWeightFn(share(w, &GruWeights::uc));
-            Vec xc2 = preact(w->wc, xs[std::size_t(t)], w->bc);
-            cpre->fn = addPreactFn(std::move(xc2));
-            c->fn = unaryFn(ElemOp::Tanh);
-            omz->fn = unaryFn(ElemOp::OneMinus);
-            zc->fn = binaryFn(ElemOp::Mul);
-            hn->fn = binaryFn(ElemOp::Add);
+            cpre->fn =
+                addPreactFn(preact(w, &GruWeights::wc, x, &GruWeights::bc));
+            c->fn = emFn(ElemOp::Tanh);
+            omz->fn = emFn(ElemOp::OneMinus);
+            zc->fn = emFn(ElemOp::Mul);
+            hn->fn = emFn(ElemOp::Add);
         }
         h = hn;
     }
@@ -255,7 +268,7 @@ buildLstm(const AppConfig &config)
     auto dag = std::make_shared<Dag>("lstm", 'L');
     const bool fun = config.functional;
     std::shared_ptr<const LstmWeights> w;
-    std::vector<Vec> xs;
+    std::shared_ptr<const std::vector<Vec>> xs;
     if (fun) {
         w = std::make_shared<const LstmWeights>(
             makeLstmWeights(int(rnnElems), config.seed + 23));
@@ -266,21 +279,19 @@ buildLstm(const AppConfig &config)
     Node *c_state = nullptr;
     for (int t = 0; t < config.seqLen; ++t) {
         std::string p = "lstm.t" + std::to_string(t);
-        Vec xi, xf, xo, xg;
-        if (fun) {
-            xi = preact(w->wi, xs[std::size_t(t)], w->bi);
-            xf = preact(w->wf, xs[std::size_t(t)], w->bf);
-            xo = preact(w->wo, xs[std::size_t(t)], w->bo);
-            xg = preact(w->wc, xs[std::size_t(t)], w->bc);
-        }
+        SharedVec x = stepInput(xs, t);
         Node *i = addGate(*dag, p + ".i", h, ElemOp::Sigmoid, fun,
-                          share(w, &LstmWeights::ui), std::move(xi));
+                          share(w, &LstmWeights::ui),
+                          preact(w, &LstmWeights::wi, x, &LstmWeights::bi));
         Node *f = addGate(*dag, p + ".f", h, ElemOp::Sigmoid, fun,
-                          share(w, &LstmWeights::uf), std::move(xf));
+                          share(w, &LstmWeights::uf),
+                          preact(w, &LstmWeights::wf, x, &LstmWeights::bf));
         Node *o = addGate(*dag, p + ".o", h, ElemOp::Sigmoid, fun,
-                          share(w, &LstmWeights::uo), std::move(xo));
+                          share(w, &LstmWeights::uo),
+                          preact(w, &LstmWeights::wo, x, &LstmWeights::bo));
         Node *g = addGate(*dag, p + ".g", h, ElemOp::Tanh, fun,
-                          share(w, &LstmWeights::uc), std::move(xg));
+                          share(w, &LstmWeights::uc),
+                          preact(w, &LstmWeights::wc, x, &LstmWeights::bc));
 
         // c' = f*c + i*g.
         Node *fc = dag->addNode(emTask(ElemOp::Mul, 2, rnnElems),
@@ -307,11 +318,11 @@ buildLstm(const AppConfig &config)
         dag->addEdge(ct, hn);
 
         if (fun) {
-            fc->fn = c_state ? binaryFn(ElemOp::Mul) : mulWeightZeroFn();
-            ig->fn = binaryFn(ElemOp::Mul);
-            cn->fn = binaryFn(ElemOp::Add);
-            ct->fn = unaryFn(ElemOp::Tanh);
-            hn->fn = binaryFn(ElemOp::Mul);
+            fc->fn = c_state ? emFn(ElemOp::Mul) : mulWeightZeroFn();
+            ig->fn = emFn(ElemOp::Mul);
+            cn->fn = emFn(ElemOp::Add);
+            ct->fn = emFn(ElemOp::Tanh);
+            hn->fn = emFn(ElemOp::Mul);
         }
         h = hn;
         c_state = cn;

@@ -92,16 +92,17 @@ buildCanny(const AppConfig &config)
         n_sum->fn = emFn(ElemOp::Add);
         n_mag->fn = emFn(ElemOp::Sqrt);
         n_dir->fn = emFn(ElemOp::Atan2);
-        n_nms->fn = [w, h](const Inputs &in) {
+        n_nms->fn = [w, h](const Inputs &in, std::vector<float> &out) {
             RELIEF_ASSERT(in.size() == 2, "canny NMS needs 2 inputs");
-            return cannyNonMax(planeFromVec(*in[0], w, h),
-                               planeFromVec(*in[1], w, h))
-                .data();
+            out.resize(std::size_t(w) * std::size_t(h));
+            cannyNonMaxBuf(in[0]->data(), in[1]->data(), w, h, out.data());
         };
-        n_et->fn = [w, h, low_t, high_t](const Inputs &in) {
+        n_et->fn = [w, h, low_t, high_t](const Inputs &in,
+                                         std::vector<float> &out) {
             RELIEF_ASSERT(in.size() == 1, "edge tracking needs 1 input");
-            return edgeTracking(planeFromVec(*in[0], w, h), low_t, high_t)
-                .data();
+            out.resize(std::size_t(w) * std::size_t(h));
+            edgeTrackingBuf(in[0]->data(), w, h, low_t, high_t,
+                            out.data());
         };
         n_boost->fn = emFn(ElemOp::Scale, 1.0f);
     }
@@ -231,16 +232,23 @@ buildHarris(const AppConfig &config)
         n_det_a->fn = emFn(ElemOp::Mul);
         n_det_b->fn = emFn(ElemOp::Sqr);
         n_det->fn = emFn(ElemOp::Sub);
-        n_ktr2->fn = [k](const Inputs &in) {
+        n_ktr2->fn = [k](const Inputs &in, std::vector<float> &out) {
             RELIEF_ASSERT(in.size() == 2, "ktrace2 needs 2 inputs");
-            auto trace = elemwise(ElemOp::Add, *in[0], in[1]);
-            auto trace2 = elemwise(ElemOp::Sqr, trace);
-            return elemwise(ElemOp::Scale, trace2, nullptr, k);
+            RELIEF_ASSERT(in[0]->size() == in[1]->size(),
+                          "ktrace2 operand size mismatch");
+            // k * (sxx + syy)^2, one rounding per op, in place.
+            out.resize(in[0]->size());
+            float *t = out.data();
+            elemwiseBuf(ElemOp::Add, in[0]->data(), in[1]->data(), 1.0f,
+                        t, out.size());
+            elemwiseBuf(ElemOp::Sqr, t, nullptr, 1.0f, t, out.size());
+            elemwiseBuf(ElemOp::Scale, t, nullptr, k, t, out.size());
         };
         n_resp->fn = emFn(ElemOp::Sub);
-        n_hnm->fn = [w, h](const Inputs &in) {
+        n_hnm->fn = [w, h](const Inputs &in, std::vector<float> &out) {
             RELIEF_ASSERT(in.size() == 1, "harris NMS needs 1 input");
-            return harrisNonMax(planeFromVec(*in[0], w, h)).data();
+            out.resize(std::size_t(w) * std::size_t(h));
+            harrisNonMaxBuf(in[0]->data(), w, h, out.data());
         };
     }
     return dag;

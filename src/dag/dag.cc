@@ -33,6 +33,7 @@ Node::resetRuntimeState()
 {
     status = NodeStatus::Waiting;
     completedParents = 0;
+    finishedChildren = 0;
     deadline = 0;
     scoreDeadline = 0;
     predictedRuntime = 0;

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "acc/compute_model.hh"
@@ -76,13 +78,69 @@ struct NodeLifecycle
     Tick wbEnd = 0;      ///< Write-back delivered (0 when elided).
 };
 
+/** A payload's operands: its parents' output buffers, in parent
+ *  order. */
+using NodeInputs = std::vector<const std::vector<float> *>;
+
 /**
- * Optional functional payload: computes the node's output buffer from
- * its parents' output buffers (in parent order). External operands are
- * captured inside the closure by the DAG builders.
+ * Optional functional payload: fills the node's output buffer from its
+ * parents' output buffers. External operands are captured inside the
+ * closure by the DAG builders.
+ *
+ * The hardware manager hands the payload a recycled buffer of
+ * unspecified size and contents (kernels/scratch.hh); the payload sizes
+ * it and writes every element. A closure that returns its output
+ * instead, `std::vector<float>(const NodeInputs &)`, is accepted too:
+ * its result is moved into the buffer. Calling a NodeFn with the inputs
+ * alone returns a fresh vector (perfbench's kernel-timing wrapper
+ * composes payloads that way).
  */
-using NodeFn = std::function<std::vector<float>(
-    const std::vector<const std::vector<float> *> &)>;
+class NodeFn
+{
+  public:
+    NodeFn() = default;
+
+    /** A payload writing into the buffer it is handed. */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, NodeFn> &&
+                 std::is_invocable_v<F &, const NodeInputs &,
+                                     std::vector<float> &>)
+    NodeFn(F fill) : fill_(std::move(fill))
+    {
+    }
+
+    /** A payload returning its output. */
+    template <typename F>
+        requires(!std::is_same_v<std::decay_t<F>, NodeFn> &&
+                 std::is_invocable_r_v<std::vector<float>, F &,
+                                       const NodeInputs &>)
+    NodeFn(F make)
+        : fill_([make = std::move(make)](const NodeInputs &in,
+                                         std::vector<float> &out) {
+              out = make(in);
+          })
+    {
+    }
+
+    void
+    operator()(const NodeInputs &in, std::vector<float> &out) const
+    {
+        fill_(in, out);
+    }
+
+    std::vector<float>
+    operator()(const NodeInputs &in) const
+    {
+        std::vector<float> out;
+        fill_(in, out);
+        return out;
+    }
+
+    explicit operator bool() const { return bool(fill_); }
+
+  private:
+    std::function<void(const NodeInputs &, std::vector<float> &)> fill_;
+};
 
 struct Node
 {
@@ -114,6 +172,9 @@ struct Node
     Tick predictedRuntime = 0;  ///< Estimated at ready-queue insert.
     STick laxityKey = 0;        ///< deadline - predictedRuntime.
     bool isFwd = false;         ///< Promoted as a forwarding node.
+    /** Children whose payloads have run; once all have, the manager
+     *  hands outputData back to the payload buffer pool. */
+    std::uint32_t finishedChildren = 0;
     std::vector<ProducerRef> producerRefs; ///< Parallel to parents.
     std::vector<InputSource> inputSources; ///< Parallel to parents.
 
@@ -124,7 +185,10 @@ struct Node
     Tick actualMemTime = 0; ///< Measured input-load + write-back time.
     NodeLifecycle lifecycle; ///< Full phase-transition timeline.
 
-    /** Functional result (filled when fn is set and the node runs). */
+    /** Functional result (filled when fn is set and the node runs).
+     *  Only leaves keep it: an inner node's buffer goes back to the
+     *  pool once its last child's payload has run, leaving this
+     *  empty. */
     std::vector<float> outputData;
 
     /** Bytes this node's output occupies. */

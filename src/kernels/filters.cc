@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kernels/scratch.hh"
 #include "kernels/simd/simd.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
@@ -132,56 +131,6 @@ convolveBuf(const float *src, int w, int h, const Filter2D &filter,
         ops.convRow(rows, w, filter.taps(), fsize,
                     dst + std::size_t(y) * std::size_t(w));
     }
-}
-
-Plane
-convolveSeparable(const Plane &input, const std::vector<float> &row_taps,
-                  const std::vector<float> &col_taps)
-{
-    RELIEF_ASSERT(row_taps.size() >= 1 && row_taps.size() <= 5 &&
-                      col_taps.size() >= 1 && col_taps.size() <= 5,
-                  "separable taps must be 1..5 long");
-    HostProfScope prof(HostCat::Kernels);
-    const KernelOps &ops = kernelOps();
-    const int w = input.width(), h = input.height();
-    Plane out(w, h);
-    ScratchVec tmp(std::size_t(w) * std::size_t(h));
-    const float *src = input.data().data();
-    for (int y = 0; y < h; ++y)
-        ops.sepConvRowH(src + std::size_t(y) * w, w, row_taps.data(),
-                        int(row_taps.size()),
-                        tmp.data() + std::size_t(y) * w);
-    const int fsize = int(col_taps.size());
-    const int half = fsize / 2;
-    const float *rows[5];
-    for (int y = 0; y < h; ++y) {
-        for (int f = 0; f < fsize; ++f) {
-            int yy = std::clamp(y + f - half, 0, h - 1);
-            rows[f] = tmp.data() + std::size_t(yy) * std::size_t(w);
-        }
-        ops.sepConvRowV(rows, w, col_taps.data(), fsize,
-                        out.data().data() + std::size_t(y) * w);
-    }
-    return out;
-}
-
-std::vector<float>
-gaussianTaps1d(int size, float sigma)
-{
-    RELIEF_ASSERT(size >= 1 && size <= 5,
-                  "1-D Gaussian size must be 1..5, got ", size);
-    std::vector<float> taps(std::size_t(size), 0.0f);
-    const int half = size / 2;
-    float total = 0.0f;
-    for (int i = 0; i < size; ++i) {
-        float d = float(i - half);
-        taps[std::size_t(i)] =
-            std::exp(-(d * d) / (2.0f * sigma * sigma));
-        total += taps[std::size_t(i)];
-    }
-    for (float &t : taps)
-        t /= total;
-    return taps;
 }
 
 Plane

@@ -73,19 +73,6 @@ void convolveInto(const Plane &input, const Filter2D &filter, Plane &out);
 void convolveBuf(const float *src, int w, int h, const Filter2D &filter,
                  float *dst);
 
-/**
- * Separable convolution: horizontal @p row_taps pass then vertical
- * @p col_taps pass, border-clamped per pass. Equals convolve() with
- * the outer-product filter up to FP rounding (it reassociates), so it
- * is a distinct kernel, not a convolve() replacement.
- */
-Plane convolveSeparable(const Plane &input,
-                        const std::vector<float> &row_taps,
-                        const std::vector<float> &col_taps);
-
-/** Normalized 1-D Gaussian taps (pair with convolveSeparable). */
-std::vector<float> gaussianTaps1d(int size, float sigma = 1.0f);
-
 /** Fused gradient magnitude sqrt(gx^2 + gy^2), guarded exactly like
  *  the Sqr/Sqr/Add/Sqrt elemwise chain (bit-identical to it). */
 Plane gradientMagnitude(const Plane &gx, const Plane &gy);

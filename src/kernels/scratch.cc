@@ -26,9 +26,9 @@ ScratchPool::acquire()
 }
 
 void
-ScratchPool::release(std::vector<float> &&buf)
+ScratchPool::release(std::vector<float> buf)
 {
-    if (free_.size() < maxPooled)
+    if (buf.capacity() != 0 && free_.size() < maxPooled)
         free_.push_back(std::move(buf));
 }
 

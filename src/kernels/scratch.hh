@@ -1,15 +1,19 @@
 /**
  * @file
- * Pooled scratch buffers for the functional kernels. The reference
- * pipelines (Canny, Harris, Richardson-Lucy) and the row-tiled
- * pipeline used to allocate whole intermediate Planes on every call;
- * the pool recycles that storage across calls on the same thread.
+ * Pooled float buffers for the functional kernels and payloads. The
+ * reference pipelines (Canny, Harris, Richardson-Lucy) and the
+ * row-tiled pipeline draw their intermediate Planes from the pool, and
+ * the hardware manager draws every DAG node's output buffer from it,
+ * handing the buffer back once the last of the node's children has run
+ * its payload (leaves keep theirs until their DAG is resubmitted).
+ * Storage is thus recycled across calls and nodes on the same thread
+ * instead of being allocated, trimmed and faulted back in by the heap.
  *
- * The pool is thread-local and reset (buffers dropped, counters
- * zeroed) at every experiment entry point alongside resetNodeIds(),
- * so the `kernels.scratch_*` stats are a pure function of the run —
- * independent of what the worker thread executed before — preserving
- * the jobs-invariance contract.
+ * The `kernels.scratch_*` stats count acquisitions of both kinds. The
+ * pool is thread-local and reset (buffers dropped, counters zeroed) at
+ * every experiment entry point alongside resetNodeIds(), so the stats
+ * are a pure function of the run — independent of what the worker
+ * thread executed before — preserving the jobs-invariance contract.
  */
 
 #ifndef RELIEF_KERNELS_SCRATCH_HH
@@ -34,8 +38,9 @@ class ScratchPool
      *  fresh one; callers size/fill it themselves. */
     std::vector<float> acquire();
 
-    /** Return a buffer for reuse (keeps at most a handful). */
-    void release(std::vector<float> &&buf);
+    /** Take @p buf back for reuse (keeps at most maxPooled; storage
+     *  past that, or none at all, is simply dropped). */
+    void release(std::vector<float> buf);
 
     /** Acquisitions served from the pool since the last reset(). */
     std::uint64_t reuses() const { return reuses_; }

@@ -196,25 +196,6 @@ convPixel(const float *const *rows, int w, int x, const float *taps,
 }
 
 inline float
-sepPixelH(const float *row, int w, int x, const float *taps, int fsize)
-{
-    const int half = fsize / 2;
-    float acc = 0.0f;
-    for (int f = 0; f < fsize; ++f)
-        acc += taps[f] * row[clampi(x + f - half, 0, w - 1)];
-    return acc;
-}
-
-inline float
-sepPixelV(const float *const *rows, int x, const float *taps, int fsize)
-{
-    float acc = 0.0f;
-    for (int f = 0; f < fsize; ++f)
-        acc += taps[f] * rows[f][x];
-    return acc;
-}
-
-inline float
 cannyNmsPixel(const float *const *m, const float *dir, int w, int x)
 {
     float deg = dir[x] * 180.0f / float(M_PI);
@@ -302,44 +283,6 @@ convRowT(const float *const *rows, int w, const float *taps, int fsize,
             out[x] = convPixel(rows, w, x, taps, fsize);
         return;
     }
-}
-
-template <class L>
-void
-sepConvRowHT(const float *row, int w, const float *taps, int fsize,
-             float *out)
-{
-    const int half = fsize / 2;
-    int x = 0;
-    const int interior_end = w - half;
-    for (; x < std::min(half, w); ++x)
-        out[x] = sepPixelH(row, w, x, taps, fsize);
-    for (; x + L::width <= interior_end; x += L::width) {
-        auto acc = L::zero();
-        for (int f = 0; f < fsize; ++f)
-            acc = L::add(acc, L::mul(L::bcast(taps[f]),
-                                     L::load(row + x + f - half)));
-        L::store(out + x, acc);
-    }
-    for (; x < w; ++x)
-        out[x] = sepPixelH(row, w, x, taps, fsize);
-}
-
-template <class L>
-void
-sepConvRowVT(const float *const *rows, int w, const float *taps,
-             int fsize, float *out)
-{
-    int x = 0;
-    for (; x + L::width <= w; x += L::width) {
-        auto acc = L::zero();
-        for (int f = 0; f < fsize; ++f)
-            acc = L::add(acc,
-                         L::mul(L::bcast(taps[f]), L::load(rows[f] + x)));
-        L::store(out + x, acc);
-    }
-    for (; x < w; ++x)
-        out[x] = sepPixelV(rows, x, taps, fsize);
 }
 
 /** Canny NMS row. Interior lanes (x in [1, w-2]) load all four
@@ -594,8 +537,6 @@ makeOps(KernelIsa isa)
     ops.isa = isa;
     ops.laneWidth = L::width;
     ops.convRow = &convRowT<L>;
-    ops.sepConvRowH = &sepConvRowHT<L>;
-    ops.sepConvRowV = &sepConvRowVT<L>;
     ops.cannyNmsRow = &cannyNmsRowT<L>;
     ops.harrisNmsRow = &harrisNmsRowT<L>;
     ops.bt601 = &bt601T<L>;

@@ -96,15 +96,6 @@ struct KernelOps
     void (*convRow)(const float *const *rows, int w, const float *taps,
                     int fsize, float *out);
 
-    /** Horizontal tap pass of a separable convolution. */
-    void (*sepConvRowH)(const float *row, int w, const float *taps,
-                        int fsize, float *out);
-
-    /** Vertical tap pass: @p rows holds @p fsize clamped row
-     *  pointers of the horizontally filtered intermediate. */
-    void (*sepConvRowV)(const float *const *rows, int w,
-                        const float *taps, int fsize, float *out);
-
     /** Canny NMS of one row: @p mag_rows = clamped rows y-1,y,y+1 of
      *  the gradient magnitude, @p dir_row = direction row y. */
     void (*cannyNmsRow)(const float *const *mag_rows,

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <cstdint>
+#include <vector>
 
 #include "kernels/elemwise.hh"
 #include "kernels/pipeline.hh"
@@ -17,11 +18,11 @@ namespace relief
 namespace
 {
 
-/** Bilinear demosaic of an RGGB mosaic into full-resolution RGB. */
-RgbImage
-demosaic(const BayerImage &raw)
+/** Bilinear demosaic of an RGGB mosaic into three full-resolution
+ *  channel buffers. */
+void
+demosaic(const BayerImage &raw, float *r_out, float *g_out, float *b_out)
 {
-    RgbImage out(raw.width, raw.height);
     auto sample = [&raw](int x, int y) {
         x = std::clamp(x, 0, raw.width - 1);
         y = std::clamp(y, 0, raw.height - 1);
@@ -30,8 +31,9 @@ demosaic(const BayerImage &raw)
     auto is_red = [](int x, int y) { return y % 2 == 0 && x % 2 == 0; };
     auto is_blue = [](int x, int y) { return y % 2 == 1 && x % 2 == 1; };
 
+    std::size_t i = 0;
     for (int y = 0; y < raw.height; ++y) {
-        for (int x = 0; x < raw.width; ++x) {
+        for (int x = 0; x < raw.width; ++x, ++i) {
             float r, g, b;
             if (is_red(x, y)) {
                 r = sample(x, y);
@@ -59,12 +61,11 @@ demosaic(const BayerImage &raw)
                     r = (sample(x, y - 1) + sample(x, y + 1)) / 2.0f;
                 }
             }
-            out.r.at(x, y) = r;
-            out.g.at(x, y) = g;
-            out.b.at(x, y) = b;
+            r_out[i] = r;
+            g_out[i] = g;
+            b_out[i] = b;
         }
     }
-    return out;
 }
 
 } // namespace
@@ -72,18 +73,26 @@ demosaic(const BayerImage &raw)
 RgbImage
 isp(const BayerImage &raw, const IspParams &params)
 {
+    RgbImage rgb(raw.width, raw.height);
+    ispBuf(raw, rgb.r.data().data(), rgb.g.data().data(),
+           rgb.b.data().data(), params);
+    return rgb;
+}
+
+void
+ispBuf(const BayerImage &raw, float *r, float *g, float *b,
+       const IspParams &params)
+{
     HostProfScope prof(HostCat::Kernels);
-    RgbImage rgb = demosaic(raw);
-    const std::size_t n = rgb.r.size();
+    demosaic(raw, r, g, b);
+    const std::size_t n = std::size_t(raw.width) * std::size_t(raw.height);
     // CCM + clamp is the vector pass; the per-value op sequence
     // (matrix row, clamp, pow) matches the former fused pixel loop.
-    kernelOps().ccmClamp(rgb.r.data().data(), rgb.g.data().data(),
-                         rgb.b.data().data(), n, params.ccm);
+    kernelOps().ccmClamp(r, g, b, n, params.ccm);
     const float inv_gamma = 1.0f / params.gamma;
-    gammaCorrect(rgb.r.data().data(), n, inv_gamma);
-    gammaCorrect(rgb.g.data().data(), n, inv_gamma);
-    gammaCorrect(rgb.b.data().data(), n, inv_gamma);
-    return rgb;
+    gammaCorrect(r, n, inv_gamma);
+    gammaCorrect(g, n, inv_gamma);
+    gammaCorrect(b, n, inv_gamma);
 }
 
 Plane
@@ -108,80 +117,104 @@ cannyNonMax(const Plane &magnitude, const Plane &direction)
 {
     RELIEF_ASSERT(magnitude.sameShape(direction),
                   "canny NMS: magnitude/direction shape mismatch");
+    Plane out(magnitude.width(), magnitude.height());
+    cannyNonMaxBuf(magnitude.data().data(), direction.data().data(),
+                   magnitude.width(), magnitude.height(),
+                   out.data().data());
+    return out;
+}
+
+void
+cannyNonMaxBuf(const float *magnitude, const float *direction, int w,
+               int h, float *out)
+{
     HostProfScope prof(HostCat::Kernels);
-    const int w = magnitude.width(), h = magnitude.height();
-    Plane out(w, h);
     const KernelOps &ops = kernelOps();
-    const float *src = magnitude.data().data();
-    const float *dir = direction.data().data();
     const float *m[3];
     for (int y = 0; y < h; ++y) {
         for (int dy = -1; dy <= 1; ++dy) {
             int yy = std::clamp(y + dy, 0, h - 1);
-            m[dy + 1] = src + std::size_t(yy) * std::size_t(w);
+            m[dy + 1] = magnitude + std::size_t(yy) * std::size_t(w);
         }
-        ops.cannyNmsRow(m, dir + std::size_t(y) * std::size_t(w), w,
-                        out.data().data() +
-                            std::size_t(y) * std::size_t(w));
+        ops.cannyNmsRow(m, direction + std::size_t(y) * std::size_t(w), w,
+                        out + std::size_t(y) * std::size_t(w));
     }
-    return out;
 }
 
 Plane
 edgeTracking(const Plane &nms, float low_t, float high_t)
 {
+    Plane out(nms.width(), nms.height());
+    edgeTrackingBuf(nms.data().data(), nms.width(), nms.height(), low_t,
+                    high_t, out.data().data());
+    return out;
+}
+
+void
+edgeTrackingBuf(const float *nms, int w, int h, float low_t, float high_t,
+                float *out)
+{
     RELIEF_ASSERT(low_t <= high_t,
                   "edge tracking: low threshold above high threshold");
     HostProfScope prof(HostCat::Kernels);
-    int w = nms.width(), h = nms.height();
-    Plane out(w, h);
-    std::queue<std::pair<int, int>> frontier;
-    for (int y = 0; y < h; ++y) {
-        for (int x = 0; x < w; ++x) {
-            if (nms.at(x, y) >= high_t) {
-                out.at(x, y) = 1.0f;
-                frontier.emplace(x, y);
-            }
+    const std::size_t n = std::size_t(w) * std::size_t(h);
+    std::fill(out, out + n, 0.0f);
+    // Breadth-first frontier of pixel indices. A pixel is marked before
+    // it is queued, so at most n ever enter: one n-slot array, kept
+    // across calls on this thread, never grows mid-search.
+    thread_local std::vector<std::uint32_t> frontier;
+    if (frontier.size() < n)
+        frontier.resize(n);
+    std::size_t head = 0, tail = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (nms[i] >= high_t) {
+            out[i] = 1.0f;
+            frontier[tail++] = std::uint32_t(i);
         }
     }
     // Grow strong edges through weak pixels (8-connected).
-    while (!frontier.empty()) {
-        auto [x, y] = frontier.front();
-        frontier.pop();
+    while (head < tail) {
+        const int x = int(frontier[head] % std::uint32_t(w));
+        const int y = int(frontier[head] / std::uint32_t(w));
+        ++head;
         for (int dy = -1; dy <= 1; ++dy) {
             for (int dx = -1; dx <= 1; ++dx) {
                 int nx = x + dx, ny = y + dy;
                 if (nx < 0 || nx >= w || ny < 0 || ny >= h)
                     continue;
-                if (out.at(nx, ny) == 0.0f && nms.at(nx, ny) >= low_t) {
-                    out.at(nx, ny) = 1.0f;
-                    frontier.emplace(nx, ny);
+                std::size_t j = std::size_t(ny) * std::size_t(w) +
+                                std::size_t(nx);
+                if (out[j] == 0.0f && nms[j] >= low_t) {
+                    out[j] = 1.0f;
+                    frontier[tail++] = std::uint32_t(j);
                 }
             }
         }
     }
-    return out;
 }
 
 Plane
 harrisNonMax(const Plane &response)
 {
+    Plane out(response.width(), response.height());
+    harrisNonMaxBuf(response.data().data(), response.width(),
+                    response.height(), out.data().data());
+    return out;
+}
+
+void
+harrisNonMaxBuf(const float *response, int w, int h, float *out)
+{
     HostProfScope prof(HostCat::Kernels);
-    const int w = response.width(), h = response.height();
-    Plane out(w, h);
     const KernelOps &ops = kernelOps();
-    const float *src = response.data().data();
     const float *r[3];
     for (int y = 0; y < h; ++y) {
         for (int dy = -1; dy <= 1; ++dy) {
             int yy = std::clamp(y + dy, 0, h - 1);
-            r[dy + 1] = src + std::size_t(yy) * std::size_t(w);
+            r[dy + 1] = response + std::size_t(yy) * std::size_t(w);
         }
-        ops.harrisNmsRow(r, w,
-                         out.data().data() +
-                             std::size_t(y) * std::size_t(w));
+        ops.harrisNmsRow(r, w, out + std::size_t(y) * std::size_t(w));
     }
-    return out;
 }
 
 Plane

@@ -28,6 +28,11 @@ struct IspParams
 /** Demosaic + color correction + gamma (paper Table I's ISP). */
 RgbImage isp(const BayerImage &raw, const IspParams &params = {});
 
+/** isp() into three caller channel buffers of raw.width * raw.height
+ *  floats (the DAG builders write the packed [R|G|B] layout this way). */
+void ispBuf(const BayerImage &raw, float *r, float *g, float *b,
+            const IspParams &params = {});
+
 /** ITU-R BT.601 luma conversion. */
 Plane grayscale(const RgbImage &rgb);
 
@@ -45,6 +50,11 @@ void grayscaleBuf(const float *r, const float *g, const float *b,
  */
 Plane cannyNonMax(const Plane &magnitude, const Plane &direction);
 
+/** Raw-buffer cannyNonMax(): w*h row-major planes; @p out must not
+ *  alias an input. */
+void cannyNonMaxBuf(const float *magnitude, const float *direction,
+                    int w, int h, float *out);
+
 /**
  * Double-threshold hysteresis: pixels above @p high_t are edges; pixels
  * above @p low_t connected (8-way) to an edge are boosted to edges; the
@@ -52,8 +62,17 @@ Plane cannyNonMax(const Plane &magnitude, const Plane &direction);
  */
 Plane edgeTracking(const Plane &nms, float low_t, float high_t);
 
+/** Raw-buffer edgeTracking() over a w*h plane; @p out must not alias
+ *  @p nms. */
+void edgeTrackingBuf(const float *nms, int w, int h, float low_t,
+                     float high_t, float *out);
+
 /** Keep 3x3-neighborhood maxima above zero; suppress everything else. */
 Plane harrisNonMax(const Plane &response);
+
+/** Raw-buffer harrisNonMax() over a w*h plane; @p out must not alias
+ *  @p response. */
+void harrisNonMaxBuf(const float *response, int w, int h, float *out);
 
 /** Full Canny edge detection (reference for the Canny DAG). */
 Plane cannyReference(const BayerImage &raw, float low_t = 0.05f,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "kernels/scratch.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -126,6 +127,14 @@ void
 HardwareManager::beginDag(Dag *dag)
 {
     invalidateDagResidue(dag);
+    // The last run's leaves kept their payload buffers; pool them for
+    // this run's payloads.
+    ScratchPool &pool = ScratchPool::forThread();
+    for (int i = 0; i < dag->numNodes(); ++i) {
+        Node *node = dag->node(i);
+        if (node->outputData.capacity() != 0)
+            pool.release(std::move(node->outputData));
+    }
     dag->submit(now());
 
     DeadlineScheme scheme = policy_->deadlineScheme();
@@ -503,11 +512,19 @@ HardwareManager::onComputeDone(AccState &state)
         // Functional payloads are real host compute (kernel math),
         // not scheduler bookkeeping — attribute them separately.
         HostProfScope prof(HostCat::Kernels);
-        std::vector<const std::vector<float> *> inputs;
-        inputs.reserve(node->parents.size());
+        payloadInputs_.clear();
         for (Node *parent : node->parents)
-            inputs.push_back(&parent->outputData);
-        node->outputData = node->fn(inputs);
+            payloadInputs_.push_back(&parent->outputData);
+        ScratchPool &pool = ScratchPool::forThread();
+        node->outputData = pool.acquire();
+        node->fn(payloadInputs_, node->outputData);
+        // A parent's buffer has no reader left once its last child has
+        // run: recycle it for the payloads still to come.
+        for (Node *parent : node->parents) {
+            if (++parent->finishedChildren ==
+                std::uint32_t(parent->children.size()))
+                pool.release(std::move(parent->outputData));
+        }
     }
 
     state.current = nullptr;

@@ -235,6 +235,7 @@ class HardwareManager : public SimObject
     std::function<void(Dag *)> onDagComplete_;
     DagAttributionHandler onDagAttributed_;
     TraceRecorder *trace_ = nullptr;
+    NodeInputs payloadInputs_; ///< Reused operand list of a payload.
 };
 
 } // namespace relief

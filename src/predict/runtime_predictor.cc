@@ -8,18 +8,6 @@
 namespace relief
 {
 
-const char *
-dmPredictorName(DmPredictorKind kind)
-{
-    switch (kind) {
-      case DmPredictorKind::Max:
-        return "Max";
-      case DmPredictorKind::Graph:
-        return "Graph";
-    }
-    return "unknown";
-}
-
 RuntimePredictor::RuntimePredictor(
     BwPredictorKind bw_kind, DmPredictorKind dm_kind, double max_gbs,
     const std::array<int, numAccTypes> &instances)

@@ -34,8 +34,6 @@ enum class DmPredictorKind
     Graph, ///< Analyze the DAG for colocations/forwards (Section III-B).
 };
 
-const char *dmPredictorName(DmPredictorKind kind);
-
 class RuntimePredictor
 {
   public:

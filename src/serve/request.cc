@@ -3,20 +3,6 @@
 namespace relief
 {
 
-const char *
-admissionVerdictName(AdmissionVerdict verdict)
-{
-    switch (verdict) {
-      case AdmissionVerdict::Admitted:
-        return "admitted";
-      case AdmissionVerdict::Shed:
-        return "shed";
-      case AdmissionVerdict::Rejected:
-        return "rejected";
-    }
-    return "unknown";
-}
-
 std::vector<QosClassConfig>
 defaultQosClasses()
 {

@@ -51,8 +51,6 @@ enum class AdmissionVerdict : std::uint8_t
     Rejected, ///< Dropped by laxity-based infeasibility prediction.
 };
 
-const char *admissionVerdictName(AdmissionVerdict verdict);
-
 /** Lifecycle record of one request (owned by the serving driver). */
 struct ServeRequest
 {

@@ -196,42 +196,6 @@ TEST(SimdGoldenTest, ConvRowsMatchScalarBitwise)
     }
 }
 
-TEST(SimdGoldenTest, SeparableConvMatchesScalarBitwise)
-{
-    const KernelOps &scalar = kernelOpsFor(KernelIsa::Scalar);
-    std::vector<float> taps = gaussianTaps1d(5);
-    for (KernelIsa isa : runnableIsas()) {
-        const KernelOps &ops = kernelOpsFor(isa);
-        for (Shape s : shapes) {
-            std::size_t n = std::size_t(s.w) * s.h;
-            auto in = makeInput(n, 12);
-            std::vector<float> ref(n), got(n);
-            for (int y = 0; y < s.h; ++y) {
-                scalar.sepConvRowH(in.data() + std::size_t(y) * s.w,
-                                   s.w, taps.data(), int(taps.size()),
-                                   ref.data() + std::size_t(y) * s.w);
-                ops.sepConvRowH(in.data() + std::size_t(y) * s.w, s.w,
-                                taps.data(), int(taps.size()),
-                                got.data() + std::size_t(y) * s.w);
-            }
-            expectSamePlane(ref, got, "sepConvRowH", isa, s);
-
-            std::vector<float> vref(n), vgot(n);
-            const float *rows[5];
-            for (int y = 0; y < s.h; ++y) {
-                clampedRows(in.data(), s.w, s.h, y, 2, rows);
-                scalar.sepConvRowV(rows, s.w, taps.data(),
-                                   int(taps.size()),
-                                   vref.data() + std::size_t(y) * s.w);
-                ops.sepConvRowV(rows, s.w, taps.data(),
-                                int(taps.size()),
-                                vgot.data() + std::size_t(y) * s.w);
-            }
-            expectSamePlane(vref, vgot, "sepConvRowV", isa, s);
-        }
-    }
-}
-
 TEST(SimdGoldenTest, CannyNmsMatchesScalarBitwise)
 {
     const KernelOps &scalar = kernelOpsFor(KernelIsa::Scalar);

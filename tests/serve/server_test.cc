@@ -169,8 +169,9 @@ TEST(ServeDriverTest, PressureRollupAttributesPerQosClass)
         EXPECT_EQ(report.pressure[i + 1].name, report.classes[i].name);
         tagged += report.pressure[i + 1].slot.bytes;
         // A class that completed work must have moved bytes.
-        if (report.classes[i].completed > 0)
+        if (report.classes[i].completed > 0) {
             EXPECT_GT(report.pressure[i + 1].slot.bytes, 0u) << i;
+        }
     }
     EXPECT_GT(tagged, 0u);
 
