@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "kernels/simd/simd.hh"
 #include "sim/debug.hh"
 #include "sim/logging.hh"
 
@@ -42,7 +41,7 @@ cliUsage()
            "[--dm-predictor KIND] [--spm-partitions N] "
            "[--no-feasibility] [--no-forwarding] [--stream-forwarding] "
            "[--dma-burst N] [--submit-latency-us X] [--functional] "
-           "[--seed N] [--kernel-isa NAME] [--debug-flags LIST] "
+           "[--seed N] [--debug-flags LIST] "
            "[--stats-json FILE] [--latency-breakdown] "
            "[--pressure-tracks] [--config FILE]";
 }
@@ -214,11 +213,6 @@ parseCliOptions(const std::vector<std::string> &raw_args)
         } else if (arg == "--seed") {
             config.app.seed = std::uint32_t(
                 std::strtoul(need_value(i).c_str(), nullptr, 10));
-            ++i;
-        } else if (arg == "--kernel-isa") {
-            // Applied immediately, like --debug-flags: the kernel ISA
-            // is process-global state, not per-experiment config.
-            setKernelIsa(kernelIsaFromName(need_value(i)));
             ++i;
         } else if (arg == "--debug-flags") {
             config.debugFlags = need_value(i);

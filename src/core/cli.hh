@@ -25,9 +25,6 @@
  *   --dma-burst N          burst-interleaved DMA (0 = whole buffer)
  *   --submit-latency-us X  host command-queue submission cost
  *   --seed N               input/weight generator seed
- *   --kernel-isa NAME      force the SIMD kernel backend: scalar |
- *                          sse4.2 | avx2 | neon (default: widest the
- *                          CPU supports; see kernels/simd/simd.hh)
  *   --debug-flags LIST     enable debug categories, e.g. Sched,Dma
  *                          (Sched|Dma|Mem|Fabric|Stats|Event; see
  *                          sim/debug.hh)

@@ -3,8 +3,8 @@
  * Canny, Richardson-Lucy deblur, and Harris DAG builders (Fig. 1 b-d).
  *
  * Functional mode attaches per-node closures whose composition equals
- * the reference pipelines in src/kernels/vision.* — the leaf node's
- * output is bit-identical to cannyReference()/harrisReference()/
+ * the whole-plane reference chains in src/kernels/vision.* — the leaf
+ * node's output is bit-identical to cannyReference()/harrisReference()/
  * richardsonLucy() on the same synthetic scene.
  */
 

@@ -1,6 +1,7 @@
 #include "kernels/elemwise.hh"
 
-#include "kernels/simd/simd.hh"
+#include <cmath>
+
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -27,10 +28,53 @@ elemwiseBuf(ElemOp op, const float *a, const float *b, float scalar,
             float *out, std::size_t n)
 {
     HostProfScope prof(HostCat::Kernels);
-    if (elemOpVectorized(op))
-        kernelOps().elemRow(op, a, b, scalar, out, n);
-    else
-        elemScalarRow(op, a, b, scalar, out, n);
+    // One loop per op, so each loop body is branch-free on the op.
+    switch (op) {
+      case ElemOp::Add:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] + b[i];
+        return;
+      case ElemOp::Sub:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] - b[i];
+        return;
+      case ElemOp::Mul:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] * b[i];
+        return;
+      case ElemOp::Div:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = std::abs(b[i]) > 1e-12f ? a[i] / b[i] : 0.0f;
+        return;
+      case ElemOp::Sqr:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] * a[i];
+        return;
+      case ElemOp::Sqrt:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] > 0.0f ? std::sqrt(a[i]) : 0.0f;
+        return;
+      case ElemOp::Atan2:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = std::atan2(a[i], b[i]);
+        return;
+      case ElemOp::Tanh:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = std::tanh(a[i]);
+        return;
+      case ElemOp::Sigmoid:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = 1.0f / (1.0f + std::exp(-a[i]));
+        return;
+      case ElemOp::Scale:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] * scalar;
+        return;
+      case ElemOp::OneMinus:
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = 1.0f - a[i];
+        return;
+    }
 }
 
 std::vector<float>

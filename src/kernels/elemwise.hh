@@ -32,9 +32,8 @@ Plane elemwise(ElemOp op, const Plane &a, const Plane *b = nullptr,
                float scalar = 1.0f);
 
 /**
- * Raw-buffer elemwise into caller storage (SIMD-dispatched via
- * kernels/simd/simd.hh; the row-tiled pipeline and the DAG builders
- * use this to avoid copies). @p out may alias @p a or @p b.
+ * Raw-buffer elemwise into caller storage (the DAG builders use this
+ * to avoid copies). @p out may alias @p a or @p b.
  */
 void elemwiseBuf(ElemOp op, const float *a, const float *b, float scalar,
                  float *out, std::size_t n);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "kernels/simd/simd.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -114,12 +113,76 @@ convolveInto(const Plane &input, const Filter2D &filter, Plane &out)
                 filter, out.data().data());
 }
 
+namespace
+{
+
+/** One clamped output pixel: taps summed in row-major tap order. */
+float
+convPixel(const float *const *rows, int w, int x, const float *taps,
+          int fsize)
+{
+    const int half = fsize / 2;
+    float acc = 0.0f;
+    for (int fy = 0; fy < fsize; ++fy)
+        for (int fx = 0; fx < fsize; ++fx)
+            acc += taps[fy * fsize + fx] *
+                   rows[fy][std::clamp(x + fx - half, 0, w - 1)];
+    return acc;
+}
+
+/**
+ * Interior pixels [lo, hi) of one output row, which need no horizontal
+ * clamp. With the filter size fixed at compile time the tap loops
+ * unroll fully, leaving x as the loop the compiler vectorises; each pixel
+ * still adds its taps in the same order as convPixel(), so both give
+ * the same bits.
+ */
+template <int FS>
+void
+convInterior(const float *const *rows, int lo, int hi, const float *taps,
+             float *out)
+{
+    constexpr int half = FS / 2;
+    float t[FS * FS];
+    std::copy(taps, taps + FS * FS, t);
+    for (int x = lo; x < hi; ++x) {
+        float acc = 0.0f;
+        for (int fy = 0; fy < FS; ++fy)
+            for (int fx = 0; fx < FS; ++fx)
+                acc += t[fy * FS + fx] * rows[fy][x + fx - half];
+        out[x] = acc;
+    }
+}
+
+/** 2-D convolution of one output row from the @p fsize vertically
+ *  clamped input @p rows. */
+void
+convRow(const float *const *rows, int w, const float *taps, int fsize,
+        float *out)
+{
+    const int half = fsize / 2;
+    const int lo = std::min(half, w);
+    const int hi = std::max(lo, w - half); // interior is [lo, hi)
+    if (fsize == 3)
+        convInterior<3>(rows, lo, hi, taps, out);
+    else if (fsize == 5)
+        convInterior<5>(rows, lo, hi, taps, out);
+    else
+        for (int x = lo; x < hi; ++x)
+            out[x] = convPixel(rows, w, x, taps, fsize);
+    for (int x = 0; x < lo; ++x)
+        out[x] = convPixel(rows, w, x, taps, fsize);
+    for (int x = hi; x < w; ++x)
+        out[x] = convPixel(rows, w, x, taps, fsize);
+}
+
+} // namespace
+
 void
 convolveBuf(const float *src, int w, int h, const Filter2D &filter,
             float *dst)
 {
     HostProfScope prof(HostCat::Kernels);
-    const KernelOps &ops = kernelOps();
     const int fsize = filter.size();
     const int half = fsize / 2;
     const float *rows[5];
@@ -128,8 +191,8 @@ convolveBuf(const float *src, int w, int h, const Filter2D &filter,
             int yy = std::clamp(y + fy - half, 0, h - 1);
             rows[fy] = src + std::size_t(yy) * std::size_t(w);
         }
-        ops.convRow(rows, w, filter.taps(), fsize,
-                    dst + std::size_t(y) * std::size_t(w));
+        convRow(rows, w, filter.taps(), fsize,
+                dst + std::size_t(y) * std::size_t(w));
     }
 }
 
@@ -140,8 +203,13 @@ gradientMagnitude(const Plane &gx, const Plane &gy)
                   "gradient magnitude: gx/gy shape mismatch");
     HostProfScope prof(HostCat::Kernels);
     Plane out(gx.width(), gx.height());
-    kernelOps().gradMag(gx.data().data(), gy.data().data(),
-                        out.data().data(), gx.size());
+    const float *x = gx.data().data();
+    const float *y = gy.data().data();
+    float *o = out.data().data();
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const float s = x[i] * x[i] + y[i] * y[i];
+        o[i] = s > 0.0f ? std::sqrt(s) : 0.0f;
+    }
     return out;
 }
 

@@ -26,8 +26,8 @@ class Filter2D
     float &at(int x, int y) { return taps_[idx(x, y)]; }
     float at(int x, int y) const { return taps_[idx(x, y)]; }
 
-    /** Raw taps, row-major [y * size + x] — the layout the SIMD
-     *  convRow primitive consumes (kernels/simd/simd.hh). */
+    /** Raw taps, row-major [y * size + x] — the order convolve()
+     *  sums them in. */
     const float *taps() const { return taps_.data(); }
 
     /** Sum of all taps (1.0 for normalized smoothing filters). */

@@ -1,7 +1,6 @@
 #include "kernels/rnn.hh"
 
 #include "kernels/elemwise.hh"
-#include "kernels/simd/simd.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -25,9 +24,8 @@ randomVec(int n, std::uint32_t &rng)
     return v;
 }
 
-/** act(w*x + u*h + b), the pre-activation fused through the SIMD
- *  rnnGatePre primitive (bit-identical to the former Mul/Mul/Add/Add
- *  elemwise chain). */
+/** act(w*x + u*h + b), the pre-activation fused into one pass
+ *  (bit-identical to the Mul/Mul/Add/Add elemwise chain). */
 Vec
 gate(ElemOp activation, const Vec &w, const Vec &x, const Vec &u,
      const Vec &h, const Vec &b)
@@ -36,15 +34,22 @@ gate(ElemOp activation, const Vec &w, const Vec &x, const Vec &u,
                       w.size() == u.size() && w.size() == b.size(),
                   "RNN gate operand size mismatch");
     Vec pre(x.size());
-    {
-        HostProfScope prof(HostCat::Kernels);
-        kernelOps().rnnGatePre(w.data(), x.data(), u.data(), h.data(),
-                               b.data(), pre.data(), pre.size());
-    }
+    gatePreActivation(w.data(), x.data(), u.data(), h.data(), b.data(),
+                      pre.data(), pre.size());
     return elemwise(activation, pre);
 }
 
 } // namespace
+
+void
+gatePreActivation(const float *w, const float *x, const float *u,
+                  const float *h, const float *b, float *out,
+                  std::size_t n)
+{
+    HostProfScope prof(HostCat::Kernels);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = (w[i] * x[i] + u[i] * h[i]) + b[i];
+}
 
 GruWeights
 makeGruWeights(int hidden, std::uint32_t seed)

@@ -14,6 +14,7 @@
 #ifndef RELIEF_KERNELS_RNN_HH
 #define RELIEF_KERNELS_RNN_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,6 +50,12 @@ struct LstmState
 /** Deterministic small weights in (-0.5, 0.5) for tests/examples. */
 GruWeights makeGruWeights(int hidden, std::uint32_t seed);
 LstmWeights makeLstmWeights(int hidden, std::uint32_t seed);
+
+/** Gate pre-activation out = (w*x + u*h) + b over @p n elements: the
+ *  diagonal GEMV of the paper's light recurrent cells. */
+void gatePreActivation(const float *w, const float *x, const float *u,
+                       const float *h, const float *b, float *out,
+                       std::size_t n);
 
 /**
  * One GRU step: returns the next hidden state.

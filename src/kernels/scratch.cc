@@ -56,15 +56,4 @@ ScratchPlane::~ScratchPlane()
     ScratchPool::forThread().release(std::move(plane_.data()));
 }
 
-ScratchVec::ScratchVec(std::size_t n)
-    : vec_(ScratchPool::forThread().acquire())
-{
-    vec_.assign(n, 0.0f);
-}
-
-ScratchVec::~ScratchVec()
-{
-    ScratchPool::forThread().release(std::move(vec_));
-}
-
 } // namespace relief

@@ -1,8 +1,7 @@
 /**
  * @file
  * Pooled float buffers for the functional kernels and payloads. The
- * reference pipelines (Canny, Harris, Richardson-Lucy) and the
- * row-tiled pipeline draw their intermediate Planes from the pool, and
+ * Harris reference draws its intermediate Planes from the pool, and
  * the hardware manager draws every DAG node's output buffer from it,
  * handing the buffer back once the last of the node's children has run
  * its payload (leaves keep theirs until their DAG is resubmitted).
@@ -81,25 +80,6 @@ class ScratchPlane
 
   private:
     Plane plane_;
-};
-
-/** RAII flat float buffer from the thread's ScratchPool
- *  (zero-filled). */
-class ScratchVec
-{
-  public:
-    explicit ScratchVec(std::size_t n);
-    ~ScratchVec();
-
-    ScratchVec(const ScratchVec &) = delete;
-    ScratchVec &operator=(const ScratchVec &) = delete;
-
-    float *data() { return vec_.data(); }
-    const float *data() const { return vec_.data(); }
-    std::size_t size() const { return vec_.size(); }
-
-  private:
-    std::vector<float> vec_;
 };
 
 } // namespace relief

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include "kernels/elemwise.hh"
-#include "kernels/pipeline.hh"
 #include "kernels/scratch.hh"
-#include "kernels/simd/simd.hh"
 #include "sim/hostprof.hh"
 #include "sim/logging.hh"
 
@@ -68,7 +67,91 @@ demosaic(const BayerImage &raw, float *r_out, float *g_out, float *b_out)
     }
 }
 
+float
+clamp01(float v)
+{
+    v = v < 0.0f ? 0.0f : v;
+    return v > 1.0f ? 1.0f : v;
+}
+
+/**
+ * Canny NMS of pixel @p x: keep its magnitude if it is no smaller than
+ * both neighbours along the quantised gradient direction. @p m0, @p m1
+ * and @p m2 are the magnitude rows above, at and below; @p xl and
+ * @p xr the neighbour columns (x -/+ 1, clamped at the borders).
+ * Every candidate is loaded and the angle class picked by selects, not
+ * branches, so the interior loop vectorises.
+ */
+float
+cannyNmsPixel(const float *m0, const float *m1, const float *m2,
+              float dir, int xl, int x, int xr)
+{
+    float deg = dir * 180.0f / float(M_PI);
+    // Fold negative angles up by 180. Adding +0 otherwise keeps every
+    // class, and an unconditional add keeps the loop branch-free.
+    deg += deg < 0.0f ? 180.0f : 0.0f;
+    // Classes 0, 45, 90 and 135 degrees, tested in that order.
+    const bool k0 = (deg < 22.5f) | (deg >= 157.5f);
+    const bool k45 = deg < 67.5f;
+    const bool k90 = deg < 112.5f;
+    const float al = m0[xl], ac = m0[x], ar = m0[xr]; // above
+    const float ml = m1[xl], mr = m1[xr];
+    const float bl = m2[xl], bc = m2[x], br = m2[xr]; // below
+    const float n1 = k0 ? mr : k45 ? br : k90 ? bc : bl;
+    const float n2 = k0 ? ml : k45 ? al : k90 ? ac : ar;
+    const float v = m1[x];
+    return (v >= n1) & (v >= n2) ? v : 0.0f;
+}
+
+/** Harris NMS of pixel @p x: keep a positive response that no
+ *  8-neighbour exceeds (rows and columns as for cannyNmsPixel()). */
+float
+harrisNmsPixel(const float *r0, const float *r1, const float *r2, int xl,
+               int x, int xr)
+{
+    const float v = r1[x];
+    const bool any = (r0[xl] > v) | (r0[x] > v) | (r0[xr] > v) |
+                     (r1[xl] > v) | (r1[xr] > v) | (r2[xl] > v) |
+                     (r2[x] > v) | (r2[xr] > v);
+    return (v > 0.0f) & !any ? v : 0.0f;
+}
+
+/** Run a 3x3-neighbourhood pixel function over a w*h plane, clamping
+ *  rows and the border columns; @p pixel(rows, y, xl, x, xr). */
+template <class PixelFn>
+void
+forEach3x3(const float *src, int w, int h, float *out, PixelFn pixel)
+{
+    for (int y = 0; y < h; ++y) {
+        const float *r0 = src + std::size_t(std::max(y - 1, 0)) * w;
+        const float *r1 = src + std::size_t(y) * w;
+        const float *r2 = src + std::size_t(std::min(y + 1, h - 1)) * w;
+        float *o = out + std::size_t(y) * w;
+        if (w > 0)
+            o[0] = pixel(r0, r1, r2, y, 0, 0, std::min(1, w - 1));
+        for (int x = 1; x < w - 1; ++x)
+            o[x] = pixel(r0, r1, r2, y, x - 1, x, x + 1);
+        if (w > 1)
+            o[w - 1] = pixel(r0, r1, r2, y, w - 2, w - 1, w - 1);
+    }
+}
+
 } // namespace
+
+void
+ccmClamp(float *r, float *g, float *b, std::size_t n,
+         const float ccm[3][3])
+{
+    // Local copy: the stores below could otherwise alias the matrix.
+    float k[3][3];
+    std::copy(&ccm[0][0], &ccm[0][0] + 9, &k[0][0]);
+    for (std::size_t i = 0; i < n; ++i) {
+        const float rr = r[i], gg = g[i], bb = b[i];
+        r[i] = clamp01(k[0][0] * rr + k[0][1] * gg + k[0][2] * bb);
+        g[i] = clamp01(k[1][0] * rr + k[1][1] * gg + k[1][2] * bb);
+        b[i] = clamp01(k[2][0] * rr + k[2][1] * gg + k[2][2] * bb);
+    }
+}
 
 RgbImage
 isp(const BayerImage &raw, const IspParams &params)
@@ -86,13 +169,11 @@ ispBuf(const BayerImage &raw, float *r, float *g, float *b,
     HostProfScope prof(HostCat::Kernels);
     demosaic(raw, r, g, b);
     const std::size_t n = std::size_t(raw.width) * std::size_t(raw.height);
-    // CCM + clamp is the vector pass; the per-value op sequence
-    // (matrix row, clamp, pow) matches the former fused pixel loop.
-    kernelOps().ccmClamp(r, g, b, n, params.ccm);
+    ccmClamp(r, g, b, n, params.ccm);
     const float inv_gamma = 1.0f / params.gamma;
-    gammaCorrect(r, n, inv_gamma);
-    gammaCorrect(g, n, inv_gamma);
-    gammaCorrect(b, n, inv_gamma);
+    for (float *p : {r, g, b})
+        for (std::size_t i = 0; i < n; ++i)
+            p[i] = std::pow(p[i], inv_gamma);
 }
 
 Plane
@@ -109,7 +190,8 @@ grayscaleBuf(const float *r, const float *g, const float *b, float *out,
              std::size_t n)
 {
     HostProfScope prof(HostCat::Kernels);
-    kernelOps().bt601(r, g, b, out, n);
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = 0.299f * r[i] + 0.587f * g[i] + 0.114f * b[i];
 }
 
 Plane
@@ -129,16 +211,14 @@ cannyNonMaxBuf(const float *magnitude, const float *direction, int w,
                int h, float *out)
 {
     HostProfScope prof(HostCat::Kernels);
-    const KernelOps &ops = kernelOps();
-    const float *m[3];
-    for (int y = 0; y < h; ++y) {
-        for (int dy = -1; dy <= 1; ++dy) {
-            int yy = std::clamp(y + dy, 0, h - 1);
-            m[dy + 1] = magnitude + std::size_t(yy) * std::size_t(w);
-        }
-        ops.cannyNmsRow(m, direction + std::size_t(y) * std::size_t(w), w,
-                        out + std::size_t(y) * std::size_t(w));
-    }
+    forEach3x3(magnitude, w, h, out,
+               [direction, w](const float *m0, const float *m1,
+                              const float *m2, int y, int xl, int x,
+                              int xr) {
+                   return cannyNmsPixel(
+                       m0, m1, m2, direction[std::size_t(y) * w + x],
+                       xl, x, xr);
+               });
 }
 
 Plane
@@ -206,24 +286,22 @@ void
 harrisNonMaxBuf(const float *response, int w, int h, float *out)
 {
     HostProfScope prof(HostCat::Kernels);
-    const KernelOps &ops = kernelOps();
-    const float *r[3];
-    for (int y = 0; y < h; ++y) {
-        for (int dy = -1; dy <= 1; ++dy) {
-            int yy = std::clamp(y + dy, 0, h - 1);
-            r[dy + 1] = response + std::size_t(yy) * std::size_t(w);
-        }
-        ops.harrisNmsRow(r, w, out + std::size_t(y) * std::size_t(w));
-    }
+    forEach3x3(response, w, h, out,
+               [](const float *r0, const float *r1, const float *r2, int,
+                  int xl, int x, int xr) {
+                   return harrisNmsPixel(r0, r1, r2, xl, x, xr);
+               });
 }
 
 Plane
 cannyReference(const BayerImage &raw, float low_t, float high_t)
 {
     Plane gray = grayscale(isp(raw));
-    // Fused row-tiled smooth -> Sobel -> magnitude/direction -> NMS
-    // (bit-identical to the unfused whole-plane chain).
-    Plane nms = cannyNmsFromGray(gray, gaussianFilter(5));
+    Plane smooth = convolve(gray, gaussianFilter(5));
+    Plane gx = convolve(smooth, sobelX());
+    Plane gy = convolve(smooth, sobelY());
+    Plane nms = cannyNonMax(gradientMagnitude(gx, gy),
+                            elemwise(ElemOp::Atan2, gy, &gx));
     Plane edges = edgeTracking(nms, low_t, high_t);
     // Final elem-matrix boost stage of the DAG: scale the binary edge
     // map to full intensity.
@@ -269,15 +347,15 @@ richardsonLucy(const Plane &blurred, const Filter2D &psf, int iterations)
     HostProfScope prof(HostCat::Kernels);
     Plane estimate = blurred;
     Filter2D mirrored = psf.flipped();
+    Plane ratio(blurred.width(), blurred.height());
+    Plane correction(blurred.width(), blurred.height());
     for (int it = 0; it < iterations; ++it) {
-        // One row-tiled pass per iteration: reblur, guarded ratio
-        // against the observation, correction blur, multiply into the
-        // running estimate — intermediates never leave pooled rings.
-        estimate = runRowPipeline(
-            estimate, {convStage(psf),
-                       zipStage(ElemOp::Div, &blurred, true),
-                       convStage(mirrored),
-                       zipStage(ElemOp::Mul, &estimate, true)});
+        // Reblur, guarded ratio against the observation, correction
+        // blur, multiply into the running estimate.
+        convolveInto(estimate, psf, ratio);
+        elemwiseInto(ElemOp::Div, blurred, &ratio, 1.0f, ratio);
+        convolveInto(ratio, mirrored, correction);
+        elemwiseInto(ElemOp::Mul, estimate, &correction, 1.0f, estimate);
     }
     return estimate;
 }

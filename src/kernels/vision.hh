@@ -33,6 +33,11 @@ RgbImage isp(const BayerImage &raw, const IspParams &params = {});
 void ispBuf(const BayerImage &raw, float *r, float *g, float *b,
             const IspParams &params = {});
 
+/** The ISP's colour step: 3x3 colour-correction matrix, then clamp to
+ *  [0, 1], in place across three channel buffers of @p n floats. */
+void ccmClamp(float *r, float *g, float *b, std::size_t n,
+              const float ccm[3][3]);
+
 /** ITU-R BT.601 luma conversion. */
 Plane grayscale(const RgbImage &rgb);
 

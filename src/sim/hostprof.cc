@@ -46,7 +46,7 @@ struct HostProfState
     }
 };
 
-thread_local HostProfState *tlsState = nullptr;
+thread_local constinit HostProfState *tlsState = nullptr;
 
 namespace
 {

@@ -66,8 +66,10 @@ const char *hostCatName(HostCat cat);
 namespace hostprof_detail
 {
 struct HostProfState;
-/** Non-null while the calling thread is profiling. */
-extern thread_local HostProfState *tlsState;
+/** Non-null while the calling thread is profiling. constinit tells
+ *  other TUs the pointer needs no dynamic initialisation, so they read
+ *  it directly instead of through a TLS init wrapper. */
+extern thread_local constinit HostProfState *tlsState;
 } // namespace hostprof_detail
 
 /** True when host profiling is on for the calling thread. The one
