@@ -4,20 +4,30 @@
 Dispatches on the document's "schema" field and validates every
 artifact the tools emit:
 
-  - relief-serve-v1  (bench/serve_load_sweep, tools/relief_serve) —
-    documented in docs/serving.md
-  - relief-trace-v1  (relief_serve --trace-json: tail-sampled request
-    span trees) — documented in docs/serving.md
-  - relief-pressure-v1 (relief_sim --pressure-report: the memory-
-    pressure attribution ledger) — documented in docs/observability.md
-  - relief-hostprof-v1 (relief_sim --host-profile: host wall-time
-    attribution by category) — documented in docs/observability.md §10
+  - relief-stats-v1     --stats-json of relief_sim, relief_compare and
+                        relief_serve: stats, app outcomes, pressure
+  - relief-serve-v1     bench/serve_load_sweep, relief_serve --out
+  - relief-trace-v1     relief_serve --trace-json: request span trees
+  - relief-pressure-v1  relief_sim --pressure-report: the memory-
+                        pressure attribution ledger
+  - relief-hostprof-v1  relief_sim --host-profile: host wall time
+
+docs/serving.md documents the serve and trace schemas,
+docs/observability.md the other three.
+
+Each schema is described in two pieces:
+
+  - SCHEMAS[name], its field table: every field and its type (count,
+    number, fraction, enum, nested table, ListOf, MapOf, Optional...).
+    check_fields() walks it. It is the field reference the docs point
+    at, and a new checked field is one table line.
+  - INVARIANTS[name], only the cross-field rules (conservation, span
+    nesting, coverage). It runs once every field has its declared
+    type, so it indexes the document without guards.
 
 Every top-level document carries a "build_info" provenance object (git
-sha, compiler, build type, flags).
-
-Dependency-free (Python standard library only) so CI and developers can
-run it anywhere:
+sha, compiler, build type, flags) with no other keys. Dependency-free
+(Python standard library only) so CI and developers can run it anywhere:
 
     scripts/check_bench_schema.py pressure.json
     scripts/check_bench_schema.py BENCH_serve.json
@@ -34,630 +44,421 @@ import sys
 
 BUCKETS = ("queue_wait", "manager", "dma_in", "compute", "dma_out",
            "dep_stall", "total")
-
-BUILD_INFO_FIELDS = ("git_sha", "compiler_id", "compiler_version",
-                     "build_type", "cxx_flags")
-
 HOST_CATS = ("other", "sched", "dma", "mem", "interconnect", "kernels",
              "stats", "serve")
-
 HOSTPROF_NS_BUCKETS = 40
+TRAFFIC_TYPES = ("dram_fetch", "writeback", "forward", "spm_spill")
 
 # Coverage is emitted with ~6 significant digits; allow rounding slack
 # when cross-checking it against the raw nanosecond counters.
 COVERAGE_TOLERANCE = 1e-4
 
-
-def is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 0
-
-
-def check_build_info(where, info, errors):
-    """Validate the provenance stamp every v5 document carries."""
-    if not isinstance(info, dict):
-        errors.append("%s: expected a build_info object" % where)
-        return
-    for field in BUILD_INFO_FIELDS:
-        value = info.get(field)
-        if not isinstance(value, str) or not value:
-            errors.append("%s.%s: expected a non-empty string, got %r"
-                          % (where, field, value))
-    extra = set(info) - set(BUILD_INFO_FIELDS)
-    if extra:
-        errors.append("%s: unknown keys %s" % (where, sorted(extra)))
-
-
-def check_hostprof_body(where, hp, errors):
-    """Validate the category/counter body of a relief-hostprof-v1
-    document."""
-
-    def err(msg):
-        errors.append(msg)
-
-    if not isinstance(hp, dict):
-        err("%s: expected an object" % where)
-        return
-    for field in ("total_wall_ns", "attributed_wall_ns"):
-        if not is_count(hp.get(field)):
-            err("%s.%s: expected a non-negative integer, got %r"
-                % (where, field, hp.get(field)))
-    coverage = hp.get("coverage")
-    if not is_number(coverage) or not 0.0 <= coverage <= 1.0:
-        err("%s.coverage: expected a number in [0, 1], got %r"
-            % (where, coverage))
-
-    cats = hp.get("categories")
-    if not isinstance(cats, dict):
-        err("%s.categories: expected an object" % where)
-        return
-    if tuple(cats) != HOST_CATS:
-        err("%s.categories: expected exactly %s in order, got %s"
-            % (where, list(HOST_CATS), list(cats)))
-        return
-    wall_sum = 0
-    for name, cat in cats.items():
-        cwhere = "%s.categories.%s" % (where, name)
-        if not isinstance(cat, dict):
-            err("%s: expected an object" % cwhere)
-            continue
-        for field in ("wall_ns", "events", "heap_allocs"):
-            if not is_count(cat.get(field)):
-                err("%s.%s: expected a non-negative integer, got %r"
-                    % (cwhere, field, cat.get(field)))
-        hist = cat.get("ns_hist")
-        if not isinstance(hist, list) \
-                or len(hist) != HOSTPROF_NS_BUCKETS \
-                or not all(is_count(b) for b in hist):
-            err("%s.ns_hist: expected %d non-negative integers"
-                % (cwhere, HOSTPROF_NS_BUCKETS))
-        elif is_count(cat.get("events")) and sum(hist) != cat["events"]:
-            err("%s: ns_hist sums to %d but events is %d"
-                % (cwhere, sum(hist), cat["events"]))
-        if is_count(cat.get("wall_ns")):
-            wall_sum += cat["wall_ns"]
-
-    # Category consistency: the attributed total is exactly the sum of
-    # per-category wall time, and coverage is its (clamped) share of
-    # the total window.
-    if is_count(hp.get("attributed_wall_ns")) \
-            and hp["attributed_wall_ns"] != wall_sum:
-        err("%s: attributed_wall_ns %d != per-category sum %d"
-            % (where, hp["attributed_wall_ns"], wall_sum))
-    if is_count(hp.get("total_wall_ns")) and hp["total_wall_ns"] > 0 \
-            and is_count(hp.get("attributed_wall_ns")) \
-            and is_number(coverage):
-        expected = min(1.0, hp["attributed_wall_ns"]
-                       / hp["total_wall_ns"])
-        if abs(coverage - expected) > COVERAGE_TOLERANCE:
-            err("%s.coverage: %r inconsistent with "
-                "attributed/total (%r)" % (where, coverage, expected))
-
-
-def check_hostprof(doc):
-    errors = []
-    check_build_info("build_info", doc.get("build_info"), errors)
-    check_hostprof_body("hostprof", doc, errors)
-    return errors
-
-
-SLO_COUNTERS = ("offered", "admitted", "shed", "rejected", "completed",
-                "missed", "in_flight")
-
-SLO_RATES = ("miss_rate", "shed_rate")
-
-QUANTILES = ("mean", "p50", "p95", "p99", "max")
-
-
-def check_slo(where, slo, errors):
-    """Validate one per-class SLO object of a relief-serve-v1 run."""
-
-    def err(msg):
-        errors.append(msg)
-
-    if not isinstance(slo, dict):
-        err("%s: expected an object" % where)
-        return
-    if not isinstance(slo.get("name"), str) or not slo.get("name"):
-        err("%s.name: expected a non-empty string" % where)
-    for field in SLO_COUNTERS:
-        if not is_count(slo.get(field)):
-            err("%s.%s: expected a non-negative integer, got %r"
-                % (where, field, slo.get(field)))
-    if all(is_count(slo.get(f)) for f in SLO_COUNTERS):
-        if slo["offered"] != slo["admitted"] + slo["shed"] \
-                + slo["rejected"]:
-            err("%s: offered != admitted + shed + rejected" % where)
-        if slo["admitted"] != slo["completed"] + slo["in_flight"]:
-            err("%s: admitted != completed + in_flight" % where)
-        if slo["missed"] > slo["completed"]:
-            err("%s: missed > completed" % where)
-    if not is_number(slo.get("goodput_rps")) or slo["goodput_rps"] < 0:
-        err("%s.goodput_rps: expected a non-negative number" % where)
-    for field in SLO_RATES:
-        value = slo.get(field)
-        if not is_number(value) or not 0.0 <= value <= 1.0:
-            err("%s.%s: expected a number in [0, 1], got %r"
-                % (where, field, value))
-    for field in ("latency_ms", "time_in_system_ms"):
-        dist = slo.get(field)
-        if not isinstance(dist, dict):
-            err("%s.%s: expected an object" % (where, field))
-            continue
-        for q in QUANTILES:
-            value = dist.get(q)
-            if not is_number(value) or value < 0:
-                err("%s.%s.%s: expected a non-negative number, got %r"
-                    % (where, field, q, value))
-        if all(is_number(dist.get(q)) for q in QUANTILES) \
-                and not (dist["p50"] <= dist["p95"] <= dist["p99"]
-                         <= dist["max"]):
-            err("%s.%s: quantiles are not monotonic" % (where, field))
-
-
-def check_alerts(where, alerts, errors):
-    """Validate one run's burn-rate "alerts" array (serve/alerts.hh)."""
-
-    def err(msg):
-        errors.append(msg)
-
-    if not isinstance(alerts, list):
-        err("%s: expected an array" % where)
-        return
-    for i, entry in enumerate(alerts):
-        ewhere = "%s[%d]" % (where, i)
-        if not isinstance(entry, dict):
-            err("%s: expected an object" % ewhere)
-            continue
-        if not isinstance(entry.get("class"), str) \
-                or not entry.get("class"):
-            err("%s.class: expected a non-empty string" % ewhere)
-        for field in ("opens", "closes"):
-            if not is_count(entry.get(field)):
-                err("%s.%s: expected a non-negative integer, got %r"
-                    % (ewhere, field, entry.get(field)))
-        if not isinstance(entry.get("active"), bool):
-            err("%s.active: expected a boolean" % ewhere)
-        elif is_count(entry.get("opens")) and is_count(entry.get("closes")):
-            # An alert is a strict open/close alternation starting with
-            # an open, so it is still active iff opens == closes + 1.
-            expected = entry["closes"] + (1 if entry["active"] else 0)
-            if entry["opens"] != expected:
-                err("%s: opens/closes inconsistent with active" % ewhere)
-        for field in ("active_ms", "final_fast_burn", "final_slow_burn"):
-            value = entry.get(field)
-            if not is_number(value) or value < 0:
-                err("%s.%s: expected a non-negative number, got %r"
-                    % (ewhere, field, value))
-        events = entry.get("events")
-        if not isinstance(events, list):
-            err("%s.events: expected an array" % ewhere)
-            continue
-        for j, event in enumerate(events):
-            vwhere = "%s.events[%d]" % (ewhere, j)
-            if not isinstance(event, dict):
-                err("%s: expected an object" % vwhere)
-                continue
-            if not is_number(event.get("t_ms")) or event["t_ms"] < 0:
-                err("%s.t_ms: expected a non-negative number" % vwhere)
-            if not isinstance(event.get("open"), bool):
-                err("%s.open: expected a boolean" % vwhere)
-            for field in ("fast_burn", "slow_burn"):
-                value = event.get(field)
-                if not is_number(value) or value < 0:
-                    err("%s.%s: expected a non-negative number, got %r"
-                        % (vwhere, field, value))
-
-
-def check_serve(doc):
-    errors = []
-
-    def err(msg):
-        errors.append(msg)
-
-    check_build_info("build_info", doc.get("build_info"), errors)
-    if not is_count(doc.get("seed")):
-        err("seed: expected a non-negative integer")
-    if not is_number(doc.get("horizon_ms")) or doc.get("horizon_ms") <= 0:
-        err("horizon_ms: expected a positive number")
-    if not isinstance(doc.get("smoke"), bool):
-        err("smoke: expected a boolean")
-    capacity = doc.get("capacity_rps", None)
-    if capacity is not None and (not is_number(capacity)
-                                 or capacity <= 0):
-        err("capacity_rps: expected a positive number or null")
-
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        err("runs: expected a non-empty array")
-        return errors
-
-    for i, run in enumerate(runs):
-        where = "runs[%d]" % i
-        if not isinstance(run, dict):
-            err("%s: expected an object" % where)
-            continue
-        for field in ("policy", "admission", "arrival"):
-            if not isinstance(run.get(field), str) or not run.get(field):
-                err("%s.%s: expected a non-empty string" % (where, field))
-        # offered_load 0 marks an absolute-rate run (tools/relief_serve).
-        if not is_number(run.get("offered_load")) \
-                or run["offered_load"] < 0:
-            err("%s.offered_load: expected a non-negative number"
-                % where)
-        if not is_number(run.get("rate_rps")) or run["rate_rps"] <= 0:
-            err("%s.rate_rps: expected a positive number" % where)
-        check_slo("%s.total" % where, run.get("total"), errors)
-        classes = run.get("classes")
-        if not isinstance(classes, list) or not classes:
-            err("%s.classes: expected a non-empty array" % where)
-            continue
-        for j, slo in enumerate(classes):
-            check_slo("%s.classes[%d]" % (where, j), slo, errors)
-        # "alerts" arrived with the burn-rate evaluator; tolerate its
-        # absence so older documents stay valid.
-        if "alerts" in run:
-            check_alerts("%s.alerts" % where, run["alerts"], errors)
-        # "pressure" arrived with the attribution ledger; likewise
-        # optional for older documents.
-        if "pressure" in run:
-            pressure = run["pressure"]
-            if not isinstance(pressure, list) or not pressure:
-                err("%s.pressure: expected a non-empty array" % where)
-                continue
-            for j, entry in enumerate(pressure):
-                pwhere = "%s.pressure[%d]" % (where, j)
-                if not isinstance(entry, dict):
-                    err("%s: expected an object" % pwhere)
-                    continue
-                if not isinstance(entry.get("class"), str) \
-                        or not entry.get("class"):
-                    err("%s.class: expected a non-empty string" % pwhere)
-                check_pressure_slot(pwhere, entry, errors)
-            if pressure and isinstance(pressure[0], dict) \
-                    and pressure[0].get("class") != "default":
-                err("%s.pressure[0]: expected the ledger's implicit "
-                    "'default' class" % where)
-
-    saturation = doc.get("saturation")
-    if not isinstance(saturation, list):
-        err("saturation: expected an array")
-        return errors
-    for i, entry in enumerate(saturation):
-        where = "saturation[%d]" % i
-        if not isinstance(entry, dict):
-            err("%s: expected an object" % where)
-            continue
-        if not isinstance(entry.get("policy"), str):
-            err("%s.policy: expected a string" % where)
-        knee = entry.get("knee_load", None)
-        if knee is not None and (not is_number(knee) or knee <= 0):
-            err("%s.knee_load: expected a positive number or null"
-                % where)
-    return errors
-
-
-SAMPLING_COUNTERS = ("offered", "admitted", "kept_ok", "kept_miss",
-                     "kept_shed", "kept_rejected", "dropped")
-
-OUTCOMES = ("ok", "miss", "shed", "rejected", "in_flight")
-
-SPAN_KINDS = ("request", "admission", "node", "queue_wait", "dispatch",
-              "dma_in", "compute", "dma_out")
-
 # One sim tick is 1 ps = 1e-6 us; timestamps are rounded to ~9
 # significant digits on export, so allow a loose microsecond slack.
 SPAN_TOLERANCE_US = 0.001
-
-
-def check_request_trace(where, req, errors):
-    """Validate one request record of a relief-trace-v1 document."""
-
-    def err(msg):
-        errors.append(msg)
-
-    if not isinstance(req, dict):
-        err("%s: expected an object" % where)
-        return
-    if not is_count(req.get("id")):
-        err("%s.id: expected a non-negative integer" % where)
-    for field in ("class", "app"):
-        if not isinstance(req.get(field), str) or not req.get(field):
-            err("%s.%s: expected a non-empty string" % (where, field))
-    outcome = req.get("outcome")
-    if outcome not in OUTCOMES:
-        err("%s.outcome: expected one of %s, got %r"
-            % (where, OUTCOMES, outcome))
-    for field in ("arrival_us", "finish_us", "deadline_us",
-                  "latency_us"):
-        value = req.get(field)
-        if not is_number(value) or value < 0:
-            err("%s.%s: expected a non-negative number, got %r"
-                % (where, field, value))
-    if is_number(req.get("arrival_us")) and is_number(req.get("finish_us")) \
-            and req["finish_us"] < req["arrival_us"]:
-        err("%s: finish_us before arrival_us" % where)
-
-    buckets = req.get("buckets_us")
-    if not isinstance(buckets, dict):
-        err("%s.buckets_us: expected an object" % where)
-    else:
-        for bucket in BUCKETS:
-            value = buckets.get(bucket)
-            if not is_number(value) or value < 0:
-                err("%s.buckets_us.%s: expected a non-negative number, "
-                    "got %r" % (where, bucket, value))
-
-    spans = req.get("spans")
-    if not isinstance(spans, list) or not spans:
-        err("%s.spans: expected a non-empty array" % where)
-        return
-    for j, span in enumerate(spans):
-        swhere = "%s.spans[%d]" % (where, j)
-        if not isinstance(span, dict):
-            err("%s: expected an object" % swhere)
-            return
-        if span.get("kind") not in SPAN_KINDS:
-            err("%s.kind: expected one of %s, got %r"
-                % (swhere, SPAN_KINDS, span.get("kind")))
-        parent = span.get("parent")
-        if not isinstance(parent, int) or isinstance(parent, bool):
-            err("%s.parent: expected an integer" % swhere)
-            return
-        if j == 0:
-            if span.get("kind") != "request" or parent != -1:
-                err("%s: spans[0] must be the 'request' root with "
-                    "parent -1" % where)
-        elif not 0 <= parent < j:
-            err("%s.parent: %d not an earlier span index" % (swhere,
-                                                             parent))
-        for field in ("start_us", "end_us"):
-            if not is_number(span.get(field)):
-                err("%s.%s: expected a number" % (swhere, field))
-                return
-        if span["end_us"] < span["start_us"]:
-            err("%s: end_us before start_us" % swhere)
-        if j > 0 and 0 <= parent < j:
-            outer = spans[parent]
-            if is_number(outer.get("start_us")) \
-                    and is_number(outer.get("end_us")) \
-                    and (span["start_us"]
-                         < outer["start_us"] - SPAN_TOLERANCE_US
-                         or span["end_us"]
-                         > outer["end_us"] + SPAN_TOLERANCE_US):
-                err("%s: does not nest within its parent" % swhere)
-
-    # The root's synchronous children (everything but the overlapping
-    # asynchronous dma_out write-backs) are disjoint: their durations
-    # sum to at most the root duration.
-    root = spans[0]
-    if is_number(root.get("start_us")) and is_number(root.get("end_us")):
-        sync_sum = sum(
-            s["end_us"] - s["start_us"] for s in spans[1:]
-            if isinstance(s, dict) and s.get("parent") == 0
-            and s.get("kind") != "dma_out"
-            and is_number(s.get("start_us")) and is_number(s.get("end_us")))
-        if sync_sum > (root["end_us"] - root["start_us"]
-                       + SPAN_TOLERANCE_US):
-            err("%s: synchronous child spans exceed the root span"
-                % where)
-
-
-def check_trace(doc):
-    errors = []
-
-    def err(msg):
-        errors.append(msg)
-
-    check_build_info("build_info", doc.get("build_info"), errors)
-    if not is_count(doc.get("seed")):
-        err("seed: expected a non-negative integer")
-    if not is_number(doc.get("horizon_ms")) or doc.get("horizon_ms") <= 0:
-        err("horizon_ms: expected a positive number")
-    fraction = doc.get("ok_fraction")
-    if not is_number(fraction) or not 0.0 <= fraction <= 1.0:
-        err("ok_fraction: expected a number in [0, 1], got %r"
-            % (fraction,))
-
-    sampling = doc.get("sampling")
-    if not isinstance(sampling, dict):
-        err("sampling: expected an object")
-        return errors
-    for field in SAMPLING_COUNTERS:
-        if not is_count(sampling.get(field)):
-            err("sampling.%s: expected a non-negative integer, got %r"
-                % (field, sampling.get(field)))
-    requests = doc.get("requests")
-    if not isinstance(requests, list):
-        err("requests: expected an array")
-        return errors
-
-    if all(is_count(sampling.get(f)) for f in SAMPLING_COUNTERS):
-        # Tail-sampling conservation (trace/sampler.hh): every admitted
-        # request is kept-ok, kept-anomalous, or dropped; every offered
-        # request is admitted or a kept shed/reject.
-        if sampling["kept_ok"] + sampling["kept_miss"] \
-                + sampling["dropped"] != sampling["admitted"]:
-            err("sampling: kept_ok + kept_miss + dropped != admitted")
-        if sampling["admitted"] + sampling["kept_shed"] \
-                + sampling["kept_rejected"] != sampling["offered"]:
-            err("sampling: admitted + kept_shed + kept_rejected "
-                "!= offered")
-        kept = sampling["kept_ok"] + sampling["kept_miss"] \
-            + sampling["kept_shed"] + sampling["kept_rejected"]
-        if len(requests) != kept:
-            err("requests: %d records but sampling says %d kept"
-                % (len(requests), kept))
-
-    for i, req in enumerate(requests):
-        check_request_trace("requests[%d]" % i, req, errors)
-    return errors
-
-
-TRAFFIC_TYPES = ("dram_fetch", "writeback", "forward", "spm_spill")
-
-SLOT_COUNTS = ("bytes", "transfers")
-
-SLOT_TIMES = ("service_us", "wait_suffered_us", "wait_caused_us")
 
 # Float slack for microsecond sums rounded independently on export.
 PRESSURE_TOLERANCE_US = 0.01
 
 
-def check_pressure_slot(where, slot, errors):
-    """Validate the accounting fields shared by qos rollups and
-    contender rows of a relief-pressure-v1 document."""
+# --- field types ---------------------------------------------------------
 
-    def err(msg):
-        errors.append(msg)
-
-    for field in SLOT_COUNTS:
-        if not is_count(slot.get(field)):
-            err("%s.%s: expected a non-negative integer, got %r"
-                % (where, field, slot.get(field)))
-    for field in SLOT_TIMES:
-        value = slot.get(field)
-        if not is_number(value) or value < 0:
-            err("%s.%s: expected a non-negative number, got %r"
-                % (where, field, value))
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_pressure(doc):
-    errors = []
+class Scalar:
+    """A leaf field: @p test accepts a value, @p what names the type."""
 
-    def err(msg):
-        errors.append(msg)
+    def __init__(self, what, test):
+        self.what, self.test = what, test
 
-    check_build_info("build_info", doc.get("build_info"), errors)
-    end_us = doc.get("end_us")
-    if not is_number(end_us) or end_us < 0:
-        err("end_us: expected a non-negative number")
+    def check(self, where, value, errors):
+        if not self.test(value):
+            errors.append("%s: expected %s, got %r"
+                          % (where, self.what, value))
 
-    classes = doc.get("qos_classes")
-    if not isinstance(classes, list) or not classes \
-            or not all(isinstance(c, str) and c for c in classes):
-        err("qos_classes: expected a non-empty array of names")
-        classes = []
-    elif classes[0] != "default":
-        err("qos_classes[0]: expected the implicit 'default' class")
 
-    if tuple(doc.get("traffic", ())) != TRAFFIC_TYPES:
-        err("traffic: expected %s" % (list(TRAFFIC_TYPES),))
+INT = Scalar("an integer", lambda v: is_number(v) and isinstance(v, int))
+COUNT = Scalar("a non-negative integer", lambda v: INT.test(v) and v >= 0)
+NUMBER = Scalar("a number", is_number)
+NONNEG = Scalar("a non-negative number", lambda v: is_number(v) and v >= 0)
+POSITIVE = Scalar("a positive number", lambda v: is_number(v) and v > 0)
+FRACTION = Scalar("a number in [0, 1]",
+                  lambda v: is_number(v) and 0.0 <= v <= 1.0)
+STRING = Scalar("a string", lambda v: isinstance(v, str))
+NAME = Scalar("a non-empty string", lambda v: isinstance(v, str) and v != "")
+BOOL = Scalar("a boolean", lambda v: isinstance(v, bool))
 
-    totals = doc.get("totals")
-    if not isinstance(totals, dict):
-        err("totals: expected an object")
-        totals = {}
-    for field in ("bytes", "transfers", "dram_bytes", "fabric_bytes",
-                  "bytes_spared_colocation", "bytes_spared_forwarding"):
-        if not is_count(totals.get(field)):
-            err("totals.%s: expected a non-negative integer, got %r"
-                % (field, totals.get(field)))
-    for field in ("service_us", "wait_us"):
-        value = totals.get(field)
-        if not is_number(value) or value < 0:
-            err("totals.%s: expected a non-negative number, got %r"
-                % (field, value))
 
-    qos = doc.get("qos")
-    if not isinstance(qos, list) or len(qos) != len(classes):
-        err("qos: expected one rollup per qos class")
-        qos = []
-    suffered = 0.0
-    caused = 0.0
-    for i, entry in enumerate(qos):
-        where = "qos[%d]" % i
-        if not isinstance(entry, dict):
-            err("%s: expected an object" % where)
-            continue
-        if entry.get("name") != classes[i]:
-            err("%s.name: %r does not match qos_classes[%d]"
-                % (where, entry.get("name"), i))
-        check_pressure_slot(where, entry, errors)
-        if is_number(entry.get("wait_suffered_us")):
-            suffered += entry["wait_suffered_us"]
-        if is_number(entry.get("wait_caused_us")):
-            caused += entry["wait_caused_us"]
+def Enum(*values):
+    return Scalar("one of %s" % (values,), lambda v: v in values)
+
+
+def Nullable(scalar):
+    return Scalar(scalar.what + " or null",
+                  lambda v: v is None or scalar.test(v))
+
+
+class ListOf:
+    """An array of @p item values, optionally required non-empty."""
+
+    def __init__(self, item, nonempty=False):
+        self.item, self.nonempty = item, nonempty
+        self.what = "a non-empty array" if nonempty else "an array"
+
+    def check(self, where, value, errors):
+        if not isinstance(value, list) or (self.nonempty and not value):
+            errors.append("%s: expected %s" % (where, self.what))
+            return
+        for i, entry in enumerate(value):
+            check_value("%s[%d]" % (where, i), entry, self.item, errors)
+
+
+class MapOf:
+    """An object whose every member is an @p item value."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def check(self, where, value, errors):
+        if not isinstance(value, dict):
+            errors.append("%s: expected an object" % where)
+            return
+        for key, entry in value.items():
+            check_value("%s.%s" % (where, key), entry, self.item, errors)
+
+
+class Optional:
+    """A member older documents may lack; checked when present."""
+
+    def __init__(self, item):
+        self.item = item
+
+
+class Tagged:
+    """An object whose field table is chosen by its @p tag member."""
+
+    def __init__(self, tag, tables):
+        self.tag, self.tables = tag, tables
+
+    def check(self, where, value, errors):
+        before = len(errors)
+        check_fields(where, value, {self.tag: Enum(*self.tables)}, errors)
+        if len(errors) == before:
+            check_fields(where, value, self.tables[value[self.tag]], errors)
+
+
+def check_value(where, value, kind, errors):
+    """Check @p value against @p kind: a field table (dict) or a type."""
+    if isinstance(kind, dict):
+        check_fields(where, value, kind, errors)
+    else:
+        kind.check(where, value, errors)
+
+
+def check_fields(where, value, table, errors):
+    if not isinstance(value, dict):
+        errors.append("%s: expected an object, got %r" % (where, value))
+        return
+    for field, kind in table.items():
+        if isinstance(kind, Optional):
+            if field not in value:
+                continue
+            kind = kind.item
+        check_value("%s.%s" % (where, field) if where else field,
+                    value.get(field), kind, errors)
+
+
+# --- field tables ----------------------------------------------------------
+
+BUILD_INFO = dict.fromkeys(("git_sha", "compiler_id", "compiler_version",
+                            "build_type", "cxx_flags"), NAME)
+
+# The accounting shared by qos rollups, contender rows and serve's
+# per-class pressure entries.
+PRESSURE_SLOT = dict(dict.fromkeys(("bytes", "transfers"), COUNT),
+                     **dict.fromkeys(("service_us", "wait_suffered_us",
+                                      "wait_caused_us"), NONNEG))
+
+# A relief-pressure-v1 document without its top-level stamp: also the
+# "pressure" member of every relief-stats-v1 document.
+PRESSURE_BODY = {
+    "end_us": NONNEG,
+    "qos_classes": ListOf(NAME, nonempty=True),
+    "traffic": Scalar("%s" % (list(TRAFFIC_TYPES),),
+                      lambda v: v == list(TRAFFIC_TYPES)),
+    "totals": dict(dict.fromkeys(
+        ("bytes", "transfers", "dram_bytes", "fabric_bytes",
+         "bytes_spared_colocation", "bytes_spared_forwarding"), COUNT),
+        service_us=NONNEG, wait_us=NONNEG),
+    "qos": ListOf(dict(PRESSURE_SLOT, name=NAME)),
+    "resources": ListOf({
+        "name": NAME, "peak_gbs": POSITIVE, "bytes": COUNT,
+        "transfers": COUNT, "service_us": NONNEG, "wait_us": NONNEG,
+        "busy_us": NONNEG, "occupancy": FRACTION,
+        "contenders": ListOf(dict(
+            PRESSURE_SLOT, source=NAME, qos=NAME,
+            traffic=Enum(*TRAFFIC_TYPES + ("untagged",)))),
+    }, nonempty=True),
+}
+
+QUANTILE_DIST = dict.fromkeys(("mean", "p50", "p95", "p99", "max"), NONNEG)
+
+SLO = dict(dict.fromkeys(("offered", "admitted", "shed", "rejected",
+                          "completed", "missed", "in_flight"), COUNT),
+           name=NAME, goodput_rps=NONNEG, miss_rate=FRACTION,
+           shed_rate=FRACTION, latency_ms=QUANTILE_DIST,
+           time_in_system_ms=QUANTILE_DIST)
+
+SCHEMAS = {
+    "relief-stats-v1": {
+        "build_info": BUILD_INFO,
+        "stats": MapOf(Tagged("kind", {
+            "counter": {"description": STRING, "value": COUNT},
+            "scalar": {"description": STRING, "value": Nullable(NUMBER)},
+            "formula": {"description": STRING, "value": Nullable(NUMBER)},
+            "histogram": dict(
+                dict.fromkeys(("mean", "min", "max"), Nullable(NUMBER)),
+                description=STRING, count=COUNT, range=ListOf(NUMBER),
+                underflow=COUNT, overflow=COUNT, buckets=ListOf(COUNT)),
+        })),
+        # A slowdown is null (infinite) when the app never finished.
+        "apps": ListOf({"name": NAME, "rel_deadline": COUNT,
+                        "iterations": COUNT, "deadlines_met": COUNT,
+                        "gmean_slowdown": Nullable(NONNEG),
+                        "max_slowdown": Nullable(NONNEG)}),
+        "pressure": PRESSURE_BODY,
+    },
+    "relief-serve-v1": {
+        "build_info": BUILD_INFO,
+        "seed": COUNT, "horizon_ms": POSITIVE, "smoke": BOOL,
+        "capacity_rps": Nullable(POSITIVE),  # null: absolute-rate runs
+        "runs": ListOf({
+            "policy": NAME, "admission": NAME, "arrival": NAME,
+            # offered_load 0 marks an absolute-rate run (relief_serve).
+            "offered_load": NONNEG,
+            "rate_rps": POSITIVE,
+            "total": SLO,
+            "classes": ListOf(SLO, nonempty=True),
+            # Burn-rate alerts (serve/alerts.hh) and the per-class
+            # pressure rollup arrived after the first documents.
+            "alerts": Optional(ListOf({
+                "class": NAME, "opens": COUNT, "closes": COUNT,
+                "active": BOOL, "active_ms": NONNEG,
+                "final_fast_burn": NONNEG, "final_slow_burn": NONNEG,
+                "events": ListOf({"t_ms": NONNEG, "open": BOOL,
+                                  "fast_burn": NONNEG,
+                                  "slow_burn": NONNEG}),
+            })),
+            "pressure": Optional(ListOf(dict(PRESSURE_SLOT, **{
+                "class": NAME}), nonempty=True)),
+        }, nonempty=True),
+        "saturation": ListOf({"policy": STRING,
+                              "knee_load": Nullable(POSITIVE)}),
+    },
+    "relief-trace-v1": {
+        "build_info": BUILD_INFO,
+        "seed": COUNT, "horizon_ms": POSITIVE, "ok_fraction": FRACTION,
+        "sampling": dict.fromkeys(("offered", "admitted", "kept_ok",
+                                   "kept_miss", "kept_shed",
+                                   "kept_rejected", "dropped"), COUNT),
+        "requests": ListOf({
+            "id": COUNT, "class": NAME, "app": NAME,
+            "outcome": Enum("ok", "miss", "shed", "rejected", "in_flight"),
+            "arrival_us": NONNEG, "finish_us": NONNEG,
+            "deadline_us": NONNEG, "latency_us": NONNEG,
+            "buckets_us": dict.fromkeys(BUCKETS, NONNEG),
+            "spans": ListOf({
+                "kind": Enum("request", "admission", "node", "queue_wait",
+                             "dispatch", "dma_in", "compute", "dma_out"),
+                "parent": INT, "label": STRING,
+                "start_us": NUMBER, "end_us": NUMBER}, nonempty=True),
+        }),
+    },
+    "relief-pressure-v1": dict(PRESSURE_BODY, build_info=BUILD_INFO),
+    "relief-hostprof-v1": {
+        "build_info": BUILD_INFO,
+        "total_wall_ns": COUNT,
+        "attributed_wall_ns": COUNT,
+        "coverage": FRACTION,
+        "categories": MapOf(dict(
+            dict.fromkeys(("wall_ns", "events", "heap_allocs"), COUNT),
+            ns_hist=ListOf(COUNT))),
+    },
+}
+
+
+# --- cross-field invariants ----------------------------------------------
+
+def slo_invariants(where, slo, errors):
+    if slo["offered"] != slo["admitted"] + slo["shed"] + slo["rejected"]:
+        errors.append("%s: offered != admitted + shed + rejected" % where)
+    if slo["admitted"] != slo["completed"] + slo["in_flight"]:
+        errors.append("%s: admitted != completed + in_flight" % where)
+    if slo["missed"] > slo["completed"]:
+        errors.append("%s: missed > completed" % where)
+    for field in ("latency_ms", "time_in_system_ms"):
+        dist = slo[field]
+        if not dist["p50"] <= dist["p95"] <= dist["p99"] <= dist["max"]:
+            errors.append("%s.%s: quantiles are not monotonic"
+                          % (where, field))
+
+
+def serve_invariants(doc, errors):
+    for i, run in enumerate(doc["runs"]):
+        where = "runs[%d]" % i
+        slo_invariants(where + ".total", run["total"], errors)
+        for j, slo in enumerate(run["classes"]):
+            slo_invariants("%s.classes[%d]" % (where, j), slo, errors)
+        for j, alert in enumerate(run.get("alerts", ())):
+            # An alert is a strict open/close alternation starting with
+            # an open, so it is still active iff opens == closes + 1.
+            if alert["opens"] != alert["closes"] + int(alert["active"]):
+                errors.append("%s.alerts[%d]: opens/closes inconsistent "
+                              "with active" % (where, j))
+        if "pressure" in run and run["pressure"][0]["class"] != "default":
+            errors.append("%s.pressure[0]: expected the ledger's implicit "
+                          "'default' class" % where)
+
+
+def trace_invariants(doc, errors):
+    # Tail-sampling conservation (trace/sampler.hh): every admitted
+    # request is kept-ok, kept-anomalous, or dropped; every offered
+    # request is admitted or a kept shed/reject.
+    tally = doc["sampling"]
+    if tally["kept_ok"] + tally["kept_miss"] + tally["dropped"] \
+            != tally["admitted"]:
+        errors.append("sampling: kept_ok + kept_miss + dropped != admitted")
+    if tally["admitted"] + tally["kept_shed"] + tally["kept_rejected"] \
+            != tally["offered"]:
+        errors.append("sampling: admitted + kept_shed + kept_rejected "
+                      "!= offered")
+    kept = tally["kept_ok"] + tally["kept_miss"] + tally["kept_shed"] \
+        + tally["kept_rejected"]
+    if len(doc["requests"]) != kept:
+        errors.append("requests: %d records but sampling says %d kept"
+                      % (len(doc["requests"]), kept))
+
+    for i, req in enumerate(doc["requests"]):
+        where = "requests[%d]" % i
+        if req["finish_us"] < req["arrival_us"]:
+            errors.append("%s: finish_us before arrival_us" % where)
+        spans = req["spans"]
+        if spans[0]["kind"] != "request" or spans[0]["parent"] != -1:
+            errors.append("%s: spans[0] must be the 'request' root with "
+                          "parent -1" % where)
+        for j, span in enumerate(spans):
+            swhere = "%s.spans[%d]" % (where, j)
+            if span["end_us"] < span["start_us"]:
+                errors.append("%s: end_us before start_us" % swhere)
+            if j and not 0 <= span["parent"] < j:
+                errors.append("%s.parent: %d not an earlier span index"
+                              % (swhere, span["parent"]))
+            elif j:
+                outer, tol = spans[span["parent"]], SPAN_TOLERANCE_US
+                if span["start_us"] < outer["start_us"] - tol \
+                        or span["end_us"] > outer["end_us"] + tol:
+                    errors.append("%s: does not nest within its parent"
+                                  % swhere)
+        # The root's synchronous children (everything but the
+        # overlapping asynchronous dma_out write-backs) are disjoint:
+        # their durations sum to at most the root duration.
+        root = spans[0]
+        sync_sum = sum(s["end_us"] - s["start_us"] for s in spans[1:]
+                       if s["parent"] == 0 and s["kind"] != "dma_out")
+        if sync_sum > root["end_us"] - root["start_us"] + SPAN_TOLERANCE_US:
+            errors.append("%s: synchronous child spans exceed the root "
+                          "span" % where)
+
+
+def pressure_invariants(prefix, body, errors):
+    """@p prefix locates @p body: "" or a stats document's "pressure."."""
+    classes, qos = body["qos_classes"], body["qos"]
+    if classes[0] != "default":
+        errors.append(prefix + "qos_classes[0]: expected the implicit "
+                      "'default' class")
+    if len(qos) != len(classes):
+        errors.append(prefix + "qos: expected one rollup per qos class")
+    for i, (entry, name) in enumerate(zip(qos, classes)):
+        if entry["name"] != name:
+            errors.append("%sqos[%d].name: %r does not match "
+                          "qos_classes[%d]" % (prefix, i, entry["name"], i))
     # The attribution invariant: every microsecond of queueing delay
     # suffered is charged to some contender, so the rollups balance.
-    if qos and abs(suffered - caused) > PRESSURE_TOLERANCE_US:
-        err("qos: wait_suffered_us and wait_caused_us do not balance "
-            "(%.3f vs %.3f)" % (suffered, caused))
-    if qos and is_number(totals.get("wait_us")) \
-            and abs(suffered - totals["wait_us"]) > PRESSURE_TOLERANCE_US:
-        err("qos: per-class wait does not sum to totals.wait_us")
+    suffered = sum(entry["wait_suffered_us"] for entry in qos)
+    caused = sum(entry["wait_caused_us"] for entry in qos)
+    if abs(suffered - caused) > PRESSURE_TOLERANCE_US:
+        errors.append("%sqos: wait_suffered_us and wait_caused_us do not "
+                      "balance (%.3f vs %.3f)" % (prefix, suffered, caused))
+    if qos and abs(suffered - body["totals"]["wait_us"]) \
+            > PRESSURE_TOLERANCE_US:
+        errors.append(prefix + "qos: per-class wait does not sum to "
+                      "totals.wait_us")
 
-    resources = doc.get("resources")
-    if not isinstance(resources, list) or not resources:
-        err("resources: expected a non-empty array")
-        return errors
-    total_bytes = 0
-    for i, res in enumerate(resources):
-        where = "resources[%d]" % i
-        if not isinstance(res, dict):
-            err("%s: expected an object" % where)
-            continue
-        if not isinstance(res.get("name"), str) or not res.get("name"):
-            err("%s.name: expected a non-empty string" % where)
-        if not is_number(res.get("peak_gbs")) or res["peak_gbs"] <= 0:
-            err("%s.peak_gbs: expected a positive number" % where)
-        for field in ("bytes", "transfers"):
-            if not is_count(res.get(field)):
-                err("%s.%s: expected a non-negative integer, got %r"
-                    % (where, field, res.get(field)))
-        for field in ("service_us", "wait_us", "busy_us"):
-            value = res.get(field)
-            if not is_number(value) or value < 0:
-                err("%s.%s: expected a non-negative number, got %r"
-                    % (where, field, value))
-        occupancy = res.get("occupancy")
-        if not is_number(occupancy) or not 0.0 <= occupancy <= 1.0:
-            err("%s.occupancy: expected a number in [0, 1], got %r"
-                % (where, occupancy))
-        if is_count(res.get("bytes")):
-            total_bytes += res["bytes"]
-
-        contenders = res.get("contenders")
-        if not isinstance(contenders, list):
-            err("%s.contenders: expected an array" % where)
-            continue
-        contender_bytes = 0
-        for j, row in enumerate(contenders):
-            rwhere = "%s.contenders[%d]" % (where, j)
-            if not isinstance(row, dict):
-                err("%s: expected an object" % rwhere)
-                continue
-            if not isinstance(row.get("source"), str) \
-                    or not row.get("source"):
-                err("%s.source: expected a non-empty string" % rwhere)
-            if classes and row.get("qos") not in classes:
-                err("%s.qos: %r not in qos_classes"
-                    % (rwhere, row.get("qos")))
-            if row.get("traffic") not in TRAFFIC_TYPES + ("untagged",):
-                err("%s.traffic: %r not a traffic type"
-                    % (rwhere, row.get("traffic")))
-            check_pressure_slot(rwhere, row, errors)
-            if is_count(row.get("bytes")):
-                contender_bytes += row["bytes"]
+    for i, res in enumerate(body["resources"]):
+        where = "%sresources[%d]" % (prefix, i)
+        for j, row in enumerate(res["contenders"]):
+            if row["qos"] not in classes:
+                errors.append("%s.contenders[%d].qos: %r not in "
+                              "qos_classes" % (where, j, row["qos"]))
         # Contender tables are top-K truncated, so they bound the
         # resource's counters from below but never exceed them.
-        if is_count(res.get("bytes")) and contender_bytes > res["bytes"]:
-            err("%s: contender bytes exceed the resource total" % where)
-    if is_count(totals.get("bytes")) and total_bytes != totals["bytes"]:
-        err("totals.bytes: %d does not equal the per-resource sum %d"
-            % (totals["bytes"], total_bytes))
-    return errors
+        if sum(row["bytes"] for row in res["contenders"]) > res["bytes"]:
+            errors.append("%s: contender bytes exceed the resource total"
+                          % where)
+    total_bytes = sum(res["bytes"] for res in body["resources"])
+    if total_bytes != body["totals"]["bytes"]:
+        errors.append("%stotals.bytes: %d does not equal the per-resource "
+                      "sum %d" % (prefix, body["totals"]["bytes"],
+                                  total_bytes))
 
 
-CHECKERS = {
-    "relief-serve-v1": check_serve,
-    "relief-trace-v1": check_trace,
-    "relief-pressure-v1": check_pressure,
-    "relief-hostprof-v1": check_hostprof,
+def stats_invariants(doc, errors):
+    for name, stat in doc["stats"].items():
+        if stat["kind"] == "histogram" and sum(stat["buckets"]) \
+                + stat["underflow"] + stat["overflow"] != stat["count"]:
+            errors.append("stats.%s: buckets + underflow + overflow != "
+                          "count" % name)
+    for i, app in enumerate(doc["apps"]):
+        if app["deadlines_met"] > app["iterations"]:
+            errors.append("apps[%d]: deadlines_met > iterations" % i)
+    pressure_invariants("pressure.", doc["pressure"], errors)
+
+
+def hostprof_invariants(doc, errors):
+    cats = doc["categories"]
+    if tuple(cats) != HOST_CATS:
+        errors.append("categories: expected exactly %s in order, got %s"
+                      % (list(HOST_CATS), list(cats)))
+    for name, cat in cats.items():
+        if len(cat["ns_hist"]) != HOSTPROF_NS_BUCKETS:
+            errors.append("categories.%s.ns_hist: expected %d buckets"
+                          % (name, HOSTPROF_NS_BUCKETS))
+        elif sum(cat["ns_hist"]) != cat["events"]:
+            errors.append("categories.%s: ns_hist sums to %d but events "
+                          "is %d" % (name, sum(cat["ns_hist"]),
+                                     cat["events"]))
+    # The attributed total is exactly the sum of per-category wall time,
+    # and coverage is its (clamped) share of the total window.
+    wall_sum = sum(cat["wall_ns"] for cat in cats.values())
+    if doc["attributed_wall_ns"] != wall_sum:
+        errors.append("attributed_wall_ns %d != per-category sum %d"
+                      % (doc["attributed_wall_ns"], wall_sum))
+    if doc["total_wall_ns"] > 0:
+        expected = min(1.0, doc["attributed_wall_ns"] / doc["total_wall_ns"])
+        if abs(doc["coverage"] - expected) > COVERAGE_TOLERANCE:
+            errors.append("coverage: %r inconsistent with attributed/total "
+                          "(%r)" % (doc["coverage"], expected))
+
+
+INVARIANTS = {
+    "relief-stats-v1": stats_invariants,
+    "relief-serve-v1": serve_invariants,
+    "relief-trace-v1": trace_invariants,
+    "relief-pressure-v1": lambda doc, errors:
+        pressure_invariants("", doc, errors),
+    "relief-hostprof-v1": hostprof_invariants,
 }
 
 
@@ -665,11 +466,18 @@ def check(doc):
     if not isinstance(doc, dict):
         return ["top level: expected an object"]
     schema = doc.get("schema")
-    checker = CHECKERS.get(schema)
-    if checker is None:
+    if not isinstance(schema, str) or schema not in SCHEMAS:
         return ["schema: expected one of %s, got %r"
-                % (sorted(CHECKERS), schema)]
-    return checker(doc)
+                % (sorted(SCHEMAS), schema)]
+    errors = []
+    check_fields("", doc, SCHEMAS[schema], errors)
+    if errors:
+        return errors
+    extra = set(doc["build_info"]) - set(BUILD_INFO)
+    if extra:
+        errors.append("build_info: unknown keys %s" % sorted(extra))
+    INVARIANTS[schema](doc, errors)
+    return errors
 
 
 # --- self test -----------------------------------------------------------
@@ -938,6 +746,32 @@ GOOD_TRACE = {
 }
 
 
+GOOD_STATS = {
+    "schema": "relief-stats-v1",
+    "build_info": GOOD_BUILD_INFO,
+    "stats": {
+        "sim.events": {"kind": "counter", "description": "events executed",
+                       "value": 676},
+        "sim.time_ms": {"kind": "scalar", "description": "", "value": 18.5},
+        "bad.ratio": {"kind": "formula", "description": "0/0",
+                      "value": None},
+        "manager.queue_wait_us": {
+            "kind": "histogram", "description": "ready-to-launch wait",
+            "count": 6, "mean": 40.0, "min": 0, "max": 150.0,
+            "range": [0, 100], "underflow": 0, "overflow": 1,
+            "buckets": [3, 0, 2, 0]},
+    },
+    "apps": [
+        {"name": "canny", "rel_deadline": 16600000000, "iterations": 2,
+         "deadlines_met": 1, "gmean_slowdown": 0.9, "max_slowdown": 1.2},
+        {"name": "lstm", "rel_deadline": 7000000000, "iterations": 0,
+         "deadlines_met": 0, "gmean_slowdown": None, "max_slowdown": None},
+    ],
+    "pressure": {key: value for key, value in GOOD_PRESSURE.items()
+                 if key not in ("schema", "build_info")},
+}
+
+
 def mutate(doc, path, value):
     """Deep-copy @p doc and set the field at @p path to @p value."""
     copy = json.loads(json.dumps(doc))
@@ -1093,6 +927,39 @@ def self_test():
                   ["requests", 0, "buckets_us", "compute"], Ellipsis),
            False, "trace missing bucket")
 
+    expect(GOOD_STATS, True, "good stats doc")
+    expect(mutate(GOOD_STATS, ["build_info", "host"], "ci"), False,
+           "stats build_info with an unknown key")
+    expect(mutate(GOOD_STATS, ["stats", "sim.events", "kind"], "gauge"),
+           False, "stats unknown stat kind")
+    expect(mutate(GOOD_STATS, ["stats", "sim.events", "value"], 1.5),
+           False, "stats fractional counter")
+    expect(mutate(GOOD_STATS, ["stats", "manager.queue_wait_us", "count"],
+                  7), False, "stats histogram buckets != count")
+    expect(mutate(GOOD_STATS, ["apps", 0, "deadlines_met"], 3), False,
+           "stats app meets more deadlines than it ran")
+    expect(mutate(GOOD_STATS, ["pressure"], Ellipsis), False,
+           "stats missing pressure block")
+    expect(mutate(GOOD_STATS, ["pressure", "qos", 1, "wait_caused_us"],
+                  9.0), False, "stats pressure books unbalanced")
+
+    # Each of these breaks one cross-field rule and nothing else.
+    expect(mutate(GOOD_SERVE, ["runs", 0, "total", "in_flight"], 3),
+           False, "serve admitted != completed + in_flight")
+    expect(mutate(GOOD_SERVE, ["runs", 0, "total", "missed"], 7), False,
+           "serve more misses than completions")
+    expect(mutate(GOOD_TRACE, ["sampling", "offered"], 6), False,
+           "trace offered != admitted + kept shed/rejected")
+    expect(mutate(GOOD_TRACE, ["requests", 0, "spans", 1, "end_us"], 90.0),
+           False, "trace span ends before it starts")
+    expect(mutate(GOOD_PRESSURE, ["qos", 1], Ellipsis), False,
+           "pressure qos class without a rollup")
+    expect(mutate(GOOD_PRESSURE, ["totals", "wait_us"], 5.0), False,
+           "pressure per-class wait != totals.wait_us")
+    expect(mutate(mutate(GOOD_HOSTPROF, ["categories", "other"], Ellipsis),
+                  ["categories", "other"], good_hostprof_category(150000)),
+           False, "hostprof categories out of order")
+
     for failure in failures:
         print("self-test failure: %s" % failure, file=sys.stderr)
     if not failures:
@@ -1119,7 +986,7 @@ def main(argv):
         print("schema violation: %s" % error, file=sys.stderr)
     if errors:
         return 1
-    for unit in ("runs", "requests", "resources", "categories"):
+    for unit in ("runs", "requests", "resources", "categories", "stats"):
         if unit in doc:
             break
     print("%s: schema-valid %s (%d %s)"

@@ -43,7 +43,7 @@ appName(AppId app)
 }
 
 DagPtr
-buildApp(AppId app, const AppConfig &config)
+buildApp(AppId app, const AppConfig &config, double deadline_scale)
 {
     DagPtr dag;
     switch (app) {
@@ -64,7 +64,8 @@ buildApp(AppId app, const AppConfig &config)
         break;
     }
     RELIEF_ASSERT(dag != nullptr, "builder returned no DAG");
-    dag->setRelativeDeadline(appDeadline(app));
+    dag->setRelativeDeadline(
+        Tick(double(appDeadline(app)) * deadline_scale + 0.5));
     dag->finalize();
     return dag;
 }

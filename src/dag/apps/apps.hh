@@ -57,8 +57,13 @@ Tick appDeadline(AppId app);
 /** Full name, e.g. "canny". */
 std::string appName(AppId app);
 
-/** Build the (finalized) DAG for @p app. */
-DagPtr buildApp(AppId app, const AppConfig &config = {});
+/**
+ * Build the (finalized) DAG for @p app. Its relative deadline is
+ * appDeadline() times @p deadline_scale (a serving QoS class's scale),
+ * set before finalize() because every per-node deadline derives from it.
+ */
+DagPtr buildApp(AppId app, const AppConfig &config = {},
+                double deadline_scale = 1.0);
 
 /** Parse a mix string such as "CDL" into application ids. */
 std::vector<AppId> parseMix(const std::string &mix);

@@ -14,42 +14,6 @@
 namespace relief
 {
 
-namespace
-{
-
-/** Build one request's DAG with its QoS-scaled relative deadline.
- *  The scale must be applied before finalize(): per-node deadlines
- *  for every scheme derive from the DAG deadline. */
-DagPtr
-buildRequestDag(AppId app, const AppConfig &config, double deadline_scale)
-{
-    DagPtr dag;
-    switch (app) {
-      case AppId::Canny:
-        dag = buildCanny(config);
-        break;
-      case AppId::Deblur:
-        dag = buildDeblur(config);
-        break;
-      case AppId::Gru:
-        dag = buildGru(config);
-        break;
-      case AppId::Harris:
-        dag = buildHarris(config);
-        break;
-      case AppId::Lstm:
-        dag = buildLstm(config);
-        break;
-    }
-    RELIEF_ASSERT(dag != nullptr, "builder returned no DAG");
-    dag->setRelativeDeadline(
-        Tick(double(appDeadline(app)) * deadline_scale + 0.5));
-    dag->finalize();
-    return dag;
-}
-
-} // namespace
-
 ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
 {
     if (config_.horizon == 0)
@@ -252,8 +216,7 @@ ServeDriver::onArrival(std::size_t index)
     request.app = event.app;
     request.arrival = event.time;
 
-    DagPtr dag =
-        buildRequestDag(event.app, config_.app, cls.deadlineScale);
+    DagPtr dag = buildApp(event.app, config_.app, cls.deadlineScale);
     request.relDeadline = dag->relativeDeadline();
 
     AdmissionContext ctx;

@@ -1,5 +1,4 @@
 #include "stats/registry.hh"
-#include "sim/build_info.hh"
 
 #include <iomanip>
 #include <utility>
@@ -235,16 +234,6 @@ StatRegistry::dumpJsonStats(std::ostream &os, int indent) const
         os << pad << "}";
     }
     os << "\n" << std::string(std::size_t(indent) - 2, ' ') << "}";
-}
-
-void
-StatRegistry::dumpJson(std::ostream &os) const
-{
-    os << "{\n  \"schema\": \"relief-stats-v1\",\n  \"build_info\": ";
-    writeBuildInfoJson(os, 2);
-    os << ",\n  \"stats\": ";
-    dumpJsonStats(os, 4);
-    os << "\n}\n";
 }
 
 } // namespace relief

@@ -91,13 +91,10 @@ class StatRegistry
     /** gem5-style "name value # description" lines. */
     void dumpText(std::ostream &os) const;
 
-    /** Complete JSON document: {"schema":"relief-stats-v1","stats":{...}}. */
-    void dumpJson(std::ostream &os) const;
-
     /**
      * Just the {"stat.name": {...}, ...} stats object (no enclosing
-     * document), for callers embedding the registry in a larger JSON
-     * report (Soc::writeStatsJson adds per-app outcomes alongside).
+     * document). Soc::writeStatsJson embeds it in the relief-stats-v1
+     * document beside the per-app outcomes and the pressure block.
      */
     void dumpJsonStats(std::ostream &os, int indent = 2) const;
 

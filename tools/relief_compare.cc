@@ -229,6 +229,17 @@ diffQuantiles(DiffReport &diff, const JsonValue &a, const JsonValue &b)
     }
 }
 
+/** The value of a numeric diff-mode flag; all of it must be a number. */
+double
+parseNumber(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || !std::isfinite(value))
+        fatal("flag ", flag, " needs a number, got '", text, "'");
+    return value;
+}
+
 std::string
 docSchema(const JsonValue &doc)
 {
@@ -276,41 +287,38 @@ main(int argc, char **argv)
     std::vector<std::string> diff_paths;
     DiffReport diff;
     std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--workload" && i + 1 < argc) {
-            workload_path = argv[++i];
-        } else if (arg == "--diff" && i + 2 < argc) {
-            diff_paths = {argv[i + 1], argv[i + 2]};
-            i += 2;
-        } else if (arg == "--max-rel-delta" && i + 1 < argc) {
-            diff.maxRelPct = std::atof(argv[++i]);
-        } else if (arg == "--abs-floor" && i + 1 < argc) {
-            diff.absFloor = std::atof(argv[++i]);
-        } else if (arg == "--breaches-only") {
-            diff.breachesOnly = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << cliUsage()
-                      << " [--workload FILE]\n"
-                         "   or: relief_compare --diff A.json B.json"
-                         " [--max-rel-delta PCT] [--abs-floor X]"
-                         " [--breaches-only]\n";
-            return 0;
-        } else {
-            args.push_back(arg);
-        }
-    }
-
-    if (!diff_paths.empty()) {
-        try {
-            return runDiff(diff_paths[0], diff_paths[1], diff);
-        } catch (const FatalError &) {
-            return 1; // fatal() already printed the message
-        }
-    }
-
     ExperimentConfig config;
     try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto need_value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("flag ", arg, " needs a value");
+                return argv[++i];
+            };
+            if (arg == "--workload") {
+                workload_path = need_value();
+            } else if (arg == "--diff") {
+                diff_paths = {need_value(), need_value()};
+            } else if (arg == "--max-rel-delta") {
+                diff.maxRelPct = parseNumber(arg, need_value());
+            } else if (arg == "--abs-floor") {
+                diff.absFloor = parseNumber(arg, need_value());
+            } else if (arg == "--breaches-only") {
+                diff.breachesOnly = true;
+            } else if (arg == "--help" || arg == "-h") {
+                std::cout << cliUsage()
+                          << " [--workload FILE]\n"
+                             "   or: relief_compare --diff A.json B.json"
+                             " [--max-rel-delta PCT] [--abs-floor X]"
+                             " [--breaches-only]\n";
+                return 0;
+            } else {
+                args.push_back(arg);
+            }
+        }
+        if (!diff_paths.empty())
+            return runDiff(diff_paths[0], diff_paths[1], diff);
         config = parseCliOptions(args);
     } catch (const FatalError &) {
         return 1; // fatal() already printed the message

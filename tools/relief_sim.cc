@@ -41,32 +41,38 @@ main(int argc, char **argv)
     std::string pressure_path;
     std::string hostprof_path;
     std::vector<std::string> args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--trace" && i + 1 < argc) {
-            trace_path = argv[++i];
-        } else if (arg == "--stats" && i + 1 < argc) {
-            stats_path = argv[++i];
-        } else if (arg == "--dot" && i + 1 < argc) {
-            dot_dir = argv[++i];
-        } else if (arg == "--workload" && i + 1 < argc) {
-            workload_path = argv[++i];
-        } else if (arg == "--pressure-report" && i + 1 < argc) {
-            pressure_path = argv[++i];
-        } else if (arg == "--host-profile" && i + 1 < argc) {
-            hostprof_path = argv[++i];
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << cliUsage()
-                      << " [--workload FILE] [--trace FILE] [--stats FILE] [--dot DIR]"
-                         " [--pressure-report FILE] [--host-profile FILE]\n";
-            return 0;
-        } else {
-            args.push_back(arg);
-        }
-    }
-
     ExperimentConfig config;
     try {
+        for (int i = 1; i < argc; ++i) {
+            std::string arg = argv[i];
+            auto need_value = [&]() -> std::string {
+                if (i + 1 >= argc)
+                    fatal("flag ", arg, " needs a value\n", cliUsage());
+                return argv[++i];
+            };
+            if (arg == "--trace") {
+                trace_path = need_value();
+            } else if (arg == "--stats") {
+                stats_path = need_value();
+            } else if (arg == "--dot") {
+                dot_dir = need_value();
+            } else if (arg == "--workload") {
+                workload_path = need_value();
+            } else if (arg == "--pressure-report") {
+                pressure_path = need_value();
+            } else if (arg == "--host-profile") {
+                hostprof_path = need_value();
+            } else if (arg == "--help" || arg == "-h") {
+                std::cout << cliUsage()
+                          << " [--workload FILE] [--trace FILE]"
+                             " [--stats FILE] [--dot DIR]"
+                             " [--pressure-report FILE]"
+                             " [--host-profile FILE]\n";
+                return 0;
+            } else {
+                args.push_back(arg);
+            }
+        }
         config = parseCliOptions(args);
     } catch (const FatalError &) {
         return 1; // fatal() already printed the message
