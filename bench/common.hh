@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/cli.hh"
 #include "core/relief.hh"
 
 namespace relief::bench
@@ -23,10 +24,10 @@ namespace relief::bench
 
 /**
  * Worker threads for the figure benches, from RELIEF_BENCH_JOBS
- * (0 = one per hardware thread; default 1 = serial). Each (mix,
- * policy) cell of a panel is an independent simulation, so the
- * printed tables are identical for any value; only wall-clock
- * changes.
+ * (0 = one per hardware thread; default 1 = serial; a value that is
+ * not an integer is a fatal error). Each (mix, policy) cell of a
+ * panel is an independent simulation, so the printed tables are
+ * identical for any value; only wall-clock changes.
  */
 inline int
 benchJobs()
@@ -35,8 +36,12 @@ benchJobs()
         const char *env = std::getenv("RELIEF_BENCH_JOBS");
         if (!env || !*env)
             return 1;
-        int v = std::atoi(env);
-        return v <= 0 ? defaultParallelJobs() : v;
+        try {
+            int v = parseNumber<int>("RELIEF_BENCH_JOBS", env);
+            return v <= 0 ? defaultParallelJobs() : v;
+        } catch (const FatalError &) {
+            std::exit(1); // fatal() already printed the message
+        }
     }();
     return jobs;
 }

@@ -807,6 +807,10 @@ def self_test():
            "hostprof coverage below zero")
     expect(mutate(GOOD_HOSTPROF, ["attributed_wall_ns"], 900000),
            False, "hostprof attributed != per-category sum")
+    # With coverage moved along, only the attributed sum is wrong.
+    expect(mutate(mutate(GOOD_HOSTPROF, ["attributed_wall_ns"], 900000),
+                  ["coverage"], 0.9),
+           False, "hostprof attributed != per-category sum alone")
     expect(mutate(GOOD_HOSTPROF, ["coverage"], 0.5), False,
            "hostprof coverage inconsistent with counters")
     expect(mutate(GOOD_HOSTPROF, ["categories", "dma"], Ellipsis),
@@ -870,6 +874,13 @@ def self_test():
            "pressure negative end_us")
     expect(mutate(GOOD_PRESSURE, ["qos_classes"], ["realtime"]), False,
            "pressure missing default class")
+    # Renaming the first class everywhere breaks only the rule that it
+    # is the implicit default.
+    renamed = mutate(GOOD_PRESSURE, ["qos_classes", 0], "batch")
+    renamed = mutate(renamed, ["qos", 0, "name"], "batch")
+    renamed = mutate(renamed, ["resources", 0, "contenders", 0, "qos"],
+                     "batch")
+    expect(renamed, False, "pressure first class is not 'default'")
     expect(mutate(GOOD_PRESSURE, ["traffic"], ["dram_fetch"]), False,
            "pressure wrong traffic list")
     expect(mutate(GOOD_PRESSURE, ["totals", "bytes"], 999), False,

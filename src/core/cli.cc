@@ -1,24 +1,240 @@
 #include "core/cli.hh"
 
+#include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <iostream>
+#include <iterator>
 #include <sstream>
+#include <type_traits>
 
+#include "dag/workload_file.hh"
 #include "sim/debug.hh"
-#include "sim/logging.hh"
 
 namespace relief
 {
 
+namespace
+{
+
+/** Read all of @p text as a W; false on leftovers or overflow. */
+template <typename W>
+bool
+readWhole(const std::string &text, W &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<W>)
+        out = std::strtod(text.c_str(), &end);
+    else if constexpr (std::is_signed_v<W>)
+        out = std::strtoll(text.c_str(), &end, 10);
+    else
+        out = std::strtoull(text.c_str(), &end, 10);
+    return !text.empty() && *end == '\0' && errno == 0;
+}
+
+/** Whitespace-separated words of @p text. */
+std::vector<std::string>
+words(const std::string &text)
+{
+    std::istringstream in(text);
+    return {std::istream_iterator<std::string>(in), {}};
+}
+
+/** @p lead then @p pieces, space-separated, wrapped before column 80
+ *  onto lines whose text starts at column @p indent. */
+std::string
+wrap(std::string lead, const std::vector<std::string> &pieces,
+     std::size_t indent)
+{
+    std::size_t line_start = 0;
+    for (const std::string &piece : pieces) {
+        // Wrap only a line that holds a piece already.
+        std::size_t used = lead.size() - line_start;
+        if (used >= indent && used + piece.size() >= 79) {
+            line_start = lead.size() + 1;
+            lead += '\n';
+            lead.append(indent - 1, ' ');
+        }
+        lead += ' ';
+        lead += piece;
+    }
+    return lead;
+}
+
+std::string
+synopsis(const Flag &row)
+{
+    return row.metavar.empty() ? row.name : row.name + " " + row.metavar;
+}
+
+/** Whitespace-separated tokens of @p path; '#' starts a comment. */
+std::vector<std::string>
+readConfigFile(const std::string &path)
+{
+    std::ifstream in(path);
+    if (!in)
+        fatal("cannot read config file '", path, "'");
+    std::vector<std::string> tokens;
+    std::string line;
+    while (std::getline(in, line))
+        for (std::string &word : words(line.substr(0, line.find('#'))))
+            tokens.push_back(std::move(word));
+    return tokens;
+}
+
+} // namespace
+
+template <typename T>
+T
+parseNumber(const std::string &what, const std::string &text,
+            const Range &range)
+{
+    using Limits = std::numeric_limits<T>;
+    T value{};
+    bool ok;
+    if constexpr (std::is_floating_point_v<T>) {
+        ok = readWhole(text, value) && std::isfinite(value);
+    } else {
+        std::conditional_t<std::is_signed_v<T>, long long,
+                           unsigned long long>
+            wide = 0;
+        // strtoull negates "-1" into a huge value instead of failing.
+        ok = (Limits::is_signed || text.find('-') == std::string::npos) &&
+             readWhole(text, wide) && std::in_range<T>(wide);
+        value = T(wide);
+    }
+    double v = double(value);
+    if (ok && (range.openLo ? v > range.lo : v >= range.lo) &&
+        (range.openHi ? v < range.hi : v <= range.hi))
+        return value;
+
+    // Integers name their type's bounds where the range leaves one open.
+    auto show = [](double bound, std::string type_bound) {
+        std::ostringstream os;
+        os << bound;
+        return std::isfinite(bound) ? os.str() : type_bound;
+    };
+    bool integer = Limits::is_integer;
+    std::string wanted = integer ? "an integer" : "a number";
+    std::string lo = show(range.lo, integer ? std::to_string(Limits::min())
+                                            : "-inf");
+    std::string hi = show(range.hi, integer ? std::to_string(Limits::max())
+                                            : "");
+    if (!hi.empty())
+        wanted += " in " + std::string(range.openLo ? "(" : "[") + lo +
+                  ", " + hi + (range.openHi ? ")" : "]");
+    else if (std::isfinite(range.lo))
+        wanted += (range.openLo ? " > " : " >= ") + lo;
+    fatal(what, " needs ", wanted, ", got '", text, "'");
+}
+
+template double parseNumber(const std::string &, const std::string &,
+                            const Range &);
+template int parseNumber(const std::string &, const std::string &,
+                         const Range &);
+template std::uint32_t parseNumber(const std::string &, const std::string &,
+                                   const Range &);
+template std::uint64_t parseNumber(const std::string &, const std::string &,
+                                   const Range &);
+
+FlagTable &
+FlagTable::add(std::string name, std::string metavar, std::string help,
+               std::function<void(FlagValues)> apply)
+{
+    rows_.push_back({std::move(name), std::move(metavar), std::move(help),
+                     std::move(apply)});
+    return *this;
+}
+
+FlagTable &
+FlagTable::configFiles()
+{
+    configFiles_ = true; // parse() splices the files before any row runs
+    return add("--config", "FILE",
+               "splice in the flags of FILE ('#' starts a comment)", {});
+}
+
+bool
+FlagTable::parse(const std::vector<std::string> &raw_args) const
+{
+    std::vector<std::string> args;
+    for (std::size_t i = 0; i < raw_args.size(); ++i) {
+        if (!configFiles_ || raw_args[i] != "--config") {
+            args.push_back(raw_args[i]);
+            continue;
+        }
+        if (++i == raw_args.size())
+            fatal("flag --config needs a value\n", usage());
+        for (const std::string &token : readConfigFile(raw_args[i])) {
+            if (token == "--config")
+                fatal("nested --config is not supported");
+            args.push_back(token);
+        }
+    }
+
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (args[i] == "--help" || args[i] == "-h") {
+            std::cout << help();
+            return false;
+        }
+        const Flag *row = nullptr;
+        for (const Flag &candidate : rows_)
+            row = candidate.name == args[i] ? &candidate : row;
+        if (!row)
+            fatal("unknown flag '", args[i], "'\n", usage());
+        std::size_t n = words(row->metavar).size();
+        if (i + n >= args.size())
+            fatal("flag ", args[i], " needs a value\n", usage());
+        row->apply(FlagValues(args).subspan(i + 1, n));
+        i += n;
+    }
+    return true;
+}
+
+std::string
+FlagTable::usage() const
+{
+    std::vector<std::string> items;
+    for (const Flag &row : rows_)
+        items.push_back('[' + synopsis(row) + ']');
+    return wrap("usage: " + program_, items, 8 + program_.size());
+}
+
+std::string
+FlagTable::help() const
+{
+    std::vector<std::pair<std::string, std::string>> lines;
+    for (const Flag &row : rows_)
+        lines.emplace_back(synopsis(row), row.help);
+    lines.emplace_back("-h, --help", "print this help and exit");
+    std::size_t width = 0;
+    for (const auto &line : lines)
+        width = std::max(width, line.first.size());
+    std::string out = usage() + "\n\n";
+    for (const auto &[left, text] : lines)
+        out += wrap("  " + left + std::string(width + 1 - left.size(), ' '),
+                    words(text), width + 4) +
+               "\n";
+    return out;
+}
+
 PolicyKind
 policyFromName(const std::string &name)
 {
-    for (PolicyKind kind : allPolicies)
+    std::string valid;
+    for (PolicyKind kind : allPolicies) {
         if (name == policyName(kind))
             return kind;
+        valid += std::string(policyName(kind)) + ", ";
+    }
     if (name == policyName(PolicyKind::ReliefHetSched))
         return PolicyKind::ReliefHetSched;
-    fatal("unknown policy '", name, "'\n", cliUsage());
+    fatal("unknown policy '", name, "' (", valid,
+          policyName(PolicyKind::ReliefHetSched), ")");
 }
 
 AccType
@@ -31,205 +247,126 @@ accTypeFromSymbol(const std::string &symbol)
           "CNM, HNM, or ET)");
 }
 
-std::string
-cliUsage()
-{
-    return "usage: relief_sim [--mix SYMBOLS] [--policy NAME] "
-           "[--continuous] [--limit-ms X] [--fabric bus|xbar|ring] "
-           "[--instances EM=2,C=2] [--banked-memory] "
-           "[--mem-efficiency X] [--bw-predictor KIND] "
-           "[--dm-predictor KIND] [--spm-partitions N] "
-           "[--no-feasibility] [--no-forwarding] [--stream-forwarding] "
-           "[--dma-burst N] [--submit-latency-us X] [--functional] "
-           "[--seed N] [--debug-flags LIST] "
-           "[--stats-json FILE] [--latency-breakdown] "
-           "[--pressure-tracks] [--config FILE]";
-}
-
-namespace
-{
-
-/** Apply "EM=2,C=1" style instance specs. */
 void
-parseInstances(const std::string &spec, SocConfig &config)
+addExperimentFlags(FlagTable &flags, ExperimentConfig &config,
+                   std::string &workload_path)
 {
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        std::size_t comma = spec.find(',', pos);
-        if (comma == std::string::npos)
-            comma = spec.size();
-        std::string item = spec.substr(pos, comma - pos);
-        std::size_t eq = item.find('=');
-        if (eq == std::string::npos)
-            fatal("bad --instances item '", item, "' (want SYMBOL=N)");
-        AccType type = accTypeFromSymbol(item.substr(0, eq));
-        int count = std::atoi(item.c_str() + eq + 1);
-        if (count < 1)
-            fatal("bad instance count in '", item, "'");
-        config.instances[accIndex(type)] = count;
-        pos = comma + 1;
-    }
+    SocConfig &soc = config.soc;
+    flags
+        .add("--mix", "SYMBOLS", "applications, e.g. CDL (default C)",
+             [&config](FlagValues v) {
+                 parseMix(v[0]); // validate
+                 config.mix = v[0];
+             })
+        .text("--workload", "FILE",
+              "run the DAGs of a workload file instead of the mix",
+              workload_path)
+        .add("--policy", "NAME",
+             "FCFS | GEDF-D | GEDF-N | LL | LAX | HetSched | RELIEF-LAX | "
+             "RELIEF | RELIEF-HS (default RELIEF)",
+             [&soc](FlagValues v) { soc.policy = policyFromName(v[0]); })
+        .toggle("--continuous", "loop applications until the time limit",
+                config.continuous)
+        .number("--limit-ms", "X", "simulation cap in ms (default 50)",
+                config.timeLimit, positive, fromMs)
+        .choice("--fabric", "(default bus)", soc.fabric,
+                {{"bus", FabricKind::Bus}, {"xbar", FabricKind::Crossbar},
+                 {"ring", FabricKind::Ring}})
+        .add("--instances", "SPEC",
+             "per-type instance counts, e.g. EM=2,C=2 (Table I symbols: "
+             "I,G,C,EM,CNM,HNM,ET)",
+             [&soc](FlagValues v) {
+                 for (const std::string &item : splitCsv(v[0])) {
+                     std::size_t eq = item.find('=');
+                     if (eq == std::string::npos)
+                         fatal("bad --instances item '", item,
+                               "' (want SYMBOL=N)");
+                     AccType type = accTypeFromSymbol(item.substr(0, eq));
+                     soc.instances[accIndex(type)] = parseNumber<int>(
+                         "flag --instances", item.substr(eq + 1), atLeastOne);
+                 }
+             })
+        .toggle("--banked-memory", "bank-aware DRAM model", soc.bankedMemory)
+        .number("--mem-efficiency", "X",
+                "flat-model streaming efficiency, in (0, 1]",
+                soc.mem.efficiency, Range{0.0, 1.0, true})
+        .choice("--bw-predictor", "", soc.bwPredictor,
+                {{"max", BwPredictorKind::Max},
+                 {"last", BwPredictorKind::Last},
+                 {"average", BwPredictorKind::Average},
+                 {"ewma", BwPredictorKind::Ewma}})
+        .choice("--dm-predictor", "", soc.dmPredictor,
+                {{"max", DmPredictorKind::Max},
+                 {"graph", DmPredictorKind::Graph}})
+        .number("--spm-partitions", "N", "output partitions per scratchpad",
+                soc.spmPartitions, atLeastOne)
+        .add("--no-feasibility", "", "disable RELIEF's is_feasible throttle",
+             [&soc](FlagValues) { soc.reliefFeasibilityCheck = false; })
+        .add("--no-forwarding", "", "disable the forwarding hardware",
+             [&soc](FlagValues) { soc.manager.forwardingEnabled = false; })
+        .add("--stream-forwarding", "",
+             "AXI-stream FIFOs instead of SPM-to-SPM DMA",
+             [&soc](FlagValues) {
+                 soc.manager.forwardMechanism = ForwardMechanism::StreamBuffer;
+             })
+        .number("--dma-burst", "N",
+                "burst-interleaved DMA, bytes per burst (0 = whole buffer)",
+                soc.dma.burstBytes)
+        .number("--submit-latency-us", "X",
+                "host command-queue submission cost",
+                soc.manager.submitLatency, nonNegative, fromUs)
+        .toggle("--functional", "attach functional payloads",
+                config.app.functional)
+        .number("--seed", "N", "input/weight generator seed", config.app.seed)
+        .configFiles();
+    addDebugFlags(flags);
 }
 
-} // namespace
+void
+addDebugFlags(FlagTable &flags)
+{
+    flags.add("--debug-flags", "LIST",
+              "enable debug categories, e.g. Sched,Dma (Sched, Dma, Mem, "
+              "Fabric, Stats, Event, Serve)",
+              [](FlagValues v) { setDebugFlags(v[0]); });
+}
 
 std::vector<std::string>
-readConfigFile(const std::string &path)
+splitCsv(const std::string &list)
 {
-    std::ifstream in(path);
-    if (!in)
-        fatal("cannot read config file '", path, "'");
-    std::vector<std::string> tokens;
-    std::string line;
-    while (std::getline(in, line)) {
-        std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.resize(hash);
-        std::istringstream words(line);
-        std::string word;
-        while (words >> word)
-            tokens.push_back(word);
-    }
-    return tokens;
+    std::vector<std::string> items;
+    std::stringstream in(list);
+    std::string item;
+    while (std::getline(in, item, ','))
+        if (!item.empty())
+            items.push_back(item);
+    return items;
 }
 
-ExperimentConfig
-parseCliOptions(const std::vector<std::string> &raw_args)
+std::vector<DagPtr>
+buildWorkload(const ExperimentConfig &config,
+              const std::string &workload_path)
 {
-    // Splice --config files in place (one level; nested --config in a
-    // file is rejected to keep inclusion loops impossible).
-    std::vector<std::string> args;
-    for (std::size_t i = 0; i < raw_args.size(); ++i) {
-        if (raw_args[i] == "--config") {
-            if (i + 1 >= raw_args.size())
-                fatal("--config needs a file path\n", cliUsage());
-            auto file_args = readConfigFile(raw_args[++i]);
-            for (const std::string &token : file_args) {
-                if (token == "--config")
-                    fatal("nested --config is not supported");
-                args.push_back(token);
-            }
-        } else {
-            args.push_back(raw_args[i]);
-        }
-    }
+    if (!workload_path.empty())
+        return loadWorkloadFile(workload_path);
+    std::vector<DagPtr> dags;
+    for (AppId app : parseMix(config.mix))
+        dags.push_back(buildApp(app, config.app));
+    return dags;
+}
 
-    ExperimentConfig config;
-    auto need_value = [&](std::size_t i) -> const std::string & {
-        if (i + 1 >= args.size())
-            fatal("flag ", args[i], " needs a value\n", cliUsage());
-        return args[i + 1];
-    };
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &arg = args[i];
-        if (arg == "--mix") {
-            config.mix = need_value(i);
-            parseMix(config.mix); // validate
-            ++i;
-        } else if (arg == "--policy") {
-            config.soc.policy = policyFromName(need_value(i));
-            ++i;
-        } else if (arg == "--continuous") {
-            config.continuous = true;
-        } else if (arg == "--limit-ms") {
-            double ms = std::atof(need_value(i).c_str());
-            if (ms <= 0.0)
-                fatal("--limit-ms needs a positive value");
-            config.timeLimit = fromMs(ms);
-            ++i;
-        } else if (arg == "--fabric") {
-            const std::string &value = need_value(i);
-            if (value == "bus")
-                config.soc.fabric = FabricKind::Bus;
-            else if (value == "xbar")
-                config.soc.fabric = FabricKind::Crossbar;
-            else if (value == "ring")
-                config.soc.fabric = FabricKind::Ring;
-            else
-                fatal("unknown fabric '", value,
-                      "' (bus, xbar, or ring)");
-            ++i;
-        } else if (arg == "--instances") {
-            parseInstances(need_value(i), config.soc);
-            ++i;
-        } else if (arg == "--banked-memory") {
-            config.soc.bankedMemory = true;
-        } else if (arg == "--mem-efficiency") {
-            double eff = std::atof(need_value(i).c_str());
-            if (eff <= 0.0 || eff > 1.0)
-                fatal("--mem-efficiency must be in (0, 1]");
-            config.soc.mem.efficiency = eff;
-            ++i;
-        } else if (arg == "--bw-predictor") {
-            const std::string &value = need_value(i);
-            if (value == "max")
-                config.soc.bwPredictor = BwPredictorKind::Max;
-            else if (value == "last")
-                config.soc.bwPredictor = BwPredictorKind::Last;
-            else if (value == "average")
-                config.soc.bwPredictor = BwPredictorKind::Average;
-            else if (value == "ewma")
-                config.soc.bwPredictor = BwPredictorKind::Ewma;
-            else
-                fatal("unknown bandwidth predictor '", value, "'");
-            ++i;
-        } else if (arg == "--dm-predictor") {
-            const std::string &value = need_value(i);
-            if (value == "max")
-                config.soc.dmPredictor = DmPredictorKind::Max;
-            else if (value == "graph")
-                config.soc.dmPredictor = DmPredictorKind::Graph;
-            else
-                fatal("unknown data-movement predictor '", value, "'");
-            ++i;
-        } else if (arg == "--submit-latency-us") {
-            double us = std::atof(need_value(i).c_str());
-            if (us < 0.0)
-                fatal("--submit-latency-us must be non-negative");
-            config.soc.manager.submitLatency = fromUs(us);
-            ++i;
-        } else if (arg == "--dma-burst") {
-            long n = std::atol(need_value(i).c_str());
-            if (n < 0)
-                fatal("--dma-burst needs a non-negative byte count");
-            config.soc.dma.burstBytes = std::uint64_t(n);
-            ++i;
-        } else if (arg == "--spm-partitions") {
-            int n = std::atoi(need_value(i).c_str());
-            if (n < 1)
-                fatal("--spm-partitions needs a positive count");
-            config.soc.spmPartitions = n;
-            ++i;
-        } else if (arg == "--no-feasibility") {
-            config.soc.reliefFeasibilityCheck = false;
-        } else if (arg == "--no-forwarding") {
-            config.soc.manager.forwardingEnabled = false;
-        } else if (arg == "--stream-forwarding") {
-            config.soc.manager.forwardMechanism =
-                ForwardMechanism::StreamBuffer;
-        } else if (arg == "--functional") {
-            config.app.functional = true;
-        } else if (arg == "--seed") {
-            config.app.seed = std::uint32_t(
-                std::strtoul(need_value(i).c_str(), nullptr, 10));
-            ++i;
-        } else if (arg == "--debug-flags") {
-            config.debugFlags = need_value(i);
-            setDebugFlags(config.debugFlags);
-            ++i;
-        } else if (arg == "--stats-json") {
-            config.statsJsonPath = need_value(i);
-            ++i;
-        } else if (arg == "--latency-breakdown") {
-            config.latencyBreakdown = true;
-        } else if (arg == "--pressure-tracks") {
-            config.soc.pressureTracks = true;
-        } else {
-            fatal("unknown flag '", arg, "'\n", cliUsage());
-        }
-    }
-    return config;
+void
+writeFile(const std::string &path, const std::string &what,
+          const std::function<void(std::ostream &)> &write)
+{
+    if (path.empty())
+        return;
+    std::ofstream out(path);
+    if (!out)
+        fatal("cannot write ", path);
+    write(out);
+    if (!what.empty())
+        std::cout << what << " written to " << path << "\n";
 }
 
 } // namespace relief

@@ -24,11 +24,6 @@ struct ExperimentConfig
     bool continuous = false;    ///< Loop each application (Fig. 10).
     Tick timeLimit = continuousWindow; ///< Paper's simulation cap.
     AppConfig app;              ///< DAG-builder knobs.
-    std::string debugFlags;    ///< --debug-flags list (already applied).
-    std::string statsJsonPath; ///< --stats-json target ("" = off).
-    /** Print the per-DAG critical-path attribution table after the run
-     *  (--latency-breakdown; see Soc::printLatencyBreakdown). */
-    bool latencyBreakdown = false;
 };
 
 /** Run one simulation and return its metrics. */

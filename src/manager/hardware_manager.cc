@@ -193,41 +193,55 @@ HardwareManager::scheduleReadyNodes(std::vector<Node *> *ready)
         return;
     }
 
-    Tick cost = config_.isrLatency;
-    for (Node *node : *ready) {
-        Tick push =
-            policy_->pushCost(queues_[accIndex(node->params.type)].size());
-        metrics_.pushLatency.sample(double(push));
-        metrics_.queueDepth.sample(
-            double(queues_[accIndex(node->params.type)].size()));
-        metrics_.queueDepthHist.sample(
-            double(queues_[accIndex(node->params.type)].size()));
-        DPRINTF(Sched, "node ", node->label, " ready for ",
-                accTypeName(node->params.type));
-        cost += push;
-    }
-    Tick done = occupyManager(cost);
-
+    Tick done = occupyManager(readyBatchCost(*ready, nullptr));
     sim().at(done, HostCat::Sched,
              [this, ready]() {
-                 SchedContext ctx;
-                 ctx.now = now();
-                 for (AccType type : allAccTypes)
-                     ctx.idleCount[accIndex(type)] = idleCount(type);
-                 for (Node *node : *ready) {
-                     node->status = NodeStatus::Ready;
-                     node->readyAt = now();
-                     node->lifecycle.queued = now();
-                     node->predictedRuntime = predictor_->predict(*node);
-                     node->laxityKey =
-                         STick(node->deadline) -
-                         STick(node->predictedRuntime);
-                 }
-                 policy_->onNodesReady(*ready, ctx, queues_);
-                 releaseReadyList(ready);
+                 enqueueReady(ready);
                  tryLaunchAll();
              },
              [this] { return name() + ".sched"; });
+}
+
+Tick
+HardwareManager::readyBatchCost(const std::vector<Node *> &ready,
+                                const Node *parent)
+{
+    Tick cost = config_.isrLatency;
+    for (Node *node : ready) {
+        std::size_t depth = queues_[accIndex(node->params.type)].size();
+        Tick push = policy_->pushCost(depth);
+        metrics_.pushLatency.sample(double(push));
+        metrics_.queueDepth.sample(double(depth));
+        metrics_.queueDepthHist.sample(double(depth));
+        if (parent)
+            DPRINTF(Sched, "node ", node->label, " ready for ",
+                    accTypeName(node->params.type), " (parent ",
+                    parent->label, " finished)");
+        else
+            DPRINTF(Sched, "node ", node->label, " ready for ",
+                    accTypeName(node->params.type));
+        cost += push;
+    }
+    return cost;
+}
+
+void
+HardwareManager::enqueueReady(std::vector<Node *> *ready)
+{
+    SchedContext ctx;
+    ctx.now = now();
+    for (AccType type : allAccTypes)
+        ctx.idleCount[accIndex(type)] = idleCount(type);
+    for (Node *node : *ready) {
+        node->status = NodeStatus::Ready;
+        node->readyAt = now();
+        node->lifecycle.queued = now();
+        node->predictedRuntime = predictor_->predict(*node);
+        node->laxityKey =
+            STick(node->deadline) - STick(node->predictedRuntime);
+    }
+    policy_->onNodesReady(*ready, ctx, queues_);
+    releaseReadyList(ready);
 }
 
 void
@@ -598,38 +612,11 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     }
 
     // ISR + scheduler run, serialized on the manager.
-    Tick cost = config_.isrLatency;
-    for (Node *r : *ready) {
-        Tick push =
-            policy_->pushCost(queues_[accIndex(r->params.type)].size());
-        metrics_.pushLatency.sample(double(push));
-        metrics_.queueDepth.sample(
-            double(queues_[accIndex(r->params.type)].size()));
-        metrics_.queueDepthHist.sample(
-            double(queues_[accIndex(r->params.type)].size()));
-        DPRINTF(Sched, "node ", r->label, " ready for ",
-                accTypeName(r->params.type), " (parent ", node->label,
-                " finished)");
-        cost += push;
-    }
-    Tick done = occupyManager(cost);
+    Tick done = occupyManager(readyBatchCost(*ready, node));
     AccState *state_ptr = &state;
     sim().at(done, HostCat::Sched,
              [this, state_ptr, node, partition, ready, base]() {
-                 SchedContext ctx;
-                 ctx.now = now();
-                 for (AccType type : allAccTypes)
-                     ctx.idleCount[accIndex(type)] = idleCount(type);
-                 for (Node *r : *ready) {
-                     r->status = NodeStatus::Ready;
-                     r->readyAt = now();
-                     r->lifecycle.queued = now();
-                     r->predictedRuntime = predictor_->predict(*r);
-                     r->laxityKey = STick(r->deadline) -
-                                    STick(r->predictedRuntime);
-                 }
-                 policy_->onNodesReady(*ready, ctx, queues_);
-                 releaseReadyList(ready);
+                 enqueueReady(ready);
                  handleWriteBack(*state_ptr, node, partition);
 
                  // Memory-time prediction outcome (Table VIII), now

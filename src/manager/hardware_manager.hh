@@ -162,6 +162,16 @@ class HardwareManager : public SimObject
      *  pooled list @p ready. */
     void scheduleReadyNodes(std::vector<Node *> *ready);
 
+    /** Manager time to take in @p ready: the ISR plus one policy push
+     *  per node, sampling each target queue's depth once. @p parent is
+     *  the node whose completion readied them (null at submit). */
+    Tick readyBatchCost(const std::vector<Node *> &ready,
+                        const Node *parent);
+
+    /** Stamp @p ready's nodes, hand them to the policy and take back
+     *  the pooled list. */
+    void enqueueReady(std::vector<Node *> *ready);
+
     /**
      * Ready lists are pooled like DmaEngine's chunk states: the ISR
      * closure that hands a list to the policy captures a raw pointer

@@ -1,7 +1,10 @@
-/** @file Unit tests for the CLI option parser. */
+/** @file Unit tests for the flag table and the drivers' flags. */
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdio>
 #include <fstream>
 
 #include "core/cli.hh"
@@ -12,6 +15,50 @@ namespace relief
 {
 namespace
 {
+
+/** @p args through the experiment rows relief_sim and relief_compare
+ *  share. */
+ExperimentConfig
+parseCliOptions(const std::vector<std::string> &args)
+{
+    ExperimentConfig config;
+    std::string workload_path;
+    FlagTable flags("cli_test");
+    addExperimentFlags(flags, config, workload_path);
+    flags.parse(args);
+    return config;
+}
+
+/** Exit status and combined stdout/stderr of one relief_sim run. */
+struct DriverRun
+{
+    int status = -1;
+    std::string output;
+};
+
+DriverRun
+runReliefSim(const std::string &args)
+{
+    std::string command =
+        std::string(RELIEF_SIM_BINARY) + " " + args + " 2>&1";
+    FILE *pipe = popen(command.c_str(), "r");
+    DriverRun run;
+    if (!pipe)
+        return run;
+    char buffer[4096];
+    std::size_t n;
+    while ((n = std::fread(buffer, 1, sizeof buffer, pipe)) > 0)
+        run.output.append(buffer, n);
+    int status = pclose(pipe);
+    run.status = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+    return run;
+}
+
+bool
+contains(const std::string &text, const std::string &part)
+{
+    return text.find(part) != std::string::npos;
+}
 
 TEST(CliTest, DefaultsWhenNoFlags)
 {
@@ -176,24 +223,32 @@ TEST(CliTest, ParsesStreamForwarding)
 
 TEST(CliTest, ParsesStatsJsonPath)
 {
-    EXPECT_EQ(parseCliOptions({}).statsJsonPath, "");
-    auto config = parseCliOptions({"--stats-json", "out.json"});
-    EXPECT_EQ(config.statsJsonPath, "out.json");
-    EXPECT_THROW(parseCliOptions({"--stats-json"}), FatalError);
+    // relief_sim's own row: no document unless asked, and a path is
+    // required.
+    EXPECT_FALSE(contains(runReliefSim("--mix C").output, "JSON stats"));
+    std::string path = ::testing::TempDir() + "/relief_cli_stats.json";
+    DriverRun run = runReliefSim("--mix C --stats-json " + path);
+    EXPECT_EQ(run.status, 0);
+    EXPECT_TRUE(contains(run.output, "JSON stats written to " + path));
+    EXPECT_TRUE(std::ifstream(path).good());
+    run = runReliefSim("--mix C --stats-json");
+    EXPECT_EQ(run.status, 1);
+    EXPECT_TRUE(contains(run.output, "flag --stats-json needs a value"));
 }
 
 TEST(CliTest, ParsesLatencyBreakdown)
 {
-    EXPECT_FALSE(parseCliOptions({}).latencyBreakdown);
-    EXPECT_TRUE(
-        parseCliOptions({"--latency-breakdown"}).latencyBreakdown);
+    const std::string table = "Per-DAG critical-path latency attribution";
+    EXPECT_FALSE(contains(runReliefSim("--mix C").output, table));
+    DriverRun run = runReliefSim("--mix C --latency-breakdown");
+    EXPECT_EQ(run.status, 0);
+    EXPECT_TRUE(contains(run.output, table));
 }
 
 TEST(CliTest, DebugFlagsAreAppliedImmediately)
 {
     clearDebugFlags();
-    auto config = parseCliOptions({"--debug-flags", "Sched,Dma"});
-    EXPECT_EQ(config.debugFlags, "Sched,Dma");
+    parseCliOptions({"--debug-flags", "Sched,Dma"});
     EXPECT_TRUE(debugFlagEnabled(DebugFlag::Sched));
     EXPECT_TRUE(debugFlagEnabled(DebugFlag::Dma));
     EXPECT_FALSE(debugFlagEnabled(DebugFlag::Mem));
@@ -206,6 +261,73 @@ TEST(CliTest, UnknownDebugFlagIsFatal)
     EXPECT_THROW(parseCliOptions({"--debug-flags", "Sched,Typo"}),
                  FatalError);
     clearDebugFlags();
+}
+
+TEST(CliTest, RejectsValuesThatAreNotWholeNumbers)
+{
+    // Each value is a number only in part, or out of range.
+    EXPECT_THROW(parseCliOptions({"--seed", "abc"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--seed", "-1"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--seed", "4294967296"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--dma-burst", "1k"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--instances", "C=2x"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--limit-ms", "5ms"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--limit-ms", "inf"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--spm-partitions", "2.5"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--mem-efficiency", "nan"}), FatalError);
+    EXPECT_THROW(parseCliOptions({"--submit-latency-us", ""}), FatalError);
+    EXPECT_EQ(parseCliOptions({"--seed", "4294967295"}).app.seed,
+              4294967295u);
+}
+
+TEST(CliTest, NumberErrorsNameTheInputAndTheValue)
+{
+    try {
+        parseNumber<std::uint32_t>("flag --seed", "abc");
+        FAIL() << "no FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "flag --seed needs an integer in "
+                               "[0, 4294967295], got 'abc'");
+    }
+    try {
+        parseNumber<double>("flag --rate", "10rps", positive);
+        FAIL() << "no FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "flag --rate needs a number > 0, got '10rps'");
+    }
+    EXPECT_DOUBLE_EQ(parseNumber<double>("x", "0.5", Range{0.0, 1.0, true}),
+                     0.5);
+    EXPECT_THROW(parseNumber<double>("x", "0", Range{0.0, 1.0, true}),
+                 FatalError);
+    EXPECT_EQ(parseNumber<int>("x", "-7"), -7);
+    EXPECT_THROW(parseNumber<int>("x", "99999999999"), FatalError);
+}
+
+TEST(CliTest, TableAppliesRowsInOrderAndPrintsHelp)
+{
+    std::vector<std::string> pair;
+    bool on = false;
+    int n = 0;
+    FlagTable flags("tool");
+    flags.add("--pair", "A B", "two values", [&](FlagValues v) {
+            pair.assign(v.begin(), v.end());
+        })
+        .toggle("--on", "a switch", on)
+        .number("--n", "N", "a count", n, atLeastOne);
+    EXPECT_TRUE(flags.parse({"--n", "2", "--pair", "x", "y", "--on",
+                             "--n", "3"}));
+    EXPECT_EQ(pair, (std::vector<std::string>{"x", "y"}));
+    EXPECT_TRUE(on);
+    EXPECT_EQ(n, 3);
+    EXPECT_THROW(flags.parse({"--pair", "x"}), FatalError);
+    EXPECT_THROW(flags.parse({"--config", "x.cfg"}), FatalError);
+    EXPECT_EQ(flags.usage(), "usage: tool [--pair A B] [--on] [--n N]");
+    std::string help = flags.help();
+    EXPECT_TRUE(contains(help, "\n  --pair A B  two values\n"));
+    EXPECT_TRUE(contains(help, "\n  -h, --help  print this help"));
+    testing::internal::CaptureStdout();
+    EXPECT_FALSE(flags.parse({"--on", "--help", "--bogus"}));
+    EXPECT_EQ(testing::internal::GetCapturedStdout(), help);
 }
 
 TEST(CliTest, ParsedConfigActuallyRuns)

@@ -6,42 +6,23 @@
  * e.g. a --workload file), an "Ideal (oracle)" row from the exhaustive
  * schedule search is appended as the upper bound.
  *
- * Usage: relief_compare [--mix SYMBOLS | --workload FILE]
- *                       [--continuous] [--limit-ms X] [platform flags]
- *
- * --stats-json FILE writes one JSON stats dump per policy, with the
- * policy name spliced in before the extension (stats.json ->
- * stats.RELIEF.json); --debug-flags applies to every run.
- *
- * Diff mode compares two previously written documents instead of
- * running anything:
- *
- *   relief_compare --diff A.json B.json [--max-rel-delta PCT]
- *                  [--abs-floor X] [--breaches-only]
- *
- * Both documents must be relief-stats-v1, or both relief-pressure-v1;
- * any other schema is an input error (exit 1). Every numeric field of
- * the memory-pressure block (totals, per-QoS rollups, per-resource
- * counters, contender slots matched by source/qos/traffic) and the
- * p50/p95/p99 of every histogram stat are compared; a relative delta
- * above the threshold (default 10%) is a breach, and any breach makes
- * the exit status 2 — the CI hook for "this change moved memory
- * pressure". Values where both sides sit below --abs-floor are skipped
- * as noise. Host-time regressions are measured by
- * perfbench/run_benchmark.py, not here.
+ * Diff mode (`--diff A.json B.json`) compares two relief-stats-v1 or
+ * two relief-pressure-v1 documents instead: every numeric field of the
+ * memory-pressure block (contenders matched by source/qos/traffic) and
+ * the p50/p95/p99 of every histogram stat. Any relative delta above
+ * --max-rel-delta is a breach and makes the exit status 2 — the CI hook
+ * for "this change moved memory pressure"; any other schema is an input
+ * error (exit 1). `relief_compare --help` lists every flag.
  */
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "core/cli.hh"
 #include "core/relief.hh"
-#include "dag/workload_file.hh"
 #include "sched/oracle.hh"
 #include "stats/json_reader.hh"
 
@@ -49,18 +30,6 @@ using namespace relief;
 
 namespace
 {
-
-std::vector<DagPtr>
-buildWorkload(const ExperimentConfig &config,
-              const std::string &workload_path)
-{
-    if (!workload_path.empty())
-        return loadWorkloadFile(workload_path);
-    std::vector<DagPtr> dags;
-    for (AppId app : parseMix(config.mix))
-        dags.push_back(buildApp(app, config.app));
-    return dags;
-}
 
 /** Shared breach accounting for diff mode. */
 struct DiffReport
@@ -129,46 +98,47 @@ contenderKey(const JsonValue &row)
            "/" + row.at("traffic").asString();
 }
 
+std::string
+nameOf(const JsonValue &row)
+{
+    return row.at("name").asString();
+}
+
+/** The first element of array @p list whose @p id_of is @p id. */
+const JsonValue *
+findMatch(const JsonValue &list, const std::string &id,
+          std::string (*id_of)(const JsonValue &))
+{
+    for (std::size_t i = 0; i < list.size(); ++i)
+        if (id_of(list.at(i)) == id)
+            return &list.at(i);
+    return nullptr;
+}
+
 void
 diffPressure(DiffReport &diff, const JsonValue &a, const JsonValue &b)
 {
     diff.object("pressure.totals.", a.at("totals"), b.at("totals"));
-
-    const JsonValue &qos_b = b.at("qos");
     for (std::size_t i = 0; i < a.at("qos").size(); ++i) {
         const JsonValue &cls = a.at("qos").at(i);
-        for (std::size_t j = 0; j < qos_b.size(); ++j) {
-            if (qos_b.at(j).at("name").asString() !=
-                cls.at("name").asString())
-                continue;
-            diff.object("pressure.qos." + cls.at("name").asString() + ".",
-                        cls, qos_b.at(j));
-            break;
-        }
+        if (const JsonValue *other = findMatch(b.at("qos"), nameOf(cls),
+                                               nameOf))
+            diff.object("pressure.qos." + nameOf(cls) + ".", cls, *other);
     }
-
-    const JsonValue &res_b = b.at("resources");
     for (std::size_t i = 0; i < a.at("resources").size(); ++i) {
         const JsonValue &res = a.at("resources").at(i);
-        const std::string &name = res.at("name").asString();
-        const JsonValue *other = nullptr;
-        for (std::size_t j = 0; j < res_b.size() && !other; ++j)
-            if (res_b.at(j).at("name").asString() == name)
-                other = &res_b.at(j);
+        const JsonValue *other =
+            findMatch(b.at("resources"), nameOf(res), nameOf);
         if (!other)
             continue;
-        diff.object(name + ".", res, *other);
+        diff.object(nameOf(res) + ".", res, *other);
         const JsonValue &contenders = res.at("contenders");
         for (std::size_t c = 0; c < contenders.size(); ++c) {
-            const JsonValue &mine = contenders.at(c);
-            const JsonValue &theirs_all = other->at("contenders");
-            for (std::size_t d = 0; d < theirs_all.size(); ++d) {
-                if (contenderKey(theirs_all.at(d)) != contenderKey(mine))
-                    continue;
-                diff.object(name + "[" + contenderKey(mine) + "].", mine,
-                            theirs_all.at(d));
-                break;
-            }
+            std::string key = contenderKey(contenders.at(c));
+            if (const JsonValue *theirs = findMatch(
+                    other->at("contenders"), key, contenderKey))
+                diff.object(nameOf(res) + "[" + key + "].",
+                            contenders.at(c), *theirs);
         }
     }
 }
@@ -229,17 +199,6 @@ diffQuantiles(DiffReport &diff, const JsonValue &a, const JsonValue &b)
     }
 }
 
-/** The value of a numeric diff-mode flag; all of it must be a number. */
-double
-parseNumber(const std::string &flag, const std::string &text)
-{
-    char *end = nullptr;
-    double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || *end != '\0' || !std::isfinite(value))
-        fatal("flag ", flag, " needs a number, got '", text, "'");
-    return value;
-}
-
 std::string
 docSchema(const JsonValue &doc)
 {
@@ -278,51 +237,38 @@ runDiff(const std::string &path_a, const std::string &path_b,
     return diff.breaches > 0 ? 2 : 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
+    ExperimentConfig config;
     std::string workload_path;
+    std::string stats_json_path;
     std::vector<std::string> diff_paths;
     DiffReport diff;
-    std::vector<std::string> args;
-    ExperimentConfig config;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto need_value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal("flag ", arg, " needs a value");
-                return argv[++i];
-            };
-            if (arg == "--workload") {
-                workload_path = need_value();
-            } else if (arg == "--diff") {
-                diff_paths = {need_value(), need_value()};
-            } else if (arg == "--max-rel-delta") {
-                diff.maxRelPct = parseNumber(arg, need_value());
-            } else if (arg == "--abs-floor") {
-                diff.absFloor = parseNumber(arg, need_value());
-            } else if (arg == "--breaches-only") {
-                diff.breachesOnly = true;
-            } else if (arg == "--help" || arg == "-h") {
-                std::cout << cliUsage()
-                          << " [--workload FILE]\n"
-                             "   or: relief_compare --diff A.json B.json"
-                             " [--max-rel-delta PCT] [--abs-floor X]"
-                             " [--breaches-only]\n";
-                return 0;
-            } else {
-                args.push_back(arg);
-            }
-        }
-        if (!diff_paths.empty())
-            return runDiff(diff_paths[0], diff_paths[1], diff);
-        config = parseCliOptions(args);
-    } catch (const FatalError &) {
-        return 1; // fatal() already printed the message
-    }
+
+    FlagTable flags("relief_compare");
+    addExperimentFlags(flags, config, workload_path);
+    flags
+        .text("--stats-json", "FILE",
+              "write one relief-stats-v1 dump per policy "
+              "(stats.json -> stats.RELIEF.json)",
+              stats_json_path)
+        .add("--diff", "A.json B.json",
+             "diff two stats or pressure documents instead of running; "
+             "exit 2 on a breach",
+             [&](FlagValues v) { diff_paths.assign(v.begin(), v.end()); })
+        .number("--max-rel-delta", "PCT",
+                "diff: relative delta that breaches (default 10)",
+                diff.maxRelPct)
+        .number("--abs-floor", "X",
+                "diff: skip values below X on both sides (default 1)",
+                diff.absFloor)
+        .toggle("--breaches-only", "diff: print only breaching rows",
+                diff.breachesOnly);
+    if (!flags.parse({argv + 1, argv + argc}))
+        return 0;
+    if (!diff_paths.empty())
+        return runDiff(diff_paths[0], diff_paths[1], diff);
 
     Table table("policy comparison — " +
                 (workload_path.empty() ? "mix " + config.mix
@@ -337,30 +283,16 @@ main(int argc, char **argv)
         SocConfig soc_config = config.soc;
         soc_config.policy = policy;
         Soc soc(soc_config);
-        std::vector<DagPtr> dags;
-        try {
-            dags = buildWorkload(config, workload_path);
-        } catch (const FatalError &) {
-            return 1; // fatal() already printed the message
-        }
-        for (DagPtr &dag : dags)
+        for (DagPtr &dag : buildWorkload(config, workload_path))
             soc.submit(dag, 0, config.continuous);
         soc.run(config.timeLimit);
         MetricsReport r = soc.report();
-        if (!config.statsJsonPath.empty()) {
-            std::string path = config.statsJsonPath;
-            std::size_t dot = path.rfind('.');
-            std::string tag = std::string(".") + policyName(policy);
-            path = dot == std::string::npos
-                       ? path + tag
-                       : path.substr(0, dot) + tag + path.substr(dot);
-            std::ofstream out(path);
-            if (!out) {
-                std::cerr << "cannot write stats to " << path << "\n";
-                return 1;
-            }
-            soc.writeStatsJson(out);
-            std::cout << "JSON stats written to " << path << "\n";
+        if (!stats_json_path.empty()) {
+            std::string path = stats_json_path;
+            path.insert(std::min(path.rfind('.'), path.size()),
+                        std::string(".") + policyName(policy));
+            writeFile(path, "JSON stats",
+                      [&](std::ostream &out) { soc.writeStatsJson(out); });
         }
         table.addRow(
             {policyName(policy), std::to_string(r.run.forwards),
@@ -399,4 +331,16 @@ main(int argc, char **argv)
 
     table.print(std::cout);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &) {
+        return 1; // fatal() already printed the message
+    }
 }

@@ -15,39 +15,10 @@
  *       --queue-cap 32 --horizon-ms 100 --seed 7 --out serve.json
  *   relief_serve --arrival trace --trace-file arrivals.txt
  *
- * Flags:
- *   --policy NAME        scheduling policy (default RELIEF)
- *   --rate X             mean offered rate, requests/s (default 200)
- *   --arrival KIND       poisson | bursty | trace (default poisson)
- *   --trace-file FILE    arrival trace for --arrival trace
- *   --burst-mult X       bursty: burst-state rate multiplier (default 4)
- *   --burst-frac X       bursty: fraction of time in burst (default .25)
- *   --admission KIND     admit-all | queue-cap | laxity (default
- *                        admit-all)
- *   --queue-cap N        queue-cap: in-system request cap (default 64)
- *   --horizon-ms X       measurement window (default 50, the paper's)
- *   --seed N             arrival-stream seed (default 1)
- *   --stats-json FILE    dump the full stat registry (incl. serve.*)
- *   --out FILE           write a relief-serve-v1 JSON document
- *
- * Telemetry (docs/serving.md "Request tracing"):
- *   --trace FILE         Perfetto trace: serve counter tracks + kept
- *                        request span trees (implies request tracing)
- *   --trace-json FILE    relief-trace-v1 document of kept traces
- *                        (implies request tracing)
- *   --sample-ok X        tail-sampling keep fraction for OK traces
- *                        (default 0; misses/shed/rejected always kept)
- *   --expo FILE          periodic Prometheus text exposition snapshots
- *   --expo-period-us N   exposition cadence (default 5000)
- *   --expo-series        also keep every snapshot as FILE.<n>
- *   --alerts             evaluate per-class SLO burn-rate alerts
- *   --slo-target X       alert SLO attainment target (default 0.9)
- *   --alert-fast-ms X    fast burn window (default 5)
- *   --alert-slow-ms X    slow burn window (default 25)
- *   --debug-flags LIST   debug categories, e.g. Serve,Sched
+ * `relief_serve --help` lists every flag; docs/serving.md explains the
+ * telemetry ones ("Request tracing").
  */
 
-#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -55,13 +26,15 @@
 #include "core/relief.hh"
 #include "serve/server.hh"
 #include "sim/build_info.hh"
-#include "sim/debug.hh"
 #include "stats/json.hh"
 
 using namespace relief;
 
+namespace
+{
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     ServeConfig config;
     std::string out_path;
@@ -70,179 +43,137 @@ main(int argc, char **argv)
     std::string trace_json_path;
     double horizon_ms = toMs(continuousWindow);
 
-    try {
-        for (int i = 1; i < argc; ++i) {
-            std::string arg = argv[i];
-            auto need_value = [&]() -> std::string {
-                if (i + 1 >= argc)
-                    fatal("flag ", arg, " needs a value");
-                return argv[++i];
-            };
-            if (arg == "--policy") {
-                config.soc.policy = policyFromName(need_value());
-            } else if (arg == "--rate") {
-                config.arrival.ratePerSec =
-                    std::atof(need_value().c_str());
-                if (config.arrival.ratePerSec <= 0.0)
-                    fatal("--rate needs a positive value");
-            } else if (arg == "--arrival") {
-                config.arrival.kind = arrivalFromName(need_value());
-            } else if (arg == "--trace-file") {
-                config.arrival.tracePath = need_value();
-            } else if (arg == "--burst-mult") {
-                config.arrival.burstRateMultiplier =
-                    std::atof(need_value().c_str());
-            } else if (arg == "--burst-frac") {
-                config.arrival.burstFraction =
-                    std::atof(need_value().c_str());
-            } else if (arg == "--admission") {
-                config.admission.kind = admissionFromName(need_value());
-            } else if (arg == "--queue-cap") {
-                config.admission.queueCap =
-                    std::atoi(need_value().c_str());
-            } else if (arg == "--horizon-ms") {
-                horizon_ms = std::atof(need_value().c_str());
-                if (horizon_ms <= 0.0)
-                    fatal("--horizon-ms needs a positive value");
-            } else if (arg == "--seed") {
-                config.seed =
-                    std::uint64_t(std::atoll(need_value().c_str()));
-            } else if (arg == "--stats-json") {
-                stats_json_path = need_value();
-            } else if (arg == "--out") {
-                out_path = need_value();
-            } else if (arg == "--trace") {
-                trace_path = need_value();
-                config.telemetry.perfetto = true;
-                config.telemetry.traceRequests = true;
-            } else if (arg == "--trace-json") {
-                trace_json_path = need_value();
-                config.telemetry.traceRequests = true;
-            } else if (arg == "--sample-ok") {
-                config.telemetry.okFraction =
-                    std::atof(need_value().c_str());
-                if (config.telemetry.okFraction < 0.0 ||
-                    config.telemetry.okFraction > 1.0) {
-                    fatal("--sample-ok needs a fraction in [0, 1]");
-                }
-            } else if (arg == "--expo") {
-                config.telemetry.exposition.path = need_value();
-            } else if (arg == "--expo-period-us") {
-                double us = std::atof(need_value().c_str());
-                if (us <= 0.0)
-                    fatal("--expo-period-us needs a positive value");
-                config.telemetry.exposition.period = fromUs(us);
-            } else if (arg == "--expo-series") {
-                config.telemetry.exposition.series = true;
-            } else if (arg == "--alerts") {
-                config.telemetry.alerts = true;
-            } else if (arg == "--slo-target") {
-                double target = std::atof(need_value().c_str());
-                if (target <= 0.0 || target >= 1.0)
-                    fatal("--slo-target needs a value in (0, 1)");
-                config.telemetry.burnRate.sloTarget = target;
-            } else if (arg == "--alert-fast-ms") {
-                double ms = std::atof(need_value().c_str());
-                if (ms <= 0.0)
-                    fatal("--alert-fast-ms needs a positive value");
-                config.telemetry.burnRate.fastWindow = fromMs(ms);
-            } else if (arg == "--alert-slow-ms") {
-                double ms = std::atof(need_value().c_str());
-                if (ms <= 0.0)
-                    fatal("--alert-slow-ms needs a positive value");
-                config.telemetry.burnRate.slowWindow = fromMs(ms);
-            } else if (arg == "--debug-flags") {
-                setDebugFlags(need_value());
-            } else if (arg == "--help" || arg == "-h") {
-                std::cout
-                    << "usage: relief_serve [--policy NAME] [--rate X] "
-                       "[--arrival poisson|bursty|trace] "
-                       "[--trace-file FILE] [--burst-mult X] "
-                       "[--burst-frac X] "
-                       "[--admission admit-all|queue-cap|laxity] "
-                       "[--queue-cap N] [--horizon-ms X] [--seed N] "
-                       "[--stats-json FILE] [--out FILE] "
-                       "[--trace FILE] [--trace-json FILE] "
-                       "[--sample-ok X] [--expo FILE] "
-                       "[--expo-period-us N] [--expo-series] "
-                       "[--alerts] [--slo-target X] "
-                       "[--alert-fast-ms X] [--alert-slow-ms X] "
-                       "[--debug-flags LIST]\n";
-                return 0;
-            } else {
-                fatal("unknown flag '", arg, "'");
-            }
-        }
-        config.horizon = fromMs(horizon_ms);
+    FlagTable flags("relief_serve");
+    ServeTelemetryConfig &tele = config.telemetry;
+    flags
+        .add("--policy", "NAME", "scheduling policy (default RELIEF)",
+             [&](FlagValues v) { config.soc.policy = policyFromName(v[0]); })
+        .number("--rate", "X", "mean offered rate, requests/s (default 200)",
+                config.arrival.ratePerSec, positive)
+        .add("--arrival", "KIND", "poisson | bursty | trace (default poisson)",
+             [&](FlagValues v) {
+                 config.arrival.kind = arrivalFromName(v[0]);
+             })
+        .text("--trace-file", "FILE", "arrival trace for --arrival trace",
+              config.arrival.tracePath)
+        .number("--burst-mult", "X",
+                "bursty: burst-state rate multiplier (default 4)",
+                config.arrival.burstRateMultiplier)
+        .number("--burst-frac", "X",
+                "bursty: fraction of time in burst (default 0.25)",
+                config.arrival.burstFraction)
+        .add("--admission", "KIND",
+             "admit-all | queue-cap | laxity (default admit-all)",
+             [&](FlagValues v) {
+                 config.admission.kind = admissionFromName(v[0]);
+             })
+        .number("--queue-cap", "N",
+                "queue-cap: in-system request cap (default 64)",
+                config.admission.queueCap)
+        .number("--horizon-ms", "X",
+                "measurement window (default 50, the paper's)", horizon_ms,
+                positive)
+        .number("--seed", "N", "arrival-stream seed (default 1)", config.seed)
+        .text("--stats-json", "FILE",
+              "dump the full stat registry (incl. serve.*)", stats_json_path)
+        .text("--out", "FILE", "write a relief-serve-v1 JSON document",
+              out_path)
+        .add("--trace", "FILE",
+             "Perfetto trace: serve counter tracks + kept request span "
+             "trees (implies request tracing)",
+             [&](FlagValues v) {
+                 trace_path = v[0];
+                 tele.perfetto = tele.traceRequests = true;
+             })
+        .add("--trace-json", "FILE",
+             "relief-trace-v1 document of kept traces (implies request "
+             "tracing)",
+             [&](FlagValues v) {
+                 trace_json_path = v[0];
+                 tele.traceRequests = true;
+             })
+        .number("--sample-ok", "X",
+                "tail-sampling keep fraction for OK traces (default 0; "
+                "misses/shed/rejected are always kept)",
+                tele.okFraction, Range{0.0, 1.0})
+        .text("--expo", "FILE", "periodic Prometheus text exposition "
+              "snapshots", tele.exposition.path)
+        .number("--expo-period-us", "N", "exposition cadence (default 5000)",
+                tele.exposition.period, positive, fromUs)
+        .toggle("--expo-series", "also keep every snapshot as FILE.<n>",
+                tele.exposition.series)
+        .toggle("--alerts", "evaluate per-class SLO burn-rate alerts",
+                tele.alerts)
+        .number("--slo-target", "X",
+                "alert SLO attainment target (default 0.9)",
+                tele.burnRate.sloTarget, Range{0.0, 1.0, true, true})
+        .number("--alert-fast-ms", "X", "fast burn window (default 5)",
+                tele.burnRate.fastWindow, positive, fromMs)
+        .number("--alert-slow-ms", "X", "slow burn window (default 25)",
+                tele.burnRate.slowWindow, positive, fromMs);
+    addDebugFlags(flags);
+    if (!flags.parse({argv + 1, argv + argc}))
+        return 0;
+    config.horizon = fromMs(horizon_ms);
 
-        ServeDriver driver(config);
-        ServeReport report = driver.run();
+    ServeDriver driver(config);
+    ServeReport report = driver.run();
 
-        std::cout << "serve: " << policyName(config.soc.policy) << " / "
-                  << admissionKindName(config.admission.kind) << " / "
-                  << arrivalKindName(config.arrival.kind) << " @ "
-                  << Table::num(config.arrival.ratePerSec, 1)
-                  << " rps for " << Table::num(horizon_ms, 1)
-                  << " ms (seed " << config.seed << ")\n\n";
-        printSloTable(std::cout, report, "Per-class SLO report");
+    std::cout << "serve: " << policyName(config.soc.policy) << " / "
+              << admissionKindName(config.admission.kind) << " / "
+              << arrivalKindName(config.arrival.kind) << " @ "
+              << Table::num(config.arrival.ratePerSec, 1) << " rps for "
+              << Table::num(horizon_ms, 1) << " ms (seed " << config.seed
+              << ")\n\n";
+    printSloTable(std::cout, report, "Per-class SLO report");
 
-        if (config.telemetry.traceRequests) {
-            const TailSampleSummary &s = driver.tailSampler()->summary();
-            std::cout << "\ntraces: kept " << s.kept() << " of "
-                      << s.offered << " requests (ok " << s.keptOk
-                      << ", miss/in-flight " << s.keptMiss << ", shed "
-                      << s.keptShed << ", rejected " << s.keptRejected
-                      << ", dropped " << s.dropped << ")\n";
-        }
+    if (tele.traceRequests) {
+        const TailSampleSummary &s = driver.tailSampler()->summary();
+        std::cout << "\ntraces: kept " << s.kept() << " of " << s.offered
+                  << " requests (ok " << s.keptOk << ", miss/in-flight "
+                  << s.keptMiss << ", shed " << s.keptShed << ", rejected "
+                  << s.keptRejected << ", dropped " << s.dropped << ")\n";
+    }
 
-        if (!stats_json_path.empty()) {
-            std::ofstream out(stats_json_path);
-            if (!out)
-                fatal("cannot write ", stats_json_path);
-            driver.soc().writeStatsJson(out);
-        }
-        if (!trace_path.empty()) {
-            std::ofstream out(trace_path);
-            if (!out)
-                fatal("cannot write ", trace_path);
-            driver.soc().trace()->writeChromeJson(out);
-            std::cout << "Perfetto trace written to " << trace_path
-                      << "\n";
-        }
-        if (!trace_json_path.empty()) {
-            std::ofstream out(trace_json_path);
-            if (!out)
-                fatal("cannot write ", trace_json_path);
-            writeTraceDocJson(out, driver.keptTraces(),
-                              driver.tailSampler()->summary(),
-                              config.telemetry.okFraction, config.seed,
-                              horizon_ms);
-            std::cout << "trace JSON written to " << trace_json_path
-                      << "\n";
-        }
-        if (!out_path.empty()) {
-            std::ofstream out(out_path);
-            if (!out)
-                fatal("cannot write ", out_path);
+    writeFile(stats_json_path, "", [&](std::ostream &out) {
+        driver.soc().writeStatsJson(out);
+    });
+    writeFile(trace_path, "Perfetto trace", [&](std::ostream &out) {
+        driver.soc().trace()->writeChromeJson(out);
+    });
+    writeFile(trace_json_path, "trace JSON", [&](std::ostream &out) {
+        writeTraceDocJson(out, driver.keptTraces(),
+                          driver.tailSampler()->summary(), tele.okFraction,
+                          config.seed, horizon_ms);
+    });
+    if (!out_path.empty()) {
+        std::cout << "\n";
+        writeFile(out_path, "serve JSON", [&](std::ostream &out) {
             out << "{\n  \"schema\": \"relief-serve-v1\",\n"
                 << "  \"build_info\": ";
             writeBuildInfoJson(out, 2);
-            out << ",\n"
-                << "  \"seed\": " << config.seed << ",\n"
+            out << ",\n  \"seed\": " << config.seed << ",\n"
                 << "  \"horizon_ms\": " << jsonNumber(horizon_ms)
-                << ",\n  \"smoke\": false,\n"
-                << "  \"capacity_rps\": null,\n"
+                << ",\n  \"smoke\": false,\n  \"capacity_rps\": null,\n"
                 << "  \"runs\": [\n    ";
-            writeServeRunJson(out, report,
-                              policyName(config.soc.policy),
+            writeServeRunJson(out, report, policyName(config.soc.policy),
                               admissionKindName(config.admission.kind),
-                              arrivalKindName(config.arrival.kind),
-                              0.0, config.arrival.ratePerSec, 4);
+                              arrivalKindName(config.arrival.kind), 0.0,
+                              config.arrival.ratePerSec, 4);
             out << "\n  ],\n  \"saturation\": []\n}\n";
-            std::cout << "\nserve JSON written to " << out_path << "\n";
-        }
+        });
+    }
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
     } catch (const FatalError &) {
         return 1; // fatal() already printed the message
     }
-    return 0;
 }
