@@ -26,7 +26,6 @@
  */
 
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +33,6 @@
 #include "core/relief.hh"
 #include "core/rng.hh"
 #include "serve/server.hh"
-#include "sim/build_info.hh"
-#include "stats/json.hh"
 
 using namespace relief;
 
@@ -167,42 +164,35 @@ run(int argc, char **argv)
                   << "%\n";
     }
 
+    // No --jobs or host timing in the document: the same seed must
+    // produce a bit-identical file for any worker count.
+    ServeDocument doc;
+    doc.seed = seed;
+    doc.horizonMs = horizon_ms;
+    doc.smoke = smoke;
+    doc.capacityRps = capacity_rps;
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        double load = loads[points[i].load];
+        doc.runs.push_back({&reports[i],
+                            policyName(policy_kinds[points[i].policy]),
+                            admissionKindName(admission.kind),
+                            arrivalKindName(arrival), load,
+                            load * capacity_rps});
+    }
     // Saturation knee per policy: the lowest swept load whose miss +
     // shed rate crosses the threshold.
-    std::vector<std::optional<double>> knees(policy_kinds.size());
-    for (std::size_t p = 0; p < policy_kinds.size(); ++p)
-        for (std::size_t l = 0; l < loads.size() && !knees[p]; ++l) {
+    for (std::size_t p = 0; p < policy_kinds.size(); ++p) {
+        ServeDocument::Knee knee{policyName(policy_kinds[p]), {}};
+        for (std::size_t l = 0; l < loads.size() && !knee.load; ++l) {
             const ServeReport &report = reports[l * policy_kinds.size() + p];
             if (report.total.missRate() + report.total.shedRate() >
                 kneeThreshold)
-                knees[p] = loads[l];
+                knee.load = loads[l];
         }
-
+        doc.saturation.push_back(knee);
+    }
     writeFile(out_path, "serve JSON", [&](std::ostream &out) {
-        // No --jobs or host timing in the document: the same seed must
-        // produce a bit-identical file for any worker count.
-        out << "{\n  \"schema\": \"relief-serve-v1\",\n  \"build_info\": ";
-        writeBuildInfoJson(out, 2);
-        out << ",\n  \"seed\": " << seed << ",\n"
-            << "  \"horizon_ms\": " << jsonNumber(horizon_ms) << ",\n"
-            << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-            << "  \"capacity_rps\": " << jsonNumber(capacity_rps)
-            << ",\n  \"runs\": [";
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            out << (i ? ",\n    " : "\n    ");
-            writeServeRunJson(out, reports[i],
-                              policyName(policy_kinds[points[i].policy]),
-                              admissionKindName(admission.kind),
-                              arrivalKindName(arrival), loads[points[i].load],
-                              loads[points[i].load] * capacity_rps, 4);
-        }
-        out << "\n  ],\n  \"saturation\": [";
-        for (std::size_t p = 0; p < policy_kinds.size(); ++p)
-            out << (p ? ",\n    " : "\n    ") << "{\"policy\": \""
-                << jsonEscape(policyName(policy_kinds[p]))
-                << "\", \"knee_load\": "
-                << (knees[p] ? jsonNumber(*knees[p]) : "null") << "}";
-        out << "\n  ]\n}\n";
+        writeServeDocument(out, doc);
     });
     return 0;
 }

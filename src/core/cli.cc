@@ -249,7 +249,7 @@ accTypeFromSymbol(const std::string &symbol)
 
 void
 addExperimentFlags(FlagTable &flags, ExperimentConfig &config,
-                   std::string &workload_path)
+                   std::string &workload_path, bool with_policy)
 {
     SocConfig &soc = config.soc;
     flags
@@ -260,11 +260,13 @@ addExperimentFlags(FlagTable &flags, ExperimentConfig &config,
              })
         .text("--workload", "FILE",
               "run the DAGs of a workload file instead of the mix",
-              workload_path)
-        .add("--policy", "NAME",
-             "FCFS | GEDF-D | GEDF-N | LL | LAX | HetSched | RELIEF-LAX | "
-             "RELIEF | RELIEF-HS (default RELIEF)",
-             [&soc](FlagValues v) { soc.policy = policyFromName(v[0]); })
+              workload_path);
+    if (with_policy)
+        flags.add("--policy", "NAME",
+                  "FCFS | GEDF-D | GEDF-N | LL | LAX | HetSched | "
+                  "RELIEF-LAX | RELIEF | RELIEF-HS (default RELIEF)",
+                  [&soc](FlagValues v) { soc.policy = policyFromName(v[0]); });
+    flags
         .toggle("--continuous", "loop applications until the time limit",
                 config.continuous)
         .number("--limit-ms", "X", "simulation cap in ms (default 50)",

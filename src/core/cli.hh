@@ -135,10 +135,11 @@ class FlagTable
 };
 
 /** The rows relief_sim and relief_compare share: the workload (--mix,
- *  or --workload into @p workload_path), the Table VI platform knobs,
- *  the seed, --config and --debug-flags. */
+ *  or --workload into @p workload_path), --policy unless
+ *  @p with_policy is false (relief_compare runs every policy), the
+ *  Table VI platform knobs, the seed, --config and --debug-flags. */
 void addExperimentFlags(FlagTable &flags, ExperimentConfig &config,
-                        std::string &workload_path);
+                        std::string &workload_path, bool with_policy = true);
 
 /** --debug-flags LIST, which enables the categories as it parses. */
 void addDebugFlags(FlagTable &flags);

@@ -29,6 +29,12 @@ resetNodeIds(NodeId base)
 }
 
 void
+skipNodeIds(int count)
+{
+    nextNodeId += NodeId(count);
+}
+
+void
 Node::resetRuntimeState()
 {
     status = NodeStatus::Waiting;
@@ -78,6 +84,13 @@ Dag::addNode(const TaskParams &params, std::string label)
     node->params = params;
     nodes_.push_back(std::move(node));
     return nodes_.back().get();
+}
+
+void
+Dag::restampIds()
+{
+    for (auto &node : nodes_)
+        node->id = nextNodeId++;
 }
 
 void

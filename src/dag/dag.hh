@@ -50,8 +50,17 @@ Tick nominalNodeRuntime(const Node &node, double dram_peak_gbs = 12.8);
  * its results — independent of what ran earlier on the thread. Never
  * call mid-simulation: DAGs whose ids would collide must not meet in
  * one HardwareManager.
+ *
+ * Three calls advance the allocator: Dag::addNode takes one id per
+ * node built, Dag::restampIds gives a reused DAG a fresh run of ids,
+ * and skipNodeIds consumes ids no DAG carries. The serving layer uses
+ * the last two so every arrival takes the ids a fresh build would
+ * have, whether it reuses a pooled DAG or is refused.
  */
 void resetNodeIds(NodeId base = 1);
+
+/** Consume @p count ids without assigning them. */
+void skipNodeIds(int count);
 
 class Dag
 {
@@ -67,6 +76,14 @@ class Dag
 
     /** Append a node; the DAG owns it. */
     Node *addNode(const TaskParams &params, std::string label);
+
+    /**
+     * Give every node a fresh id from the allocator, in insertion
+     * order, as a new build would. For reusing a finished DAG: its old
+     * ids may still name scratchpad residue, which the new ids must
+     * not match.
+     */
+    void restampIds();
 
     /** Declare @p parent -> @p child (parent order defines operand
      *  order for functional payloads). */

@@ -61,7 +61,7 @@ segment(const Node &node, const char *what, Tick from, Tick to)
 } // namespace
 
 DagLatencyRecord
-CriticalPath::analyze(const Dag &dag)
+CriticalPath::analyze(const Dag &dag, std::vector<const Node *> &path)
 {
     RELIEF_ASSERT(dag.complete(), dag.name(),
                   ": critical-path analysis before completion");
@@ -69,6 +69,7 @@ CriticalPath::analyze(const Dag &dag)
     record.dag = dag.name();
     record.arrival = dag.arrivalTick();
     record.finish = dag.finishTick();
+    path.clear();
 
     // The walk starts at the node that finished last and ends at a
     // root: each step covers [depsReady, computeEnd] of the current
@@ -96,7 +97,7 @@ CriticalPath::analyze(const Dag &dag)
             segment(*cur, "queue-wait", lc.queued, lc.dispatched);
         b.managerOverhead +=
             segment(*cur, "manager", lc.depsReady, lc.queued);
-        record.path.push_back(cur);
+        path.push_back(cur);
 
         if (cur->parents.empty()) {
             // Roots become dependency-ready the instant the submission
@@ -126,7 +127,7 @@ CriticalPath::analyze(const Dag &dag)
         b.depStall += segment(*cur, "dep-wait", handoff, lc.depsReady);
         cur = gate;
     }
-    record.pathLength = int(record.path.size());
+    record.pathLength = int(path.size());
     return record;
 }
 

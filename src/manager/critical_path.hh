@@ -74,7 +74,6 @@ struct DagLatencyRecord
     Tick arrival = 0;     ///< Submission processed (manager clock).
     Tick finish = 0;      ///< Last node finished.
     int pathLength = 0;   ///< Nodes on the walked critical path.
-    std::vector<const Node *> path; ///< Sink-first critical path.
     LatencyBreakdown buckets;
 
     Tick latency() const { return finish - arrival; }
@@ -86,9 +85,12 @@ class CriticalPath
     /**
      * Attribute @p dag's just-finished execution. Requires the DAG to
      * be complete with lifecycle stamps populated by the manager
-     * (finish tick == last node's computeEnd).
+     * (finish tick == last node's computeEnd). @p path is overwritten
+     * with the walked critical path, sink first; the caller owns it,
+     * so one buffer serves every DAG without allocating.
      */
-    static DagLatencyRecord analyze(const Dag &dag);
+    static DagLatencyRecord analyze(const Dag &dag,
+                                    std::vector<const Node *> &path);
 };
 
 } // namespace relief

@@ -565,14 +565,16 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
 
     Dag *dag = node->dag;
     dag->noteNodeFinished();
-    if (dag->complete()) {
+    const bool retires = dag->complete();
+    if (retires) {
         dag->setFinishTick(now());
         ++metrics_.dagsFinished;
         if (now() <= dag->absoluteDeadline())
             ++metrics_.dagDeadlinesMet;
         // Attribute the finished execution before the completion
         // handler can resubmit the DAG (which resets the lifecycles).
-        DagLatencyRecord attributed = CriticalPath::analyze(*dag);
+        DagLatencyRecord attributed =
+            CriticalPath::analyze(*dag, criticalPath_);
         metrics_.sampleCriticalPath(attributed.buckets);
         DPRINTF(Sched, "dag ", dag->name(), " complete: latency ",
                 attributed.latency(), " = queue ",
@@ -582,13 +584,10 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                 attributed.buckets.compute, " + dma-out ",
                 attributed.buckets.dmaOut, " + stall ",
                 attributed.buckets.depStall);
-        // Span-tree assembly (serving layer) must see the record while
-        // its node pointers and the lifecycle stamps are still live.
+        // Span-tree assembly (serving layer) must see the path while
+        // the lifecycle stamps are still live.
         if (onDagAttributed_)
-            onDagAttributed_(dag, attributed);
-        // The resubmission path reuses the same Node objects, so keep
-        // only labels/ticks alive past this point, not node pointers.
-        attributed.path.clear();
+            onDagAttributed_(dag, attributed, criticalPath_);
         latencyRecords_.push_back(std::move(attributed));
         if (onDagComplete_)
             onDagComplete_(dag);
@@ -615,7 +614,7 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
     Tick done = occupyManager(readyBatchCost(*ready, node));
     AccState *state_ptr = &state;
     sim().at(done, HostCat::Sched,
-             [this, state_ptr, node, partition, ready, base]() {
+             [this, state_ptr, node, partition, retires, ready, base]() {
                  enqueueReady(ready);
                  handleWriteBack(*state_ptr, node, partition);
 
@@ -631,6 +630,9 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                                                      node->actualMemTime);
                  }
                  tryLaunchAll();
+                 // The completed DAG's last event: hand it back.
+                 if (retires && onDagRetired_)
+                     onDagRetired_(node->dag);
              },
              [this] { return name() + ".isr"; });
 }

@@ -96,17 +96,30 @@ class HardwareManager : public SimObject
 
     /**
      * Register a callback fired when a DAG's execution has just been
-     * attributed by the critical-path analyzer, before the record's
-     * node pointers are dropped. The serving layer assembles request
-     * span trees here (trace/span.hh) — the record's `path` is still
-     * populated and the DAG's lifecycle stamps are intact. Fired
-     * before the completion handler.
+     * attributed by the critical-path analyzer. It gets the record and
+     * the walked path (sink first), which the manager reuses for the
+     * next DAG. The serving layer assembles request span trees here
+     * (trace/span.hh) while the DAG's lifecycle stamps are intact.
+     * Fired before the completion handler.
      */
     using DagAttributionHandler =
-        std::function<void(Dag *, const DagLatencyRecord &)>;
+        std::function<void(Dag *, const DagLatencyRecord &,
+                           const std::vector<const Node *> &path)>;
     void setDagAttributionHandler(DagAttributionHandler handler)
     {
         onDagAttributed_ = std::move(handler);
+    }
+
+    /**
+     * Register a callback fired at the end of the ISR of the node that
+     * completed a DAG: the DAG's last event, after the completion
+     * handler and after that node's write-back decision. No pending
+     * event refers to the DAG after this, so its owner may restamp or
+     * resubmit it.
+     */
+    void setDagRetireHandler(std::function<void(Dag *)> handler)
+    {
+        onDagRetired_ = std::move(handler);
     }
 
     Policy &policy() { return *policy_; }
@@ -239,11 +252,14 @@ class HardwareManager : public SimObject
     ReadyQueues queues_;
     RunMetrics metrics_;
     std::vector<DagLatencyRecord> latencyRecords_;
+    /** The critical-path analyzer's output, reused for every DAG. */
+    std::vector<const Node *> criticalPath_;
     std::vector<std::unique_ptr<std::vector<Node *>>> readyPool_;
     std::vector<std::vector<Node *> *> readyFree_;
     Tick managerFreeAt_ = 0;
     std::function<void(Dag *)> onDagComplete_;
     DagAttributionHandler onDagAttributed_;
+    std::function<void(Dag *)> onDagRetired_;
     TraceRecorder *trace_ = nullptr;
     NodeInputs payloadInputs_; ///< Reused operand list of a payload.
 };

@@ -6,8 +6,8 @@
  * (Table V) arriving at a stochastic time. Requests belong to a QoS
  * class that fixes their relative deadline (a multiple of the app's
  * Table V deadline) and their priority for reporting and admission.
- * The serving driver turns each admitted request into a fresh DAG and
- * submits it to the hardware manager at its arrival tick.
+ * The serving driver runs each admitted request on a pooled DAG
+ * instance, submitted to the hardware manager at its arrival tick.
  */
 
 #ifndef RELIEF_SERVE_REQUEST_HH
@@ -62,6 +62,11 @@ struct ServeRequest
     AdmissionVerdict verdict = AdmissionVerdict::Admitted;
     bool finished = false;
     Tick finish = 0;        ///< Completion tick (when finished).
+    /** Id of the first node of the DAG that ran the request (0 when
+     *  refused). Arrivals take consecutive id ranges in arrival order,
+     *  refused ones included, so an id in a spill transfer or a debug
+     *  line maps back to its request. */
+    NodeId firstNode = 0;
 
     Tick absoluteDeadline() const { return arrival + relDeadline; }
 };

@@ -7,6 +7,7 @@
 #include "core/rng.hh"
 #include "dag/apps/apps.hh"
 #include "kernels/scratch.hh"
+#include "sim/build_info.hh"
 #include "sim/logging.hh"
 #include "stats/json.hh"
 #include "stats/table.hh"
@@ -36,7 +37,9 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
                                  config_.horizon,
                                  deriveSeed(config_.seed, 0));
     requests_.resize(schedule_.size());
-    dags_.resize(schedule_.size());
+    // Pools fill on first use: building here would move DAG builds
+    // into set-up, and into runs that never see the app.
+    pools_.resize(config_.classes.size() * allApps.size());
 
     parallelism_ = 0;
     for (int n : config_.soc.instances)
@@ -53,6 +56,8 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
 
     soc_->manager().setDagCompletionHandler(
         [this](Dag *dag) { onComplete(dag); });
+    soc_->manager().setDagRetireHandler(
+        [this](Dag *dag) { onRetired(dag); });
 
     // Telemetry services re-arm only while real serving work remains
     // (arrivals still scheduled or requests in flight). The default
@@ -88,8 +93,9 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
         sc.seed = deriveSeed(config_.seed, 1);
         sampler_ = std::make_unique<TailSampler>(sc);
         soc_->manager().setDagAttributionHandler(
-            [this](Dag *dag, const DagLatencyRecord &record) {
-                onAttributed(dag, record);
+            [this](Dag *dag, const DagLatencyRecord &record,
+                   const std::vector<const Node *> &path) {
+                onAttributed(dag, record, path);
             });
     }
     if (!telemetry.exposition.path.empty()) {
@@ -154,6 +160,14 @@ ServeDriver::registerStats()
     add_class("serve", total_);
     for (std::size_t i = 0; i < slo_.size(); ++i)
         add_class("serve." + slo_[i].name, slo_[i]);
+    stats.addCounter("serve.dag_builds",
+                     "request DAG instances built (the rest are reused)",
+                     [this] {
+                         double builds = 0.0;
+                         for (const DagPool &pool : pools_)
+                             builds += double(pool.instances.size());
+                         return builds;
+                     });
 
     if (sampler_) {
         const TailSampleSummary &s = sampler_->summary();
@@ -202,13 +216,40 @@ ServeDriver::registerStats()
     }
 }
 
+ServeDriver::DagPool &
+ServeDriver::poolFor(AppId app, int qos_class)
+{
+    auto app_index = std::size_t(
+        std::find(allApps.begin(), allApps.end(), app) - allApps.begin());
+    return pools_[std::size_t(qos_class) * allApps.size() + app_index];
+}
+
+Dag *
+ServeDriver::buildInstance(DagPool &pool, const ArrivalEvent &event)
+{
+    const QosClassConfig &cls =
+        config_.classes[std::size_t(event.qosClass)];
+    pool.instances.push_back(
+        buildApp(event.app, config_.app, cls.deadlineScale));
+    return pool.instances.back().get();
+}
+
+ServeRequest &
+ServeDriver::requestOf(const Dag &dag)
+{
+    // Span-context id 0 means "untraced"; request ids start at 0, so
+    // the context is the id shifted up by one.
+    std::uint64_t context = dag.spanContext();
+    RELIEF_ASSERT(context != 0 && context <= requests_.size(),
+                  "no request owns DAG ", dag.name());
+    return requests_[std::size_t(context - 1)];
+}
+
 void
 ServeDriver::onArrival(std::size_t index)
 {
     ++arrivalsSeen_;
     const ArrivalEvent &event = schedule_[index];
-    const QosClassConfig &cls =
-        config_.classes[std::size_t(event.qosClass)];
 
     ServeRequest &request = requests_[index];
     request.id = index;
@@ -216,25 +257,34 @@ ServeDriver::onArrival(std::size_t index)
     request.app = event.app;
     request.arrival = event.time;
 
-    DagPtr dag = buildApp(event.app, config_.app, cls.deadlineScale);
-    request.relDeadline = dag->relativeDeadline();
+    // Every arrival consumes the node ids a fresh build would, as ids
+    // seed DRAM stream hints: a new instance takes them in addNode, a
+    // reused one restamps, a refused request skips them.
+    DagPool &pool = poolFor(event.app, event.qosClass);
+    const bool built = pool.instances.empty();
+    if (built)
+        pool.free.push_back(buildInstance(pool, event));
+    const Dag &model = *pool.instances.front();
+    request.relDeadline = model.relativeDeadline();
 
     AdmissionContext ctx;
     ctx.now = soc_->sim().now();
     ctx.inSystem = inSystem_;
     ctx.backlog = backlog_;
     ctx.parallelism = parallelism_;
-    request.verdict = admission_->decide(request, *dag, ctx);
+    request.verdict = admission_->decide(request, model, ctx);
 
     ClassSlo &slo = slo_[std::size_t(event.qosClass)];
     slo.offered += 1;
     total_.offered += 1;
+    if (request.verdict != AdmissionVerdict::Admitted && !built)
+        skipNodeIds(model.numNodes());
     switch (request.verdict) {
       case AdmissionVerdict::Shed:
         slo.shed += 1;
         total_.shed += 1;
         recordDropTrace(request, RequestOutcome::Shed);
-        return; // DAG is discarded
+        return; // takes no instance
       case AdmissionVerdict::Rejected:
         slo.rejected += 1;
         total_.rejected += 1;
@@ -244,19 +294,27 @@ ServeDriver::onArrival(std::size_t index)
         break;
     }
 
+    Dag *dag = nullptr;
+    if (pool.free.empty()) {
+        dag = buildInstance(pool, event);
+    } else {
+        dag = pool.free.back();
+        pool.free.pop_back();
+        if (!built)
+            dag->restampIds();
+    }
+    request.firstNode = dag->node(0)->id;
+
     slo.admitted += 1;
     total_.admitted += 1;
     inSystem_ += 1;
     perClassInSystem_[std::size_t(event.qosClass)] += 1;
     backlog_ += dag->criticalPathRuntime();
-    // Span-context id 0 means "untraced"; request ids start at 0, so
-    // the context is the id shifted up by one. The ledger QoS id is
-    // likewise the class index shifted past the implicit "default".
+    // The ledger QoS id is the class index shifted past the implicit
+    // "default"; the span context is the request id plus one.
     dag->setSpanContext(std::uint64_t(index) + 1);
     dag->setQosClass(int(event.qosClass) + 1);
-    dags_[index] = dag;
-    byDag_[dag.get()] = index;
-    soc_->manager().submitDag(dag.get(), soc_->sim().now());
+    soc_->manager().submitDag(dag, soc_->sim().now());
 }
 
 /** Shed / rejected requests never execute: keep a root-only trace
@@ -283,12 +341,10 @@ ServeDriver::recordDropTrace(const ServeRequest &request,
  * handler.
  */
 void
-ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record)
+ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record,
+                          const std::vector<const Node *> &path)
 {
-    auto found = byDag_.find(dag);
-    RELIEF_ASSERT(found != byDag_.end(),
-                  "attribution for unknown request DAG ", dag->name());
-    const ServeRequest &request = requests_[found->second];
+    const ServeRequest &request = requestOf(*dag);
     RequestOutcome outcome =
         record.finish > request.absoluteDeadline() ? RequestOutcome::Miss
                                                    : RequestOutcome::Ok;
@@ -308,21 +364,18 @@ ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record)
     trace.buckets.depStall = record.buckets.depStall;
 
     // The analyzer's path is sink-first; span sources are root-first.
-    std::vector<SpanSource> path;
-    path.reserve(record.path.size());
-    for (auto it = record.path.rbegin(); it != record.path.rend(); ++it)
-        path.push_back({(*it)->label, (*it)->lifecycle});
-    addCriticalPathSpans(trace, path);
+    std::vector<SpanSource> sources;
+    sources.reserve(path.size());
+    for (auto it = path.rbegin(); it != path.rend(); ++it)
+        sources.push_back({(*it)->label, (*it)->lifecycle});
+    addCriticalPathSpans(trace, sources);
     kept_.push_back(std::move(trace));
 }
 
 void
 ServeDriver::onComplete(Dag *dag)
 {
-    auto found = byDag_.find(dag);
-    RELIEF_ASSERT(found != byDag_.end(),
-                  "completion for unknown request DAG ", dag->name());
-    ServeRequest &request = requests_[found->second];
+    ServeRequest &request = requestOf(*dag);
     RELIEF_ASSERT(!request.finished, "request ", request.id,
                   " completed twice");
     request.finished = true;
@@ -341,6 +394,14 @@ ServeDriver::onComplete(Dag *dag)
         s->latencyMs.sample(latency_ms);
         s->timeInSystemMs.sample(latency_ms);
     }
+}
+
+/** The manager is done with @p dag: back to its pool for reuse. */
+void
+ServeDriver::onRetired(Dag *dag)
+{
+    const ServeRequest &request = requestOf(*dag);
+    poolFor(request.app, request.qosClass).free.push_back(dag);
 }
 
 ServeReport
@@ -493,6 +554,33 @@ writeServeRunJson(std::ostream &os, const ServeReport &report,
     os << "\n" << pad << "  ],\n" << pad << "  \"alerts\": ";
     writeAlertsJson(os, report.alerts, report.alertEvents, indent + 2);
     os << "\n" << pad << "}";
+}
+
+void
+writeServeDocument(std::ostream &os, const ServeDocument &doc)
+{
+    os << "{\n  \"schema\": \"relief-serve-v1\",\n  \"build_info\": ";
+    writeBuildInfoJson(os, 2);
+    os << ",\n  \"seed\": " << doc.seed << ",\n"
+       << "  \"horizon_ms\": " << jsonNumber(doc.horizonMs) << ",\n"
+       << "  \"smoke\": " << (doc.smoke ? "true" : "false") << ",\n"
+       << "  \"capacity_rps\": "
+       << (doc.capacityRps ? jsonNumber(*doc.capacityRps) : "null")
+       << ",\n  \"runs\": [";
+    for (std::size_t i = 0; i < doc.runs.size(); ++i) {
+        const ServeDocument::Run &run = doc.runs[i];
+        os << (i ? ",\n    " : "\n    ");
+        writeServeRunJson(os, *run.report, run.policy, run.admission,
+                          run.arrival, run.offeredLoad, run.rateRps, 4);
+    }
+    os << "\n  ],\n  \"saturation\": [";
+    for (std::size_t i = 0; i < doc.saturation.size(); ++i) {
+        const ServeDocument::Knee &knee = doc.saturation[i];
+        os << (i ? ",\n    " : "\n    ") << "{\"policy\": \""
+           << jsonEscape(knee.policy) << "\", \"knee_load\": "
+           << (knee.load ? jsonNumber(*knee.load) : "null") << "}";
+    }
+    os << (doc.saturation.empty() ? "]\n}\n" : "\n  ]\n}\n");
 }
 
 double

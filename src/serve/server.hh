@@ -3,13 +3,14 @@
  * The online serving driver: drives a Soc like an inference server
  * under open-loop load.
  *
- * ServeDriver generates a seeded arrival schedule (serve/arrival.hh),
- * and at each arrival tick builds a fresh DAG for the request's
- * application, consults the admission policy (serve/admission.hh),
- * and submits admitted requests through the hardware manager's timed
- * host interface. Completions are intercepted to maintain per-class
- * SLO accounting (serve/slo.hh), which is also registered in the
- * Soc's StatRegistry under "serve.*" names.
+ * ServeDriver generates a seeded arrival schedule (serve/arrival.hh).
+ * At each arrival tick it consults the admission policy
+ * (serve/admission.hh) with the request's (app, QoS class) DAG pool,
+ * and submits an admitted request as a pooled DAG instance through
+ * the hardware manager's timed host interface. Completions are
+ * intercepted to maintain per-class SLO accounting (serve/slo.hh),
+ * which is also registered in the Soc's StatRegistry under "serve.*"
+ * names. docs/serving.md describes the request lifecycle.
  *
  * Determinism contract: a ServeReport is a pure function of
  * (ServeConfig, seed). The driver resets the thread-local node-id
@@ -33,9 +34,9 @@
 #define RELIEF_SERVE_SERVER_HH
 
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/soc.hh"
@@ -144,10 +145,30 @@ class ServeDriver
     BurnRateAlerts *alerts() { return alerts_.get(); }
 
   private:
+    /**
+     * The request DAGs of one (app, QoS class). The first instance
+     * built is the template admission reads; an admitted request takes
+     * a free instance, or builds one when none is free, and the
+     * instance returns to the free list once the manager retires it.
+     */
+    struct DagPool
+    {
+        std::vector<DagPtr> instances; ///< Every instance; [0] first.
+        std::vector<Dag *> free;       ///< Retired, ready for reuse.
+    };
+
+    DagPool &poolFor(AppId app, int qos_class);
+    /** Build a new instance into @p pool; consumes its node ids. */
+    Dag *buildInstance(DagPool &pool, const ArrivalEvent &event);
+    /** The request a submitted DAG executes (its span context). */
+    ServeRequest &requestOf(const Dag &dag);
+
     void registerStats();
     void onArrival(std::size_t index);
     void onComplete(Dag *dag);
-    void onAttributed(Dag *dag, const DagLatencyRecord &record);
+    void onAttributed(Dag *dag, const DagLatencyRecord &record,
+                      const std::vector<const Node *> &path);
+    void onRetired(Dag *dag);
     void recordDropTrace(const ServeRequest &request,
                          RequestOutcome outcome);
 
@@ -156,8 +177,7 @@ class ServeDriver
     std::unique_ptr<AdmissionPolicy> admission_;
     std::vector<ArrivalEvent> schedule_;
     std::vector<ServeRequest> requests_;
-    std::vector<DagPtr> dags_; ///< Keeps admitted DAGs alive.
-    std::unordered_map<const Dag *, std::size_t> byDag_;
+    std::vector<DagPool> pools_; ///< Indexed by poolFor().
     std::vector<ClassSlo> slo_;
     ClassSlo total_;
     std::unique_ptr<TailSampler> sampler_;
@@ -188,6 +208,41 @@ void writeServeRunJson(std::ostream &os, const ServeReport &report,
                        const std::string &admission,
                        const std::string &arrival, double offered_load,
                        double rate_rps, int indent = 4);
+
+/** A whole relief-serve-v1 document: its envelope, runs and knees. */
+struct ServeDocument
+{
+    std::uint64_t seed = 1;
+    double horizonMs = 0.0;
+    bool smoke = false;
+    /** Measured capacity; null when the runs used absolute rates. */
+    std::optional<double> capacityRps;
+
+    /** One run, written by writeServeRunJson(). */
+    struct Run
+    {
+        const ServeReport *report = nullptr;
+        std::string policy;
+        std::string admission;
+        std::string arrival;
+        double offeredLoad = 0.0;
+        double rateRps = 0.0;
+    };
+    std::vector<Run> runs;
+
+    /** A policy's saturation knee: the lowest swept load past the
+     *  threshold, or null when no load crossed it. */
+    struct Knee
+    {
+        std::string policy;
+        std::optional<double> load;
+    };
+    std::vector<Knee> saturation;
+};
+
+/** Write @p doc with its build_info stamp: the one writer of the
+ *  relief-serve-v1 envelope. */
+void writeServeDocument(std::ostream &os, const ServeDocument &doc);
 
 /**
  * Measured serving capacity of @p soc in requests per second: a

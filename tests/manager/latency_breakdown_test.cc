@@ -76,7 +76,8 @@ TEST(LatencyBreakdownTest, DiamondBucketsSumToLatency)
     soc.run(fromMs(50.0));
     ASSERT_TRUE(dag->complete());
 
-    DagLatencyRecord rec = CriticalPath::analyze(*dag);
+    std::vector<const Node *> path;
+    DagLatencyRecord rec = CriticalPath::analyze(*dag, path);
     EXPECT_EQ(rec.dag, "diamond");
     EXPECT_EQ(rec.arrival, dag->arrivalTick());
     EXPECT_EQ(rec.finish, dag->finishTick());
@@ -86,10 +87,10 @@ TEST(LatencyBreakdownTest, DiamondBucketsSumToLatency)
 
     // The walked path is sink -> gating middle node -> root.
     ASSERT_EQ(rec.pathLength, 3);
-    ASSERT_EQ(rec.path.size(), 3u);
-    EXPECT_EQ(rec.path.front()->label, "diamond.d");
-    EXPECT_TRUE(rec.path.back()->parents.empty());
-    EXPECT_EQ(rec.path.back()->label, "diamond.a");
+    ASSERT_EQ(path.size(), 3u);
+    EXPECT_EQ(path.front()->label, "diamond.d");
+    EXPECT_TRUE(path.back()->parents.empty());
+    EXPECT_EQ(path.back()->label, "diamond.a");
 
     // Three fixed-runtime nodes on the path, no jitter: the compute
     // bucket is exactly 300 us.
@@ -113,9 +114,6 @@ TEST(LatencyBreakdownTest, ManagerStoresOneRecordPerFinishedDag)
     EXPECT_EQ(rec.dag, "diamond");
     EXPECT_LE(absDiff(rec.buckets.total(), rec.latency()), 1u);
     EXPECT_EQ(rec.pathLength, 3);
-    // Stored records drop node pointers (continuous resubmission
-    // recycles Node objects); only the attribution is kept.
-    EXPECT_TRUE(rec.path.empty());
 
     // The attribution also lands in the RunMetrics histograms.
     const RunMetrics &m = soc.manager().metrics();
@@ -156,8 +154,10 @@ TEST(LatencyBreakdownTest, SingleNodeDagAttribution)
     soc.run(fromMs(50.0));
     ASSERT_TRUE(dag->complete());
 
-    DagLatencyRecord rec = CriticalPath::analyze(*dag);
+    std::vector<const Node *> path;
+    DagLatencyRecord rec = CriticalPath::analyze(*dag, path);
     EXPECT_EQ(rec.pathLength, 1);
+    EXPECT_EQ(path.size(), 1u);
     EXPECT_EQ(rec.buckets.compute, kFixed);
     EXPECT_LE(absDiff(rec.buckets.total(), rec.latency()), 1u);
 }

@@ -11,11 +11,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "core/parallel.hh"
+#include "dag/apps/apps.hh"
 #include "serve/server.hh"
 #include "sim/logging.hh"
 #include "trace/sampler.hh"
@@ -211,6 +213,148 @@ TEST(ServeDriverTest, RunIsSingleShot)
     ServeDriver driver(smallConfig());
     driver.run();
     EXPECT_THROW(driver.run(), PanicError);
+}
+
+/** Overload under laxity admission: many rejections between
+ *  admissions, so pooled instances are refused, reused and built. */
+ServeConfig
+laxityOverloadConfig()
+{
+    ServeConfig config = smallConfig();
+    config.arrival.ratePerSec = 800.0;
+    config.admission.kind = AdmissionKind::Laxity;
+    config.horizon = fromMs(200.0);
+    return config;
+}
+
+TEST(ServeDriverTest, InstanceIdsFollowArrivalOrder)
+{
+    std::map<AppId, NodeId> nodes_of;
+    for (AppId app : allApps)
+        nodes_of[app] = NodeId(buildApp(app)->numNodes());
+
+    ServeDriver driver(laxityOverloadConfig());
+    ServeReport report = driver.run();
+    ASSERT_GT(report.total.rejected, 0u);
+    ASSERT_GT(report.total.admitted, 0u);
+    ASSERT_LT(driver.soc().stats().value("serve.dag_builds"),
+              double(report.total.admitted));
+
+    // Every arrival consumes its app's node count of ids, whatever its
+    // verdict, so request i's DAG starts where a fresh build would.
+    NodeId next = 1;
+    for (const ServeRequest &request : driver.requests()) {
+        if (request.verdict == AdmissionVerdict::Admitted)
+            EXPECT_EQ(request.firstNode, next) << "request " << request.id;
+        else
+            EXPECT_EQ(request.firstNode, 0u) << "request " << request.id;
+        next += nodes_of[request.app];
+    }
+}
+
+TEST(ServeDriverTest, RefusedRequestsTakeNoInstance)
+{
+    ServeConfig config = laxityOverloadConfig();
+    ServeDriver driver(config);
+    ServeReport report = driver.run();
+    ASSERT_GT(report.total.rejected, 0u);
+
+    // An instance is held from admission until its DAG retires, just
+    // after it finishes. Pools share no instances, so a pool never
+    // builds more than its peak of requests in flight, plus one first
+    // instance that a refused request may have built.
+    std::map<std::pair<AppId, int>, std::vector<std::pair<Tick, int>>>
+        edges; // per pool: (tick, +1 admit / -1 finish)
+    for (const ServeRequest &request : driver.requests()) {
+        auto &pool = edges[{request.app, request.qosClass}];
+        if (request.verdict != AdmissionVerdict::Admitted)
+            continue;
+        pool.push_back({request.arrival, +1});
+        if (request.finished)
+            pool.push_back({request.finish, -1});
+    }
+    double bound = 0.0;
+    for (auto &[key, pool] : edges) {
+        // At equal ticks the admission counts first: the finishing
+        // instance has not retired yet.
+        std::sort(pool.begin(), pool.end(), [](auto a, auto b) {
+            return a.first != b.first ? a.first < b.first
+                                      : a.second > b.second;
+        });
+        int in_flight = 0, peak = 0;
+        for (const auto &[tick, step] : pool)
+            peak = std::max(peak, in_flight += step);
+        bound += double(peak + 1);
+    }
+    double builds = driver.soc().stats().value("serve.dag_builds");
+    EXPECT_GE(builds, double(edges.size()));
+    EXPECT_LE(builds, bound);
+    EXPECT_LT(builds, double(report.total.offered));
+}
+
+TEST(ServeDriverTest, PooledRunMatchesFreshBuilds)
+{
+    // At a queue cap, a completion frees the slot the next arrival is
+    // admitted into, and a slow ISR leaves a wide gap between a DAG's
+    // completion and its retirement: an instance handed out inside
+    // that gap would lose its last node's write-back and change the
+    // timing of what follows.
+    ServeConfig config = smallConfig();
+    config.arrival.ratePerSec = 5000.0;
+    config.admission.kind = AdmissionKind::QueueCap;
+    config.admission.queueCap = 3;
+    config.horizon = fromMs(200.0);
+    config.soc.manager.isrLatency = fromUs(100.0);
+    ServeDriver driver(config);
+    ServeReport report = driver.run();
+
+    // Replay the same verdicts on a fresh DAG per admitted request,
+    // built at its arrival as an unpooled driver would.
+    resetNodeIds();
+    SocConfig soc_config = config.soc;
+    for (const QosClassConfig &cls : config.classes)
+        soc_config.qosClassNames.push_back(cls.name);
+    Soc soc(soc_config);
+    soc.manager().setDagCompletionHandler([](Dag *) {});
+    std::vector<DagPtr> dags(driver.requests().size());
+    for (const ServeRequest &request : driver.requests()) {
+        soc.sim().at(request.arrival, HostCat::Serve, [&] {
+            DagPtr dag = buildApp(
+                request.app, config.app,
+                config.classes[std::size_t(request.qosClass)].deadlineScale);
+            if (request.verdict != AdmissionVerdict::Admitted)
+                return;
+            dag->setSpanContext(request.id + 1);
+            dag->setQosClass(request.qosClass + 1);
+            soc.manager().submitDag(dag.get(), soc.sim().now());
+            dags[request.id] = dag;
+        });
+    }
+    soc.run(config.horizon);
+
+    std::size_t finished = 0;
+    for (const ServeRequest &request : driver.requests()) {
+        const DagPtr &dag = dags[request.id];
+        ASSERT_EQ(bool(dag), request.verdict == AdmissionVerdict::Admitted);
+        if (!dag)
+            continue;
+        ASSERT_EQ(dag->complete(), request.finished) << request.id;
+        if (request.finished) {
+            EXPECT_EQ(dag->finishTick(), request.finish) << request.id;
+            ++finished;
+        }
+    }
+    EXPECT_GT(finished, 10u);
+    // The same traffic reached DRAM and the scratchpads.
+    const RunMetrics &pooled = driver.soc().manager().metrics();
+    const RunMetrics &fresh = soc.manager().metrics();
+    EXPECT_EQ(driver.soc().dram().totalBytes(), soc.dram().totalBytes());
+    EXPECT_EQ(pooled.forwards, fresh.forwards);
+    EXPECT_EQ(pooled.colocations, fresh.colocations);
+    EXPECT_EQ(pooled.writebacksAvoided, fresh.writebacksAvoided);
+    // Some requests reused an instance.
+    EXPECT_LT(driver.soc().stats().value("serve.dag_builds"),
+              double(report.total.admitted));
 }
 
 /** Overloaded config that produces misses, sheds, and kept traces. */

@@ -247,7 +247,7 @@ run(int argc, char **argv)
     DiffReport diff;
 
     FlagTable flags("relief_compare");
-    addExperimentFlags(flags, config, workload_path);
+    addExperimentFlags(flags, config, workload_path, false);
     flags
         .text("--stats-json", "FILE",
               "write one relief-stats-v1 dump per policy "

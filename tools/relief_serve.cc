@@ -25,8 +25,6 @@
 #include "core/cli.hh"
 #include "core/relief.hh"
 #include "serve/server.hh"
-#include "sim/build_info.hh"
-#include "stats/json.hh"
 
 using namespace relief;
 
@@ -149,18 +147,14 @@ run(int argc, char **argv)
     if (!out_path.empty()) {
         std::cout << "\n";
         writeFile(out_path, "serve JSON", [&](std::ostream &out) {
-            out << "{\n  \"schema\": \"relief-serve-v1\",\n"
-                << "  \"build_info\": ";
-            writeBuildInfoJson(out, 2);
-            out << ",\n  \"seed\": " << config.seed << ",\n"
-                << "  \"horizon_ms\": " << jsonNumber(horizon_ms)
-                << ",\n  \"smoke\": false,\n  \"capacity_rps\": null,\n"
-                << "  \"runs\": [\n    ";
-            writeServeRunJson(out, report, policyName(config.soc.policy),
-                              admissionKindName(config.admission.kind),
-                              arrivalKindName(config.arrival.kind), 0.0,
-                              config.arrival.ratePerSec, 4);
-            out << "\n  ],\n  \"saturation\": []\n}\n";
+            ServeDocument doc;
+            doc.seed = config.seed;
+            doc.horizonMs = horizon_ms;
+            doc.runs.push_back({&report, policyName(config.soc.policy),
+                                admissionKindName(config.admission.kind),
+                                arrivalKindName(config.arrival.kind), 0.0,
+                                config.arrival.ratePerSec});
+            writeServeDocument(out, doc);
         });
     }
     return 0;
