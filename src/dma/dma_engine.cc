@@ -113,19 +113,17 @@ DmaEngine::launchChunked(const Route &path, std::uint64_t bytes,
     // nothing else queues behind us); the callback fires at the true
     // completion time.
     ChunkState *state = acquireChunk();
-    state->path.assign(path.begin(), path.end());
+    state->path = path; // reuses the recycled state's capacity
     state->remaining = bytes;
     state->onDone = std::move(on_done);
     state->tag = tag;
     issueNextChunk(state);
 
     Tick optimistic = now();
-    double min_bw = state->path[0]->bandwidth();
-    for (const auto *res : state->path) {
+    for (const auto *res : state->path.hops)
         optimistic = std::max(optimistic, res->nextFree());
-        min_bw = std::min(min_bw, res->bandwidth());
-    }
-    return optimistic + transferTime(state->remaining, min_bw);
+    return optimistic +
+           transferTime(state->remaining, state->path.slowest->bandwidth());
 }
 
 DmaEngine::ChunkState *
@@ -143,7 +141,7 @@ DmaEngine::acquireChunk()
 void
 DmaEngine::releaseChunk(ChunkState *state)
 {
-    state->path.clear(); // keeps capacity for the next transfer
+    state->path.hops.clear(); // keeps capacity for the next transfer
     state->remaining = 0;
     state->onDone = nullptr;
     state->tag = RequestorTag{};
@@ -203,13 +201,14 @@ DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
 {
     int mem_route = dram_.route(stream_hint);
     Route &path = routeSlot(readRoutes_, mem_route);
-    if (path.empty()) {
+    if (path.hops.empty()) {
         auto mem = dram_.routePath(mem_route);
         auto fabric = fabric_.path(dramPort_, port_);
-        path.push_back(&readChannel_);
-        path.insert(path.end(), mem.begin(), mem.end());
-        path.insert(path.end(), fabric.begin(), fabric.end());
-        path.push_back(&localSpm_.port());
+        path.hops.push_back(&readChannel_);
+        path.hops.insert(path.hops.end(), mem.begin(), mem.end());
+        path.hops.insert(path.hops.end(), fabric.begin(), fabric.end());
+        path.hops.push_back(&localSpm_.port());
+        path.finish();
     }
     return launch(path, bytes, TrafficClass::DramRead, std::move(on_done),
                   makeTag(TrafficClass::DramRead, ctx));
@@ -221,13 +220,14 @@ DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
 {
     int mem_route = dram_.route(stream_hint);
     Route &path = routeSlot(writeRoutes_, mem_route);
-    if (path.empty()) {
+    if (path.hops.empty()) {
         auto fabric = fabric_.path(port_, dramPort_);
         auto mem = dram_.routePath(mem_route);
-        path.push_back(&writeChannel_);
-        path.push_back(&localSpm_.port());
-        path.insert(path.end(), fabric.begin(), fabric.end());
-        path.insert(path.end(), mem.begin(), mem.end());
+        path.hops.push_back(&writeChannel_);
+        path.hops.push_back(&localSpm_.port());
+        path.hops.insert(path.hops.end(), fabric.begin(), fabric.end());
+        path.hops.insert(path.hops.end(), mem.begin(), mem.end());
+        path.finish();
     }
     return launch(path, bytes, TrafficClass::DramWrite, std::move(on_done),
                   makeTag(TrafficClass::DramWrite, ctx));
@@ -245,13 +245,14 @@ DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
     Route &path = routeSlot(forwardRoutes_, producer_port);
     // The producer's scratchpad is an argument of its own; rebuild if
     // it is not the one this port's route was built for.
-    if (path.empty() || path[1] != &producer.port()) {
+    if (path.hops.empty() || path.hops[1] != &producer.port()) {
         auto fabric = fabric_.path(producer_port, port_);
-        path.clear();
-        path.push_back(&readChannel_);
-        path.push_back(&producer.port());
-        path.insert(path.end(), fabric.begin(), fabric.end());
-        path.push_back(&localSpm_.port());
+        path.hops.clear();
+        path.hops.push_back(&readChannel_);
+        path.hops.push_back(&producer.port());
+        path.hops.insert(path.hops.end(), fabric.begin(), fabric.end());
+        path.hops.push_back(&localSpm_.port());
+        path.finish();
     }
     return launch(path, bytes, TrafficClass::SpmForward,
                   std::move(on_done),
@@ -270,8 +271,10 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     forwardBytes_.add(bytes);
 
     Route &path = routeSlot(streamRoutes_, producer_port);
-    if (path.empty())
-        path = fabric_.path(producer_port, port_);
+    if (path.hops.empty()) {
+        path.hops = fabric_.path(producer_port, port_);
+        path.finish();
+    }
     auto timing = reserveTransfer(path, now(), bytes,
                                   makeTag(TrafficClass::SpmForward, ctx));
     timing.end += config_.streamSetupLatency;

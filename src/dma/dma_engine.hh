@@ -152,8 +152,9 @@ class DmaEngine : public SimObject
     void resetStats();
 
   private:
-    /** Resources one transfer claims, in order. */
-    using Route = std::vector<BandwidthResource *>;
+    /** Resources one transfer claims, in order, with the constants
+     *  its transfers share. */
+    using Route = ResourceRoute;
 
     /**
      * In-flight burst-mode transfer. Instances are pooled: the engine

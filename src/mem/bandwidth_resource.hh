@@ -11,6 +11,10 @@
  * each resource stays busy for bytes divided by its *own* bandwidth,
  * which is what creates queueing for later requesters.
  *
+ * Each resource keeps the one FIFO record of its outstanding
+ * reservations, pruned at each claim's request time; its busy time,
+ * its queue depth and the pressure ledger's caused-wait walk read it.
+ *
  * This transaction-level model captures contention, occupancy, and
  * traffic volume — the quantities RELIEF's evaluation depends on —
  * without per-beat events.
@@ -24,7 +28,6 @@
 #include <vector>
 
 #include "sim/ticks.hh"
-#include "stats/interval_union.hh"
 #include "stats/stats.hh"
 
 namespace relief
@@ -32,6 +35,7 @@ namespace relief
 
 class PressureLedger;
 struct RequestorTag;
+struct TransferTiming;
 
 class BandwidthResource
 {
@@ -55,7 +59,7 @@ class BandwidthResource
 
     /**
      * Reserve the resource for @p bytes, starting no earlier than
-     * @p earliest. Advances nextFree and records the busy interval.
+     * @p earliest. Advances nextFree and records the reservation.
      * @return the tick at which the reservation begins.
      */
     Tick claim(Tick earliest, std::uint64_t bytes);
@@ -87,42 +91,58 @@ class BandwidthResource
      */
     Tick waitTime() const { return waitTicks_; }
 
-    /** Hook this resource into @p ledger as resource @p resource_id. */
-    void
-    attachLedger(PressureLedger *ledger, int resource_id)
-    {
-        ledger_ = ledger;
-        ledgerId_ = resource_id;
-    }
-
-    PressureLedger *ledger() const { return ledger_; }
+    /** Id in the pressure ledger that registered this resource. */
     int ledgerId() const { return ledgerId_; }
 
-    /** Time covered by at least one reservation, clipped to [0, upTo).
-     *  @p upTo must not precede any claim's request time. */
-    Tick busyTime(Tick upTo = maxTick) const { return busy_.covered(upTo); }
+    /** Time covered by reservations, clipped to [0, upTo): holds never
+     *  overlap. @p upTo must not precede any claim's request time. */
+    Tick busyTime(Tick upTo = maxTick) const;
 
     /** Fraction of [0, upTo) covered by reservations. */
     double occupancy(Tick upTo) const;
 
+    /** Zero the counters and forget the reservation record; nextFree
+     *  stays, so later claims still queue. */
     void resetStats();
 
   private:
+    friend class PressureLedger; // attaches; walks the record
+    /** The one claim loop, behind every reserveTransfer. */
+    friend TransferTiming
+    claimRoute(const std::vector<BandwidthResource *> &hops,
+               Tick latency_sum, BandwidthResource &slowest, Tick now,
+               std::uint64_t bytes, const RequestorTag &tag);
+
+    /** One claim, its ledger key already resolved. */
+    Tick reserve(Tick earliest, std::uint64_t bytes, Tick request_time,
+                 int key);
+
+    struct Reservation
+    {
+        Tick start;
+        Tick end;
+        std::int32_t key; ///< Pressure-ledger key of the claim.
+    };
+
     std::string name_;
     double gbPerSec_;
     Tick fixedLatency_;
     Tick nextFree_ = 0;
+    std::uint64_t holdBytes_ = 0; ///< Byte count hold_ was computed for.
+    Tick hold_ = 0;
     Counter totalBytes_;
     Counter numTransfers_;
     Tick waitTicks_ = 0;
-    IntervalUnion busy_;
+    Tick heldTicks_ = 0;     ///< Sum of holds since the last reset.
+    Tick latestRequest_ = 0; ///< Latest request time of any claim.
+    /** The record, oldest first; entries before head_ have ended. */
+    std::vector<Reservation> held_;
+    std::size_t head_ = 0;
     PressureLedger *ledger_ = nullptr;
     int ledgerId_ = -1;
 };
 
-/**
- * Timing of a transfer across a chain of resources.
- */
+/** Timing of a transfer across a chain of resources. */
 struct TransferTiming
 {
     Tick start; ///< When the transfer begins moving.
@@ -146,6 +166,21 @@ TransferTiming reserveTransfer(const std::vector<BandwidthResource *> &path,
 TransferTiming reserveTransfer(const std::vector<BandwidthResource *> &path,
                                Tick now, std::uint64_t bytes,
                                const RequestorTag &tag);
+
+/** A resource chain with the constants its transfers share, computed
+ *  once (DmaEngine's route tables) instead of per transfer. */
+struct ResourceRoute
+{
+    std::vector<BandwidthResource *> hops;
+    Tick latencySum = 0;                  ///< Sum of fixed latencies.
+    BandwidthResource *slowest = nullptr; ///< First least-bandwidth hop.
+
+    void finish(); ///< Recompute the constants after editing hops.
+};
+
+/** Tagged reserveTransfer over a route. */
+TransferTiming reserveTransfer(const ResourceRoute &route, Tick now,
+                               std::uint64_t bytes, const RequestorTag &tag);
 
 } // namespace relief
 

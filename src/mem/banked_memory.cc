@@ -24,8 +24,7 @@ atPeak(BankedMemoryConfig config)
 
 BankedMemory::BankedMemory(Simulator &sim, std::string name,
                            const BankedMemoryConfig &config)
-    : MainMemory(sim, std::move(name), atPeak(config)),
-      bankedConfig_(config)
+    : MainMemory(sim, std::move(name), atPeak(config))
 {
     RELIEF_ASSERT(config.numBanks >= 1, "banked memory needs >= 1 bank");
     double bank_gbs = config.peakGBs * config.bankEfficiency;

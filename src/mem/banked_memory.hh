@@ -75,7 +75,6 @@ class BankedMemory : public MainMemory
     void resetStats() override;
 
   private:
-    BankedMemoryConfig bankedConfig_;
     std::vector<std::unique_ptr<BandwidthResource>> banks_;
 };
 

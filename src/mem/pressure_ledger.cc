@@ -11,15 +11,6 @@
 namespace relief
 {
 
-namespace
-{
-
-/// Reservations a ring keeps room for before its first regrowth;
-/// enough for every tier-1 mix, so the hot path never reallocates.
-constexpr std::size_t ringInitialCapacity = 64;
-
-} // namespace
-
 const char *
 pressureTrafficName(PressureTraffic traffic)
 {
@@ -63,7 +54,8 @@ PressureLedger::addResource(BandwidthResource &res)
                   res.name());
     int id = int(resources_.size());
     resources_.push_back(&res);
-    res.attachLedger(this, id);
+    res.ledger_ = this;
+    res.ledgerId_ = id;
     return id;
 }
 
@@ -73,9 +65,6 @@ PressureLedger::seal()
     RELIEF_ASSERT(!sealed_, "pressure ledger sealed twice");
     numKeys_ = 1 + numSources() * numQosClasses() * numPressureTraffic;
     slots_.assign(std::size_t(numResources()) * numKeys_, Slot{});
-    rings_.resize(resources_.size());
-    for (Ring &ring : rings_)
-        ring.entries.reserve(ringInitialCapacity);
     sealed_ = true;
 }
 
@@ -134,12 +123,6 @@ PressureLedger::resource(int id) const
     return *resources_.at(id);
 }
 
-PressureLedger::Slot &
-PressureLedger::slotRef(int resource, int key)
-{
-    return slots_[std::size_t(resource) * numKeys_ + key];
-}
-
 const PressureLedger::Slot &
 PressureLedger::slot(int resource, int key) const
 {
@@ -148,65 +131,41 @@ PressureLedger::slot(int resource, int key) const
 }
 
 void
-PressureLedger::pushReservation(Ring &ring, Tick start, Tick end, int key)
-{
-    if (ring.entries.size() == ring.entries.capacity() && ring.head > 0) {
-        // Reclaim expired entries instead of growing; the backlog a
-        // resource can accumulate is bounded by in-flight transfers,
-        // so this keeps the ring at its initial capacity in practice.
-        ring.entries.erase(ring.entries.begin(),
-                           ring.entries.begin() +
-                               std::ptrdiff_t(ring.head));
-        ring.head = 0;
-    }
-    ring.entries.push_back({start, end, std::int32_t(key)});
-}
-
-void
-PressureLedger::record(int resource, const RequestorTag &tag,
-                       Tick request_time, Tick pending, Tick start,
-                       Tick hold, std::uint64_t bytes)
+PressureLedger::record(const BandwidthResource &res, int key,
+                       Tick request_time, Tick pending, Tick hold,
+                       std::uint64_t bytes)
 {
     RELIEF_ASSERT(sealed_, "pressure ledger recording before seal()");
-    int key = keyFor(tag);
-    Slot &own = slotRef(resource, key);
+    Slot *row = &slots_[std::size_t(res.ledgerId()) * numKeys_];
+    Slot &own = row[key];
     own.bytes += bytes;
     own.transfers += 1;
     own.serviceTicks += hold;
     own.waitSuffered += pending;
+    if (pending == 0)
+        return;
 
-    Ring &ring = rings_[resource];
-    while (ring.head < ring.entries.size() &&
-           ring.entries[ring.head].end <= request_time) {
-        ++ring.head;
+    // Walk the wait interval [request_time, request_time+pending) over
+    // the resource's outstanding reservations, oldest first, charging
+    // each segment to the reservation covering (or, across an idle
+    // gap, the next one holding) the pipe. The newest entry ends
+    // exactly where the wait does, so the whole interval is always
+    // attributed and caused == suffered per resource.
+    Tick low = request_time;
+    Tick wait_end = request_time + pending;
+    for (auto r = res.held_.begin() + std::ptrdiff_t(res.head_);
+         r != res.held_.end() && low < wait_end; ++r) {
+        if (r->end <= low)
+            continue;
+        Tick hi = std::min(r->end, wait_end);
+        row[r->key].waitCaused += hi - low;
+        low = hi;
     }
-
-    if (pending > 0) {
-        // Walk the wait interval [request_time, request_time+pending)
-        // over the outstanding reservations, oldest first, charging
-        // each segment to the reservation covering (or, across an
-        // idle gap, the next one holding) the pipe. The newest entry
-        // ends exactly where the wait does, so the whole interval is
-        // always attributed and caused == suffered per resource.
-        Tick low = request_time;
-        Tick wait_end = request_time + pending;
-        for (std::size_t i = ring.head;
-             i < ring.entries.size() && low < wait_end; ++i) {
-            const Reservation &res = ring.entries[i];
-            if (res.end <= low)
-                continue;
-            Tick hi = std::min(res.end, wait_end);
-            slotRef(resource, res.key).waitCaused += hi - low;
-            low = hi;
-        }
-        if (low < wait_end) {
-            // Ring was reset mid-backlog (stats reset); keep the
-            // books balanced by charging the untagged bucket.
-            slotRef(resource, 0).waitCaused += wait_end - low;
-        }
+    if (low < wait_end) {
+        // The record was reset mid-backlog (stats reset); keep the
+        // books balanced by charging the untagged bucket.
+        row[0].waitCaused += wait_end - low;
     }
-
-    pushReservation(ring, start, start + hold, key);
 }
 
 PressureLedger::Slot
@@ -234,14 +193,13 @@ PressureLedger::qosTotal(int qos) const
 int
 PressureLedger::queueDepth(int resource, Tick now) const
 {
-    const Ring &ring = rings_.at(resource);
-    auto first = ring.entries.begin() + std::ptrdiff_t(ring.head);
+    const BandwidthResource &res = *resources_.at(resource);
     // Reservation ends are non-decreasing (FIFO pipe), so the count
     // of entries still outstanding at @p now is a binary search away.
     auto it = std::upper_bound(
-        first, ring.entries.end(), now,
-        [](Tick t, const Reservation &r) { return t < r.end; });
-    return int(ring.entries.end() - it);
+        res.held_.begin() + std::ptrdiff_t(res.head_), res.held_.end(), now,
+        [](Tick t, const auto &r) { return t < r.end; });
+    return int(res.held_.end() - it);
 }
 
 std::vector<PressureLedger::Contender>
@@ -380,10 +338,8 @@ void
 PressureLedger::resetStats()
 {
     std::fill(slots_.begin(), slots_.end(), Slot{});
-    for (Ring &ring : rings_) {
-        ring.entries.clear();
-        ring.head = 0;
-    }
+    for (BandwidthResource *res : resources_)
+        res->resetStats();
 }
 
 } // namespace relief

@@ -15,13 +15,13 @@
  * the resource is.
  *
  * Hot-path contract: once seal() has run, record() touches only
- * pre-sized slot arrays indexed by small integer ids plus a bounded
- * reservation ring per resource — no allocation, no hashing. The
- * reservation ring is what makes caused-delay attribution possible:
- * when a claim waits, the wait interval is walked over the
- * still-outstanding reservations ahead of it and each overlap is
- * charged to that reservation's key, so per resource the sum of
- * delay-caused always equals the sum of delay-suffered.
+ * pre-sized slot arrays indexed by small integer ids — no allocation,
+ * no hashing. The reservation ring is the resource's, not the
+ * ledger's: each resource's FIFO record of outstanding reservations
+ * carries their keys. When a claim waits, the wait interval is walked
+ * over that record and each overlap is charged to that reservation's
+ * key, so per resource the sum of delay-caused always equals the sum
+ * of delay-suffered.
  */
 
 #ifndef RELIEF_MEM_PRESSURE_LEDGER_HH
@@ -111,15 +111,15 @@ class PressureLedger
     // --- Hot path ---
 
     /**
-     * Account one reservation on resource @p resource. Called by
-     * BandwidthResource::claim with @p pending = the queueing delay
-     * this claim suffered at that resource (how long the pipe's
-     * backlog pushed it past @p request_time), @p start/@p hold the
-     * granted reservation, and @p bytes its size. Zero-allocation
-     * once sealed, except for rare amortized ring growth.
+     * Account one claim of key @p key on @p res. Called by the
+     * resource's claim, before the new reservation joins its record,
+     * with @p pending = the queueing delay this claim suffered there
+     * (how long the pipe's backlog pushed it past @p request_time),
+     * @p hold the granted reservation's length, and @p bytes its size.
+     * Zero-allocation once sealed.
      */
-    void record(int resource, const RequestorTag &tag, Tick request_time,
-                Tick pending, Tick start, Tick hold, std::uint64_t bytes);
+    void record(const BandwidthResource &res, int key, Tick request_time,
+                Tick pending, Tick hold, std::uint64_t bytes);
 
     // --- Accounting views ---
 
@@ -188,38 +188,15 @@ class PressureLedger
     void writeJson(std::ostream &os, Tick end_tick, int top_k,
                    const Summary &summary, const char *schema) const;
 
+    /** Zero every slot and reset the registered resources, records
+     *  included, so slot sums keep matching their counters. */
     void resetStats();
 
   private:
-    struct Reservation
-    {
-        Tick start = 0;
-        Tick end = 0;
-        std::int32_t key = 0;
-    };
-
-    /**
-     * Outstanding reservations of one resource, oldest first. Stored
-     * as a vector with an explicit head: expired entries (end <=
-     * request time) are consumed by advancing head_ and reclaimed by
-     * compaction before the vector would otherwise grow.
-     */
-    struct Ring
-    {
-        std::vector<Reservation> entries;
-        std::size_t head = 0;
-
-        std::size_t size() const { return entries.size() - head; }
-    };
-
-    Slot &slotRef(int resource, int key);
-    void pushReservation(Ring &ring, Tick start, Tick end, int key);
-
     std::vector<std::string> sources_;
     std::vector<std::string> qosClasses_;
     std::vector<BandwidthResource *> resources_;
     std::vector<Slot> slots_; ///< numResources x numKeys, row-major.
-    std::vector<Ring> rings_; ///< One per resource.
     int numKeys_ = 0;
     bool sealed_ = false;
 };

@@ -6,13 +6,15 @@
 namespace relief
 {
 
-namespace
+namespace debug_detail
 {
 // Thread-local so independent simulations on a parallel runner's
 // worker threads keep isolated flag sets (core/parallel.hh copies the
 // launching thread's mask into each worker).
-thread_local std::array<bool, numDebugFlags> enabledFlags{};
-} // namespace
+thread_local constinit std::array<bool, numDebugFlags> enabledFlags{};
+} // namespace debug_detail
+
+using debug_detail::enabledFlags;
 
 const char *
 debugFlagName(DebugFlag flag)
@@ -45,12 +47,6 @@ allDebugFlags()
         DebugFlag::Serve,
     };
     return flags;
-}
-
-bool
-debugFlagEnabled(DebugFlag flag)
-{
-    return enabledFlags[std::size_t(flag)];
 }
 
 void

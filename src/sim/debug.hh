@@ -20,6 +20,7 @@
 #ifndef RELIEF_SIM_DEBUG_HH
 #define RELIEF_SIM_DEBUG_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -52,8 +53,22 @@ const char *debugFlagName(DebugFlag flag);
 /** All flags, for enumeration in help text and tests. */
 const std::vector<DebugFlag> &allDebugFlags();
 
-/** True when @p flag is enabled. */
-bool debugFlagEnabled(DebugFlag flag);
+namespace debug_detail
+{
+/** The calling thread's flags (each parallel experiment owns its own
+ *  set; see core/parallel.hh). constinit tells other TUs the array
+ *  needs no dynamic initialisation, so they read it directly instead
+ *  of through a TLS init wrapper. */
+extern thread_local constinit std::array<bool, numDebugFlags> enabledFlags;
+} // namespace debug_detail
+
+/** True when @p flag is enabled: the one check behind every DPRINTF,
+ *  an inlined thread-local read. */
+inline bool
+debugFlagEnabled(DebugFlag flag)
+{
+    return debug_detail::enabledFlags[std::size_t(flag)];
+}
 
 /** Enable or disable one flag. */
 void setDebugFlag(DebugFlag flag, bool enabled = true);

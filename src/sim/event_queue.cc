@@ -138,10 +138,10 @@ EventQueue::nextTick() const
 }
 
 bool
-EventQueue::runOne()
+EventQueue::runOne(Tick limit)
 {
     skipCancelled();
-    if (heap_.empty())
+    if (heap_.empty() || heap_.front().when > limit)
         return false;
 
     std::pop_heap(heap_.begin(), heap_.end(), Later{});

@@ -291,10 +291,12 @@ class EventQueue
     Tick nextTick() const;
 
     /**
-     * Pop and run the earliest pending event, advancing current time.
-     * @return false if the queue was empty.
+     * Pop and run the earliest pending event if it is due by
+     * @p limit, advancing current time. The heap top is inspected
+     * once: this is the whole per-event step of Simulator::run.
+     * @return false if no pending event is due by @p limit.
      */
-    bool runOne();
+    bool runOne(Tick limit = maxTick);
 
     /** Number of events executed so far. */
     std::uint64_t numExecuted() const { return numExecuted_; }

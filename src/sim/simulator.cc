@@ -7,10 +7,8 @@ Tick
 Simulator::run(Tick limit)
 {
     stopRequested_ = false;
-    while (!stopRequested_ && !events_.empty() &&
-           events_.nextTick() <= limit) {
-        events_.runOne();
-    }
+    while (!stopRequested_ && events_.runOne(limit))
+        ;
     return now();
 }
 

@@ -51,6 +51,22 @@ TEST(SimulatorTest, RunHonorsLimit)
     EXPECT_EQ(count, 2);
 }
 
+TEST(SimulatorTest, RunLimitIsInclusiveAndSkipsCancelled)
+{
+    Simulator sim;
+    int count = 0;
+    EventHandle dropped = sim.at(20, [&] { count += 10; });
+    sim.at(50, [&] { ++count; });
+    sim.at(51, [&] { ++count; });
+    dropped.cancel();
+    // The cancelled head is skipped, the event at the limit runs, and
+    // the one past it waits without advancing the clock.
+    EXPECT_EQ(sim.run(50), 50u);
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(sim.run(), 51u);
+    EXPECT_EQ(count, 2);
+}
+
 TEST(SimulatorTest, AfterSchedulesRelativeToNow)
 {
     Simulator sim;
