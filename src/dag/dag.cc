@@ -81,6 +81,7 @@ Dag::addNode(const TaskParams &params, std::string label)
     node->dag = this;
     node->indexInDag = int(nodes_.size());
     node->label = std::move(label);
+    node->labelHash = std::hash<std::string>{}(node->label);
     node->params = params;
     nodes_.push_back(std::move(node));
     return nodes_.back().get();

@@ -149,6 +149,7 @@ struct Node
     Dag *dag = nullptr;       ///< Owning DAG.
     int indexInDag = -1;      ///< Position in the DAG's node list.
     std::string label;        ///< Debug label, e.g. "canny.sobel_x".
+    std::size_t labelHash = 0; ///< std::hash of label, set with it.
     TaskParams params;        ///< Operation for the timing model.
     std::vector<Node *> parents;
     std::vector<Node *> children;

@@ -104,7 +104,7 @@ HardwareManager::actualComputeTime(const Node &node, Tick base) const
     // the tiny pipeline-level variation real accelerators exhibit. The
     // hash uses the stable node label so identical experiments replay
     // identically across processes.
-    std::uint64_t h = std::hash<std::string>{}(node.label) * 2654435761ull;
+    std::uint64_t h = node.labelHash * 2654435761ull;
     double unit = double((h >> 16) % 2001) / 1000.0 - 1.0;
     double scaled = double(base) * (1.0 + config_.computeJitter * unit);
     return scaled > 1.0 ? Tick(scaled) : Tick(1);

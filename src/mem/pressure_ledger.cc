@@ -131,20 +131,9 @@ PressureLedger::slot(int resource, int key) const
 }
 
 void
-PressureLedger::record(const BandwidthResource &res, int key,
-                       Tick request_time, Tick pending, Tick hold,
-                       std::uint64_t bytes)
+PressureLedger::chargeWait(const BandwidthResource &res, Slot *row,
+                           Tick request_time, Tick pending)
 {
-    RELIEF_ASSERT(sealed_, "pressure ledger recording before seal()");
-    Slot *row = &slots_[std::size_t(res.ledgerId()) * numKeys_];
-    Slot &own = row[key];
-    own.bytes += bytes;
-    own.transfers += 1;
-    own.serviceTicks += hold;
-    own.waitSuffered += pending;
-    if (pending == 0)
-        return;
-
     // Walk the wait interval [request_time, request_time+pending) over
     // the resource's outstanding reservations, oldest first, charging
     // each segment to the reservation covering (or, across an idle

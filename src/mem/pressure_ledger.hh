@@ -32,12 +32,12 @@
 #include <string>
 #include <vector>
 
+#include "mem/bandwidth_resource.hh"
+#include "sim/logging.hh"
 #include "sim/ticks.hh"
 
 namespace relief
 {
-
-class BandwidthResource;
 
 /** Traffic type crossing the DMA/DRAM plane, for attribution. */
 enum class PressureTraffic : std::uint8_t
@@ -116,10 +116,24 @@ class PressureLedger
      * with @p pending = the queueing delay this claim suffered there
      * (how long the pipe's backlog pushed it past @p request_time),
      * @p hold the granted reservation's length, and @p bytes its size.
-     * Zero-allocation once sealed.
+     * Zero-allocation once sealed. Inline: a claim that waits zero
+     * (most of them) only bumps its own slot; only a wait is walked
+     * out of line.
      */
-    void record(const BandwidthResource &res, int key, Tick request_time,
-                Tick pending, Tick hold, std::uint64_t bytes);
+    void
+    record(const BandwidthResource &res, int key, Tick request_time,
+           Tick pending, Tick hold, std::uint64_t bytes)
+    {
+        RELIEF_ASSERT(sealed_, "pressure ledger recording before seal()");
+        Slot *row = &slots_[std::size_t(res.ledgerId()) * numKeys_];
+        Slot &own = row[key];
+        own.bytes += bytes;
+        own.transfers += 1;
+        own.serviceTicks += hold;
+        own.waitSuffered += pending;
+        if (pending > 0)
+            chargeWait(res, row, request_time, pending);
+    }
 
     // --- Accounting views ---
 
@@ -193,6 +207,11 @@ class PressureLedger
     void resetStats();
 
   private:
+    /** Charge a claim's wait [request_time, request_time + pending)
+     *  on @p res to the reservations that caused it, in @p row. */
+    void chargeWait(const BandwidthResource &res, Slot *row,
+                    Tick request_time, Tick pending);
+
     std::vector<std::string> sources_;
     std::vector<std::string> qosClasses_;
     std::vector<BandwidthResource *> resources_;

@@ -1,5 +1,6 @@
 #include "serve/alerts.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "sim/debug.hh"
@@ -46,12 +47,6 @@ BurnRateAlerts::start()
 }
 
 void
-BurnRateAlerts::stop()
-{
-    pending_.cancel();
-}
-
-void
 BurnRateAlerts::tick()
 {
     evaluateNow();
@@ -66,22 +61,27 @@ BurnRateAlerts::tick()
 }
 
 double
-BurnRateAlerts::windowBurn(const ClassState &state, Tick window) const
+BurnRateAlerts::windowBurn(const ClassState &state, Tick window,
+                           std::size_t &base) const
 {
     if (state.samples.size() < 2)
         return 0.0;
     const Sample &head = state.samples.back();
     // Baseline: the latest sample at or before the window start; a run
-    // younger than the window measures from its earliest sample.
+    // younger than the window measures from its earliest sample. The
+    // window start never moves back, so neither does @p base: it only
+    // steps over samples at or before some earlier window start, and
+    // pruning never drops one the window still needs.
     Tick cutoff = head.when > window ? head.when - window : 0;
-    const Sample *baseline = &state.samples.front();
-    for (const Sample &s : state.samples) {
-        if (s.when > cutoff)
-            break;
-        baseline = &s;
+    std::size_t i = std::max(base, state.pruned) - state.pruned;
+    while (i + 1 < state.samples.size() &&
+           state.samples[i + 1].when <= cutoff) {
+        ++i;
     }
-    std::uint64_t dc = head.completed - baseline->completed;
-    std::uint64_t dm = head.missed - baseline->missed;
+    base = state.pruned + i;
+    const Sample &baseline = state.samples[i];
+    std::uint64_t dc = head.completed - baseline.completed;
+    std::uint64_t dm = head.missed - baseline.missed;
     if (dc == 0)
         return 0.0;
     double budget = 1.0 - config_.sloTarget;
@@ -96,8 +96,10 @@ BurnRateAlerts::evaluateNow()
         const ClassSlo &slo = (*classes_)[i];
         state.samples.push_back({now(), slo.completed, slo.missed});
 
-        state.fastBurn = windowBurn(state, config_.fastWindow);
-        state.slowBurn = windowBurn(state, config_.slowWindow);
+        state.fastBurn =
+            windowBurn(state, config_.fastWindow, state.fastBase);
+        state.slowBurn =
+            windowBurn(state, config_.slowWindow, state.slowBase);
 
         // Multiwindow hysteresis: open only when both windows burn
         // hot, close only when both have cooled below the (lower)
@@ -133,6 +135,7 @@ BurnRateAlerts::evaluateNow()
         while (state.samples.size() >= 2 &&
                state.samples[1].when <= cutoff) {
             state.samples.pop_front();
+            state.pruned += 1;
         }
     }
 }

@@ -94,9 +94,6 @@ class BurnRateAlerts : public SimObject
     /** Evaluate now and begin periodic evaluation. */
     void start();
 
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
-
     /** One evaluation pass at the current tick (also called by the
      *  periodic event). */
     void evaluateNow();
@@ -128,6 +125,11 @@ class BurnRateAlerts : public SimObject
     struct ClassState
     {
         std::deque<Sample> samples;
+        /** Samples pruned from the front so far: sample k (counted
+         *  from the first ever taken) is samples[k - pruned]. */
+        std::size_t pruned = 0;
+        std::size_t fastBase = 0; ///< Fast window's baseline sample k.
+        std::size_t slowBase = 0; ///< Slow window's baseline sample k.
         bool open = false;
         Tick openedAt = 0;
         std::uint64_t opens = 0;
@@ -138,7 +140,8 @@ class BurnRateAlerts : public SimObject
     };
 
     void tick();
-    double windowBurn(const ClassState &state, Tick window) const;
+    double windowBurn(const ClassState &state, Tick window,
+                      std::size_t &base) const;
 
     BurnRateConfig config_;
     const std::vector<ClassSlo> *classes_;

@@ -404,16 +404,32 @@ ServeDriver::onRetired(Dag *dag)
     poolFor(request.app, request.qosClass).free.push_back(dag);
 }
 
+void
+ServeDriver::scheduleArrival(std::size_t index)
+{
+    soc_->sim().atReserved(schedule_[index].time, arrivalSeqs_ + index,
+                           HostCat::Serve,
+                           [this, index] {
+                               if (index + 1 < schedule_.size())
+                                   scheduleArrival(index + 1);
+                               onArrival(index);
+                           },
+                           "serve.arrival");
+}
+
 ServeReport
 ServeDriver::run()
 {
     RELIEF_ASSERT(!ran_, "ServeDriver::run is single-shot");
     ran_ = true;
 
-    for (std::size_t i = 0; i < schedule_.size(); ++i) {
-        soc_->sim().at(schedule_[i].time, HostCat::Serve,
-                       [this, i] { onArrival(i); }, "serve.arrival");
-    }
+    // Arrivals are chained: each schedules the next under the sequence
+    // number it would have had were all scheduled here, so the heap
+    // holds one pending arrival, not the horizon's, and every same-tick
+    // tie fires as before.
+    arrivalSeqs_ = soc_->sim().reserveSeqs(schedule_.size());
+    if (!schedule_.empty())
+        scheduleArrival(0);
     if (exposition_)
         exposition_->start();
     if (alerts_)

@@ -33,6 +33,7 @@
 #ifndef RELIEF_SERVE_SERVER_HH
 #define RELIEF_SERVE_SERVER_HH
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -164,6 +165,8 @@ class ServeDriver
     ServeRequest &requestOf(const Dag &dag);
 
     void registerStats();
+    /** Schedule arrival @p index under its reserved sequence number. */
+    void scheduleArrival(std::size_t index);
     void onArrival(std::size_t index);
     void onComplete(Dag *dag);
     void onAttributed(Dag *dag, const DagLatencyRecord &record,
@@ -186,6 +189,7 @@ class ServeDriver
     std::unique_ptr<StatExposition> exposition_;
     std::vector<int> perClassInSystem_;
     std::size_t arrivalsSeen_ = 0;
+    std::uint64_t arrivalSeqs_ = 0; ///< First of the arrivals' block.
     int parallelism_ = 1;
     int inSystem_ = 0;
     Tick backlog_ = 0;

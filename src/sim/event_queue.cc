@@ -12,6 +12,33 @@ EventQueue::pastEventPanic(Tick when, const char *label) const
           " in the past (now ", curTick_, ")");
 }
 
+void
+EventQueue::unreservedSeqPanic(std::uint64_t seq, const char *label) const
+{
+    panic("scheduling event '", label, "' under sequence number ", seq,
+          ", which no reserveSeqs() block holds");
+}
+
+std::uint64_t
+EventQueue::reserveSeqs(std::uint64_t n)
+{
+    std::uint64_t first = nextSeq_;
+    nextSeq_ += n;
+    if (n > 0)
+        reservedSeqs_.emplace_back(first, nextSeq_);
+    return first;
+}
+
+bool
+EventQueue::reserved(std::uint64_t seq) const
+{
+    for (const auto &[first, end] : reservedSeqs_) {
+        if (seq >= first && seq < end)
+            return true;
+    }
+    return false;
+}
+
 std::uint32_t
 EventQueue::allocSlot()
 {
@@ -53,9 +80,9 @@ EventQueue::freeSlot(std::uint32_t id) const
 }
 
 void
-EventQueue::pushEntry(Tick when, std::uint32_t id)
+EventQueue::pushEntry(Tick when, std::uint64_t seq, std::uint32_t id)
 {
-    heap_.push_back(Entry{when, nextSeq_++, id});
+    heap_.push_back(Entry{when, seq, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++numScheduled_;
 }

@@ -237,19 +237,8 @@ class EventQueue
     EventHandle
     schedule(Tick when, HostCat cat, F &&action, const char *label)
     {
-        if (when < curTick_)
-            pastEventPanic(when, label);
-        std::uint32_t id = allocSlot();
-        Slot &slot = slotRef(id);
-        slot.label = label;
-        slot.cat = static_cast<std::uint8_t>(cat);
-        if (slot.action.emplace(std::forward<F>(action))) {
-            ++numHeapCallables_;
-            if (hostProfEnabled())
-                hostProfCountHeapAlloc(cat);
-        }
-        pushEntry(when, id);
-        return EventHandle(this, id, slot.gen);
+        return place(when, nextSeq_++, cat, std::forward<F>(action),
+                     label);
     }
 
     template <typename F>
@@ -279,6 +268,31 @@ class EventQueue
         if (labelsEnabled())
             slotRef(handle.slot_).dynLabel = labelFn();
         return handle;
+    }
+
+    /**
+     * Reserve @p n consecutive sequence numbers for scheduleReserved();
+     * @return the first. Ties at one tick fire in sequence order, so
+     * the event given `first + i` orders against every other event as
+     * if it had been scheduled now, i-th of n. A chain of events at
+     * nondecreasing ticks that each schedules the next (serve's
+     * arrivals) thus fires in the order of scheduling all n at once,
+     * with one pending at a time.
+     */
+    std::uint64_t reserveSeqs(std::uint64_t n);
+
+    /**
+     * schedule() under sequence number @p seq from reserveSeqs() (see
+     * there); panics on a number outside every reserved block.
+     */
+    template <typename F>
+    EventHandle
+    scheduleReserved(Tick when, std::uint64_t seq, HostCat cat, F &&action,
+                     const char *label)
+    {
+        if (!reserved(seq))
+            unreservedSeqPanic(seq, label);
+        return place(when, seq, cat, std::forward<F>(action), label);
     }
 
     /** Absolute time of the event most recently popped (current time). */
@@ -374,11 +388,35 @@ class EventQueue
         return chunks_[id / slotsPerChunk][id % slotsPerChunk];
     }
 
+    /** The one schedule body: every form ends here. */
+    template <typename F>
+    EventHandle
+    place(Tick when, std::uint64_t seq, HostCat cat, F &&action,
+          const char *label)
+    {
+        if (when < curTick_)
+            pastEventPanic(when, label);
+        std::uint32_t id = allocSlot();
+        Slot &slot = slotRef(id);
+        slot.label = label;
+        slot.cat = static_cast<std::uint8_t>(cat);
+        if (slot.action.emplace(std::forward<F>(action))) {
+            ++numHeapCallables_;
+            if (hostProfEnabled())
+                hostProfCountHeapAlloc(cat);
+        }
+        pushEntry(when, seq, id);
+        return EventHandle(this, id, slot.gen);
+    }
+
     [[noreturn]] void pastEventPanic(Tick when, const char *label) const;
+    [[noreturn]] void unreservedSeqPanic(std::uint64_t seq,
+                                         const char *label) const;
+    bool reserved(std::uint64_t seq) const;
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t id) const;
-    void pushEntry(Tick when, std::uint32_t id);
+    void pushEntry(Tick when, std::uint64_t seq, std::uint32_t id);
     bool slotPending(std::uint32_t id, std::uint32_t gen) const;
     void cancelSlot(std::uint32_t id, std::uint32_t gen);
     void maybeCompact();
@@ -394,6 +432,8 @@ class EventQueue
     mutable std::size_t cancelledInHeap_ = 0;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
+    /** Blocks handed out by reserveSeqs(), as [first, end). */
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> reservedSeqs_;
     std::uint64_t numExecuted_ = 0;
     std::uint64_t numScheduled_ = 0;
     mutable std::uint64_t numCancelled_ = 0;

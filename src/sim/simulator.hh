@@ -55,6 +55,23 @@ class Simulator
                                 std::forward<Label>(label)...);
     }
 
+    /** Reserve @p n event sequence numbers (EventQueue::reserveSeqs). */
+    std::uint64_t reserveSeqs(std::uint64_t n)
+    {
+        return events_.reserveSeqs(n);
+    }
+
+    /** at() under a reserved sequence number
+     *  (EventQueue::scheduleReserved). */
+    template <typename F>
+    EventHandle
+    atReserved(Tick when, std::uint64_t seq, HostCat cat, F &&action,
+               const char *label)
+    {
+        return events_.scheduleReserved(when, seq, cat,
+                                        std::forward<F>(action), label);
+    }
+
     /**
      * Run until the event queue drains or @p limit is reached.
      * @return the tick at which the run stopped.

@@ -81,12 +81,6 @@ StatExposition::tick()
 }
 
 void
-StatExposition::stop()
-{
-    pending_.cancel();
-}
-
-void
 StatExposition::snapshotNow()
 {
     publish();

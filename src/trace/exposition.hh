@@ -74,9 +74,6 @@ class StatExposition : public SimObject
     /** Take the first snapshot now and begin periodic publishing. */
     void start();
 
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
-
     /** Take one extra snapshot at the current tick (end-of-run state;
      *  also published to the file). */
     void snapshotNow();

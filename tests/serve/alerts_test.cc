@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "serve/alerts.hh"
@@ -169,6 +171,85 @@ TEST(BurnRateAlertsTest, JsonExport)
     std::ostringstream empty;
     writeAlertsJson(empty, {}, {}, 0);
     EXPECT_EQ(empty.str(), "[]");
+}
+
+TEST(BurnRateAlertsTest, CursorBurnsMatchAFullScan)
+{
+    // Reference: the burn over a window, scanned front to back over
+    // every sample ever taken (nothing pruned).
+    struct Taken
+    {
+        Tick when;
+        std::uint64_t completed, missed;
+    };
+    auto scan = [](const std::vector<Taken> &all, Tick window,
+                   double budget) {
+        if (all.size() < 2)
+            return 0.0;
+        const Taken &head = all.back();
+        Tick cutoff = head.when > window ? head.when - window : 0;
+        const Taken *base = &all.front();
+        for (const Taken &s : all) {
+            if (s.when > cutoff)
+                break;
+            base = &s;
+        }
+        std::uint64_t dc = head.completed - base->completed;
+        if (dc == 0)
+            return 0.0;
+        return (double(head.missed - base->missed) / double(dc)) / budget;
+    };
+
+    // Fast / slow windows in ms; the last pair outlasts the ~45 ms
+    // runs, the others prune samples.
+    const std::pair<double, double> windows[] = {
+        {1.0, 4.0}, {3.0, 3.0}, {2.5, 17.0}, {100.0, 200.0}};
+    for (auto [fast_ms, slow_ms] : windows) {
+        for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+            SCOPED_TRACE(testing::Message() << "windows " << fast_ms
+                                            << "/" << slow_ms << " ms, seed "
+                                            << seed);
+            BurnRateConfig config = testConfig();
+            config.fastWindow = fromMs(fast_ms);
+            config.slowWindow = fromMs(slow_ms);
+            Simulator sim;
+            std::vector<ClassSlo> classes(2);
+            classes[0].name = "rt";
+            classes[1].name = "batch";
+            BurnRateAlerts alerts(sim, config, &classes);
+            std::vector<std::vector<Taken>> taken(classes.size());
+            std::mt19937_64 rng(seed);
+            int mismatches = 0;
+
+            // Evaluations at random gaps, some at the same tick, with
+            // random completions and misses in between.
+            Tick when = 0;
+            for (int step = 0; step < 400; ++step) {
+                when += rng() % 4 == 0 ? 0 : Tick(rng() % fromUs(300.0));
+                sim.at(when, [&] {
+                    for (std::size_t c = 0; c < classes.size(); ++c) {
+                        std::uint64_t done = rng() % 6;
+                        classes[c].completed += done;
+                        classes[c].missed += done ? rng() % (done + 1) : 0;
+                        taken[c].push_back({sim.now(), classes[c].completed,
+                                            classes[c].missed});
+                    }
+                    alerts.evaluateNow();
+                    std::vector<ClassAlertSummary> now = alerts.summary();
+                    for (std::size_t c = 0; c < classes.size(); ++c) {
+                        double budget = 1.0 - config.sloTarget;
+                        mismatches +=
+                            now[c].finalFastBurn !=
+                                scan(taken[c], config.fastWindow, budget) ||
+                            now[c].finalSlowBurn !=
+                                scan(taken[c], config.slowWindow, budget);
+                    }
+                });
+            }
+            sim.run();
+            EXPECT_EQ(mismatches, 0);
+        }
+    }
 }
 
 TEST(BurnRateAlertsTest, OverloadedDriverOpensAlert)

@@ -526,5 +526,26 @@ TEST(ServeDriverTest, MidRunSnapshotsReportBusyTime)
     std::remove(config.telemetry.exposition.path.c_str());
 }
 
+TEST(ServeDriverTest, EventSlabDoesNotGrowWithHorizon)
+{
+    // Laxity admission bounds the work in flight; arrivals are chained,
+    // so the pending events, and the slab that holds them, stay the
+    // same when the horizon (and the arrival count) doubles.
+    ServeConfig config = smallConfig();
+    config.arrival.ratePerSec = 20000.0;
+    config.admission.kind = AdmissionKind::Laxity;
+    config.horizon = fromMs(15.0);
+    ServeDriver shorter(config);
+    shorter.run();
+    config.horizon = fromMs(30.0);
+    ServeDriver longer(config);
+    longer.run();
+
+    std::size_t slab = shorter.soc().sim().events().slabCapacity();
+    // Enough arrivals that holding them all would take more slots.
+    EXPECT_GT(longer.schedule().size(), slab);
+    EXPECT_EQ(longer.soc().sim().events().slabCapacity(), slab);
+}
+
 } // namespace
 } // namespace relief

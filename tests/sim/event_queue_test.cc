@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -284,6 +285,93 @@ TEST(EventQueueTest, EventFlagTracesFiringEvents)
     EXPECT_NE(lines[1].find("20: event: dma.done"), std::string::npos);
     EXPECT_NE(lines[2].find("30: event: (unlabeled)"),
               std::string::npos);
+}
+
+/**
+ * Fires a chain of events at @p times with same-tick ties against
+ * events scheduled before the chain, by its events and after it:
+ * eagerly (all scheduled up front) or chained (each on a reserved
+ * sequence number scheduling the next). @return the firing order.
+ */
+std::vector<int>
+fireChain(const std::vector<Tick> &times, bool chained)
+{
+    EventQueue q;
+    std::vector<int> order;
+    auto mark = [&order](int id) {
+        return [&order, id] { order.push_back(id); };
+    };
+    for (Tick when : {5, 10, 10, 30})
+        q.schedule(when, mark(100 + int(when)));
+    // Each link also schedules a tie at its own tick and one later.
+    auto link = [&](std::size_t i) {
+        order.push_back(int(i));
+        q.schedule(times[i], mark(200 + int(i)));
+        q.schedule(times[i] + 5, mark(300 + int(i)));
+    };
+    std::uint64_t first = 0;
+    std::function<void(std::size_t)> chain = [&](std::size_t i) {
+        q.scheduleReserved(times[i], first + i, HostCat::Other,
+                           [&, i] {
+                               if (i + 1 < times.size())
+                                   chain(i + 1);
+                               link(i);
+                           },
+                           "chain");
+    };
+    if (chained) {
+        first = q.reserveSeqs(times.size());
+        chain(0);
+    } else {
+        for (std::size_t i = 0; i < times.size(); ++i)
+            q.schedule(times[i], [&link, i] { link(i); });
+    }
+    for (Tick when : {0, 5, 10, 20, 30})
+        q.schedule(when, mark(400 + int(when)));
+    while (q.runOne()) {
+    }
+    return order;
+}
+
+TEST(EventQueueTest, ReservedSeqChainFiresInEagerOrder)
+{
+    const std::vector<Tick> times = {0, 5, 5, 10, 10, 10, 15, 30, 30};
+    std::vector<int> eager = fireChain(times, false);
+    EXPECT_EQ(eager.size(), 4 + 3 * times.size() + 5);
+    EXPECT_EQ(fireChain(times, true), eager);
+}
+
+TEST(EventQueueTest, ReservedSeqsGoThroughTheOneScheduleBody)
+{
+    EventQueue q;
+    q.schedule(1, [] {}); // seq 0: taken before the block
+    std::uint64_t first = q.reserveSeqs(2);
+    EXPECT_EQ(first, 1u);
+    EXPECT_THROW(q.scheduleReserved(1, 0, HostCat::Other, [] {}, "x"),
+                 PanicError);
+    EXPECT_THROW(q.scheduleReserved(1, first + 2, HostCat::Other, [] {},
+                                    "x"),
+                 PanicError);
+    // The block is spent from the caller's view: the next ordinary
+    // event comes after it, and a same-tick reserved one precedes it.
+    std::vector<int> order;
+    q.schedule(4, [&] { order.push_back(2); });
+    struct Big
+    {
+        char payload[InlineCallable::capacity + 8];
+    };
+    q.scheduleReserved(4, first + 1, HostCat::Other,
+                       [&order, big = Big{}] {
+                           (void)big;
+                           order.push_back(1);
+                       },
+                       "big");
+    EXPECT_EQ(q.numHeapCallables(), 1u);
+    while (q.runOne()) {
+    }
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_THROW(q.scheduleReserved(3, first, HostCat::Other, [] {}, "x"),
+                 PanicError); // in the past
 }
 
 TEST(EventQueueTest, ManyInterleavedEventsStaySorted)
