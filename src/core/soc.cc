@@ -426,28 +426,27 @@ void
 Soc::writeStatsJson(std::ostream &os) const
 {
     HostProfScope prof(HostCat::Stats);
-    os << "{\n  \"schema\": \"relief-stats-v1\",\n  \"build_info\": ";
-    writeBuildInfoJson(os, 2);
-    os << ",\n  \"stats\": ";
-    stats_.dumpJsonStats(os, 4);
-    os << ",\n  \"apps\": [";
-    bool first = true;
+    JsonWriter w(os);
+    w.beginObject().field("schema", "relief-stats-v1").key("build_info");
+    writeBuildInfoJson(w);
+    w.key("stats");
+    stats_.dumpJsonStats(w);
+    w.key("apps").beginArray();
     for (const Submission &sub : submissions_) {
         const AppOutcome &app = sub.outcome;
-        if (!first)
-            os << ",";
-        first = false;
-        os << "\n    {\"name\": \"" << jsonEscape(app.name)
-           << "\", \"rel_deadline\": " << app.relDeadline
-           << ", \"iterations\": " << app.iterations
-           << ", \"deadlines_met\": " << app.deadlinesMet
-           << ", \"gmean_slowdown\": " << jsonNumber(app.meanSlowdown())
-           << ", \"max_slowdown\": " << jsonNumber(app.maxSlowdown())
-           << "}";
+        w.beginObject(JsonLayout::Inline)
+            .field("name", app.name)
+            .field("rel_deadline", app.relDeadline)
+            .field("iterations", app.iterations)
+            .field("deadlines_met", app.deadlinesMet)
+            .field("gmean_slowdown", app.meanSlowdown())
+            .field("max_slowdown", app.maxSlowdown())
+            .end();
     }
-    os << "\n  ],\n  \"pressure\": ";
-    ledger_->writeJson(os, sim_.now(), 8, pressureSummary(), nullptr);
-    os << "\n}\n";
+    w.end().key("pressure");
+    ledger_->writeJson(w, sim_.now(), 8, pressureSummary(), nullptr);
+    w.end();
+    os << "\n";
 }
 
 PressureLedger::Summary
@@ -470,7 +469,8 @@ void
 Soc::writePressureJson(std::ostream &os, int top_k) const
 {
     HostProfScope prof(HostCat::Stats);
-    ledger_->writeJson(os, sim_.now(), top_k, pressureSummary(),
+    JsonWriter w(os);
+    ledger_->writeJson(w, sim_.now(), top_k, pressureSummary(),
                        "relief-pressure-v1");
     os << "\n";
 }

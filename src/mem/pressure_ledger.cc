@@ -2,7 +2,6 @@
 #include "sim/build_info.hh"
 
 #include <algorithm>
-#include <ostream>
 
 #include "mem/bandwidth_resource.hh"
 #include "sim/logging.hh"
@@ -215,112 +214,88 @@ PressureLedger::topContenders(int resource, int k) const
 }
 
 void
-PressureLedger::writeJson(std::ostream &os, Tick end_tick, int top_k,
+PressureLedger::writeJson(JsonWriter &w, Tick end_tick, int top_k,
                           const Summary &summary,
                           const char *schema) const
 {
     RELIEF_ASSERT(sealed_, "pressure ledger not sealed");
 
-    os << "{\n";
+    w.beginObject();
     if (schema) {
         // Standalone document: stamp provenance. The embedded form
         // (the stats document's "pressure" member) inherits its
         // parent's build_info instead.
-        os << "  \"schema\": \"" << schema << "\",\n";
-        os << "  \"build_info\": ";
-        writeBuildInfoJson(os, 2);
-        os << ",\n";
+        w.field("schema", schema).key("build_info");
+        writeBuildInfoJson(w);
     }
-    os << "  \"end_us\": " << jsonNumber(toUs(end_tick)) << ",\n";
-
-    os << "  \"qos_classes\": [";
-    for (int qos = 0; qos < numQosClasses(); ++qos) {
-        os << (qos ? ", " : "") << "\"" << jsonEscape(qosClasses_[qos])
-           << "\"";
-    }
-    os << "],\n  \"traffic\": [";
-    for (int t = 0; t < numPressureTraffic; ++t) {
-        os << (t ? ", " : "") << "\""
-           << pressureTrafficName(PressureTraffic(t)) << "\"";
-    }
-    os << "],\n";
+    w.field("end_us", toUs(end_tick));
+    w.key("qos_classes").beginArray(JsonLayout::Inline);
+    for (const std::string &name : qosClasses_)
+        w.value(name);
+    w.end().key("traffic").beginArray(JsonLayout::Inline);
+    for (int t = 0; t < numPressureTraffic; ++t)
+        w.value(pressureTrafficName(PressureTraffic(t)));
+    w.end();
 
     Slot grand;
     for (int res = 0; res < numResources(); ++res)
         grand.accumulate(resourceTotal(res));
-    os << "  \"totals\": {\n"
-       << "    \"bytes\": " << grand.bytes << ",\n"
-       << "    \"transfers\": " << grand.transfers << ",\n"
-       << "    \"service_us\": " << jsonNumber(toUs(grand.serviceTicks))
-       << ",\n"
-       << "    \"wait_us\": " << jsonNumber(toUs(grand.waitSuffered))
-       << ",\n"
-       << "    \"dram_bytes\": " << summary.dramBytes << ",\n"
-       << "    \"fabric_bytes\": " << summary.fabricBytes << ",\n"
-       << "    \"bytes_spared_colocation\": "
-       << summary.sparedColocationBytes << ",\n"
-       << "    \"bytes_spared_forwarding\": "
-       << summary.sparedForwardBytes << "\n  },\n";
+    w.key("totals").beginObject()
+        .field("bytes", grand.bytes)
+        .field("transfers", grand.transfers)
+        .field("service_us", toUs(grand.serviceTicks))
+        .field("wait_us", toUs(grand.waitSuffered))
+        .field("dram_bytes", summary.dramBytes)
+        .field("fabric_bytes", summary.fabricBytes)
+        .field("bytes_spared_colocation", summary.sparedColocationBytes)
+        .field("bytes_spared_forwarding", summary.sparedForwardBytes)
+        .end();
 
-    os << "  \"qos\": [\n";
+    // One row's traffic figures, shared by the QoS and contender rows.
+    auto slotFields = [&w](const Slot &slot) {
+        w.field("bytes", slot.bytes)
+            .field("transfers", slot.transfers)
+            .field("service_us", toUs(slot.serviceTicks))
+            .field("wait_suffered_us", toUs(slot.waitSuffered))
+            .field("wait_caused_us", toUs(slot.waitCaused));
+    };
+    w.key("qos").beginArray();
     for (int qos = 0; qos < numQosClasses(); ++qos) {
-        Slot total = qosTotal(qos);
-        os << "    {\"name\": \"" << jsonEscape(qosClasses_[qos])
-           << "\", \"bytes\": " << total.bytes
-           << ", \"transfers\": " << total.transfers
-           << ", \"service_us\": "
-           << jsonNumber(toUs(total.serviceTicks))
-           << ", \"wait_suffered_us\": "
-           << jsonNumber(toUs(total.waitSuffered))
-           << ", \"wait_caused_us\": "
-           << jsonNumber(toUs(total.waitCaused)) << "}"
-           << (qos + 1 < numQosClasses() ? "," : "") << "\n";
+        w.beginObject(JsonLayout::Inline).field("name", qosClasses_[qos]);
+        slotFields(qosTotal(qos));
+        w.end();
     }
-    os << "  ],\n";
+    w.end();
 
-    os << "  \"resources\": [\n";
+    w.key("resources").beginArray();
     for (int res = 0; res < numResources(); ++res) {
         const BandwidthResource &bw = *resources_[res];
         Slot total = resourceTotal(res);
-        os << "    {\n      \"name\": \"" << jsonEscape(bw.name())
-           << "\",\n      \"peak_gbs\": " << jsonNumber(bw.bandwidth())
-           << ",\n      \"bytes\": " << total.bytes
-           << ",\n      \"transfers\": " << total.transfers
-           << ",\n      \"service_us\": "
-           << jsonNumber(toUs(total.serviceTicks))
-           << ",\n      \"wait_us\": "
-           << jsonNumber(toUs(total.waitSuffered))
-           << ",\n      \"busy_us\": "
-           << jsonNumber(toUs(bw.busyTime(end_tick)))
-           << ",\n      \"occupancy\": "
-           << jsonNumber(end_tick ? bw.occupancy(end_tick) : 0.0)
-           << ",\n      \"contenders\": [";
-        std::vector<Contender> rows = topContenders(res, top_k);
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const Contender &row = rows[i];
+        w.beginObject()
+            .field("name", bw.name())
+            .field("peak_gbs", bw.bandwidth())
+            .field("bytes", total.bytes)
+            .field("transfers", total.transfers)
+            .field("service_us", toUs(total.serviceTicks))
+            .field("wait_us", toUs(total.waitSuffered))
+            .field("busy_us", toUs(bw.busyTime(end_tick)))
+            .field("occupancy", end_tick ? bw.occupancy(end_tick) : 0.0)
+            .key("contenders").beginArray();
+        for (const Contender &row : topContenders(res, top_k)) {
             int src = keySource(row.key);
-            os << (i ? "," : "") << "\n        {\"source\": \""
-               << jsonEscape(src < 0 ? std::string("untagged")
-                                     : sources_[src])
-               << "\", \"qos\": \""
-               << jsonEscape(qosClasses_[keyQos(row.key)])
-               << "\", \"traffic\": \""
-               << (row.key == 0 ? "untagged"
-                                : pressureTrafficName(
-                                      keyTraffic(row.key)))
-               << "\", \"bytes\": " << row.slot.bytes
-               << ", \"transfers\": " << row.slot.transfers
-               << ", \"service_us\": "
-               << jsonNumber(toUs(row.slot.serviceTicks))
-               << ", \"wait_suffered_us\": "
-               << jsonNumber(toUs(row.slot.waitSuffered))
-               << ", \"wait_caused_us\": "
-               << jsonNumber(toUs(row.slot.waitCaused)) << "}";
+            w.beginObject(JsonLayout::Inline)
+                .field("source", src < 0 ? std::string("untagged")
+                                         : sources_[src])
+                .field("qos", qosClasses_[keyQos(row.key)])
+                .field("traffic", row.key == 0 ? "untagged"
+                                               : pressureTrafficName(
+                                                     keyTraffic(row.key)));
+            slotFields(row.slot);
+            w.end();
         }
-        os << (rows.empty() ? "]" : "\n      ]") << "\n    }"
-           << (res + 1 < numResources() ? "," : "") << "\n";
+        w.end().end();
     }
-    os << "  ]\n}";
+    w.end().end();
 }
 
 void

@@ -28,13 +28,13 @@
 #define RELIEF_MEM_PRESSURE_LEDGER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "mem/bandwidth_resource.hh"
 #include "sim/logging.hh"
 #include "sim/ticks.hh"
+#include "stats/json.hh"
 
 namespace relief
 {
@@ -193,13 +193,13 @@ class PressureLedger
     };
 
     /**
-     * Emit the pressure document body: totals, per-QoS rollups, and
-     * per-resource contender tables. When @p schema is non-null it is
-     * emitted as a leading "schema" field (the relief-pressure-v1
-     * artifact); pass nullptr to embed the same body inside another
-     * document (the stats JSON "pressure" block).
+     * Emit the pressure document body as the next value: totals,
+     * per-QoS rollups, and per-resource contender tables. When @p schema
+     * is non-null it is emitted as a leading "schema" field (the
+     * relief-pressure-v1 artifact); pass nullptr to embed the same body
+     * inside another document (the stats JSON "pressure" block).
      */
-    void writeJson(std::ostream &os, Tick end_tick, int top_k,
+    void writeJson(JsonWriter &w, Tick end_tick, int top_k,
                    const Summary &summary, const char *schema) const;
 
     /** Zero every slot and reset the registered resources, records

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/logging.hh"
-#include "stats/json.hh"
 
 namespace relief
 {
@@ -64,30 +63,6 @@ DecisionLog::at(std::size_t index) const
                   index, " is not kept (kept: [", first(), ", ", size(),
                   "))");
     return kept_[index % capacity];
-}
-
-void
-DecisionLog::writeJson(std::ostream &os) const
-{
-    os << "[\n";
-    for (std::size_t i = first(); i < size(); ++i) {
-        const PromotionDecision &d = at(i);
-        if (i != first())
-            os << ",\n";
-        os << "  {\"tick\": " << d.when << ", \"node\": " << d.node
-           << ", \"label\": \"" << jsonEscape(d.label)
-           << "\", \"acc\": \"" << accTypeName(d.type)
-           << "\", \"laxity\": " << d.laxity
-           << ", \"queue_depth\": " << d.queueDepth
-           << ", \"granted\": " << (d.granted ? "true" : "false")
-           << ", \"reason\": \"" << promotionReasonName(d.reason)
-           << "\"";
-        if (!d.victim.empty())
-            os << ", \"victim\": \"" << jsonEscape(d.victim)
-               << "\", \"victim_slack\": " << d.victimSlack;
-        os << "}";
-    }
-    os << "\n]\n";
 }
 
 void

@@ -23,7 +23,6 @@
 #define RELIEF_SCHED_DECISION_LOG_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -89,10 +88,6 @@ class DecisionLog
 
     std::uint64_t numGranted() const { return granted_; }
     std::uint64_t numDenied() const { return recorded_ - granted_; }
-
-    /** JSON array of the kept decision objects, oldest first (times in
-     *  ticks). */
-    void writeJson(std::ostream &os) const;
 
     void clear();
 

@@ -173,39 +173,34 @@ BurnRateAlerts::summary() const
 }
 
 void
-writeAlertsJson(std::ostream &os,
+writeAlertsJson(JsonWriter &w,
                 const std::vector<ClassAlertSummary> &summaries,
-                const std::vector<AlertEvent> &events, int indent)
+                const std::vector<AlertEvent> &events)
 {
-    const std::string pad(std::size_t(indent), ' ');
-    os << "[";
-    bool first = true;
+    w.beginArray();
     for (const ClassAlertSummary &s : summaries) {
-        os << (first ? "\n" : ",\n") << pad << "  {\"class\": \""
-           << jsonEscape(s.name) << "\", \"opens\": " << s.opens
-           << ", \"closes\": " << s.closes << ", \"active\": "
-           << (s.active ? "true" : "false") << ", \"active_ms\": "
-           << jsonNumber(toMs(s.activeTicks)) << ", \"final_fast_burn\": "
-           << jsonNumber(s.finalFastBurn) << ", \"final_slow_burn\": "
-           << jsonNumber(s.finalSlowBurn) << ", \"events\": [";
-        bool first_event = true;
+        w.beginObject(JsonLayout::Inline)
+            .field("class", s.name)
+            .field("opens", s.opens)
+            .field("closes", s.closes)
+            .field("active", s.active)
+            .field("active_ms", toMs(s.activeTicks))
+            .field("final_fast_burn", s.finalFastBurn)
+            .field("final_slow_burn", s.finalSlowBurn)
+            .key("events").beginArray(JsonLayout::Inline);
         for (const AlertEvent &e : events) {
             if (e.qosClass != s.name)
                 continue;
-            os << (first_event ? "" : ", ") << "{\"t_ms\": "
-               << jsonNumber(toMs(e.when)) << ", \"open\": "
-               << (e.open ? "true" : "false") << ", \"fast_burn\": "
-               << jsonNumber(e.fastBurn) << ", \"slow_burn\": "
-               << jsonNumber(e.slowBurn) << "}";
-            first_event = false;
+            w.beginObject(JsonLayout::Inline)
+                .field("t_ms", toMs(e.when))
+                .field("open", e.open)
+                .field("fast_burn", e.fastBurn)
+                .field("slow_burn", e.slowBurn)
+                .end();
         }
-        os << "]}";
-        first = false;
+        w.end().end();
     }
-    if (first)
-        os << "]";
-    else
-        os << "\n" << pad << "]";
+    w.end();
 }
 
 } // namespace relief

@@ -31,12 +31,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <ostream>
 #include <string>
 #include <vector>
 
 #include "serve/slo.hh"
 #include "sim/simulator.hh"
+#include "stats/json.hh"
 
 namespace relief
 {
@@ -153,10 +153,10 @@ class BurnRateAlerts : public SimObject
 };
 
 /** Write the relief-serve-v1 "alerts" array (one object per class,
- *  summary plus its open/close events) at @p indent spaces. */
-void writeAlertsJson(std::ostream &os,
+ *  summary plus its open/close events). */
+void writeAlertsJson(JsonWriter &w,
                      const std::vector<ClassAlertSummary> &summaries,
-                     const std::vector<AlertEvent> &events, int indent);
+                     const std::vector<AlertEvent> &events);
 
 } // namespace relief
 

@@ -207,11 +207,11 @@ void printSloTable(std::ostream &os, const ServeReport &report,
  * @p offered_load is the multiplier of measured capacity (0 when the
  * run was configured with an absolute rate instead).
  */
-void writeServeRunJson(std::ostream &os, const ServeReport &report,
+void writeServeRunJson(JsonWriter &w, const ServeReport &report,
                        const std::string &policy,
                        const std::string &admission,
                        const std::string &arrival, double offered_load,
-                       double rate_rps, int indent = 4);
+                       double rate_rps);
 
 /** A whole relief-serve-v1 document: its envelope, runs and knees. */
 struct ServeDocument

@@ -1,7 +1,6 @@
 #include "sim/build_info.hh"
 
-#include <ostream>
-#include <string>
+#include "stats/json.hh"
 
 // CMake supplies these; stray compiles (e.g. tooling) fall back so
 // the artifact still carries a well-formed build_info object.
@@ -24,55 +23,24 @@
 namespace relief
 {
 
-namespace
+void
+writeBuildInfoJson(JsonWriter &w)
 {
-
-std::string
-jsonEscape(const char *s)
-{
-    std::string out;
-    for (; *s; ++s) {
-        switch (*s) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += *s; break;
-        }
-    }
-    return out;
+    w.beginObject()
+        .field("git_sha", RELIEF_GIT_SHA)
+        .field("compiler_id", RELIEF_COMPILER_ID)
+        .field("compiler_version", RELIEF_COMPILER_VERSION)
+        .field("build_type",
+               RELIEF_BUILD_TYPE[0] ? RELIEF_BUILD_TYPE : "unspecified")
+        .field("cxx_flags", RELIEF_CXX_FLAGS)
+        .end();
 }
-
-} // namespace
-
-const char *buildGitSha() { return RELIEF_GIT_SHA; }
-const char *buildCompilerId() { return RELIEF_COMPILER_ID; }
-const char *buildCompilerVersion() { return RELIEF_COMPILER_VERSION; }
-
-const char *
-buildType()
-{
-    return RELIEF_BUILD_TYPE[0] ? RELIEF_BUILD_TYPE : "unspecified";
-}
-
-const char *buildCxxFlags() { return RELIEF_CXX_FLAGS; }
 
 void
 writeBuildInfoJson(std::ostream &os, int indent)
 {
-    std::string pad(std::size_t(indent), ' ');
-    os << "{\n";
-    os << pad << "  \"git_sha\": \"" << jsonEscape(buildGitSha())
-       << "\",\n";
-    os << pad << "  \"compiler_id\": \"" << jsonEscape(buildCompilerId())
-       << "\",\n";
-    os << pad << "  \"compiler_version\": \""
-       << jsonEscape(buildCompilerVersion()) << "\",\n";
-    os << pad << "  \"build_type\": \"" << jsonEscape(buildType())
-       << "\",\n";
-    os << pad << "  \"cxx_flags\": \"" << jsonEscape(buildCxxFlags())
-       << "\"\n";
-    os << pad << "}";
+    JsonWriter w(os, indent);
+    writeBuildInfoJson(w);
 }
 
 } // namespace relief

@@ -190,50 +190,41 @@ StatRegistry::dumpText(std::ostream &os) const
 }
 
 void
-StatRegistry::dumpJsonStats(std::ostream &os, int indent) const
+StatRegistry::dumpJsonStats(JsonWriter &w) const
 {
-    const std::string pad(std::size_t(indent), ' ');
-    const std::string pad2(std::size_t(indent) + 2, ' ');
-    os << "{\n";
-    bool first = true;
+    w.beginObject();
     for (const Entry &entry : entries_) {
-        if (!first)
-            os << ",\n";
-        first = false;
-        os << pad << "\"" << jsonEscape(entry.name) << "\": {\n"
-           << pad2 << "\"kind\": \"" << statKindName(entry.kind)
-           << "\",\n"
-           << pad2 << "\"description\": \"" << jsonEscape(entry.desc)
-           << "\",\n";
+        w.key(entry.name).beginObject()
+            .field("kind", statKindName(entry.kind))
+            .field("description", entry.desc);
         switch (entry.kind) {
           case StatKind::Counter:
-            os << pad2 << "\"value\": " << entry.getCounter() << "\n";
+            w.field("value", entry.getCounter());
             break;
           case StatKind::Scalar:
           case StatKind::Formula:
-            os << pad2 << "\"value\": " << jsonNumber(entry.getScalar())
-               << "\n";
+            w.field("value", entry.getScalar());
             break;
           case StatKind::Histogram: {
             const Histogram &h = *entry.hist;
-            os << pad2 << "\"count\": " << h.count() << ",\n"
-               << pad2 << "\"mean\": " << jsonNumber(h.mean()) << ",\n"
-               << pad2 << "\"min\": " << jsonNumber(h.min()) << ",\n"
-               << pad2 << "\"max\": " << jsonNumber(h.max()) << ",\n"
-               << pad2 << "\"range\": [" << jsonNumber(h.rangeLo())
-               << ", " << jsonNumber(h.rangeHi()) << "],\n"
-               << pad2 << "\"underflow\": " << h.underflow() << ",\n"
-               << pad2 << "\"overflow\": " << h.overflow() << ",\n"
-               << pad2 << "\"buckets\": [";
+            w.field("count", h.count())
+                .field("mean", h.mean())
+                .field("min", h.min())
+                .field("max", h.max())
+                .key("range").beginArray(JsonLayout::Inline)
+                .value(h.rangeLo()).value(h.rangeHi()).end()
+                .field("underflow", h.underflow())
+                .field("overflow", h.overflow())
+                .key("buckets").beginArray(JsonLayout::Inline);
             for (std::size_t b = 0; b < h.numBuckets(); ++b)
-                os << (b ? ", " : "") << h.bucketCount(b);
-            os << "]\n";
+                w.value(h.bucketCount(b));
+            w.end();
             break;
           }
         }
-        os << pad << "}";
+        w.end();
     }
-    os << "\n" << std::string(std::size_t(indent) - 2, ' ') << "}";
+    w.end();
 }
 
 } // namespace relief

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "stats/stats.hh"
+#include "stats/json.hh"
 
 namespace relief
 {
@@ -92,11 +93,11 @@ class StatRegistry
     void dumpText(std::ostream &os) const;
 
     /**
-     * Just the {"stat.name": {...}, ...} stats object (no enclosing
-     * document). Soc::writeStatsJson embeds it in the relief-stats-v1
+     * Just the {"stat.name": {...}, ...} stats object as @p w's next
+     * value. Soc::writeStatsJson embeds it in the relief-stats-v1
      * document beside the per-app outcomes and the pressure block.
      */
-    void dumpJsonStats(std::ostream &os, int indent = 2) const;
+    void dumpJsonStats(JsonWriter &w) const;
 
   private:
     struct Entry

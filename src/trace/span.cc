@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "sim/logging.hh"
-#include "stats/json.hh"
 #include "trace/trace.hh"
 
 namespace relief
@@ -214,48 +213,6 @@ emitAsyncSlices(TraceRecorder &trace, const RequestTrace &request)
         trace.asyncEvent(2 * request.context + 1, name, "request",
                          span.end, false);
     }
-}
-
-void
-writeRequestTraceJson(std::ostream &os, const RequestTrace &trace,
-                      int indent)
-{
-    const std::string pad(std::size_t(indent), ' ');
-    os << "{\n"
-       << pad << "  \"id\": " << trace.id << ",\n"
-       << pad << "  \"class\": \"" << jsonEscape(trace.qosClass)
-       << "\",\n"
-       << pad << "  \"app\": \"" << jsonEscape(trace.app) << "\",\n"
-       << pad << "  \"outcome\": \"" << requestOutcomeName(trace.outcome)
-       << "\",\n"
-       << pad << "  \"arrival_us\": " << jsonNumber(toUs(trace.arrival))
-       << ",\n"
-       << pad << "  \"finish_us\": " << jsonNumber(toUs(trace.finish))
-       << ",\n"
-       << pad << "  \"deadline_us\": "
-       << jsonNumber(toUs(trace.deadline)) << ",\n"
-       << pad << "  \"latency_us\": " << jsonNumber(toUs(trace.latency()))
-       << ",\n"
-       << pad << "  \"buckets_us\": {\"queue_wait\": "
-       << jsonNumber(toUs(trace.buckets.queueWait)) << ", \"manager\": "
-       << jsonNumber(toUs(trace.buckets.managerOverhead))
-       << ", \"dma_in\": " << jsonNumber(toUs(trace.buckets.dmaIn))
-       << ", \"compute\": " << jsonNumber(toUs(trace.buckets.compute))
-       << ", \"dma_out\": " << jsonNumber(toUs(trace.buckets.dmaOut))
-       << ", \"dep_stall\": " << jsonNumber(toUs(trace.buckets.depStall))
-       << ", \"total\": " << jsonNumber(toUs(trace.buckets.total()))
-       << "},\n"
-       << pad << "  \"spans\": [";
-    bool first = true;
-    for (const RequestSpan &span : trace.spans) {
-        os << (first ? "\n" : ",\n") << pad << "    {\"kind\": \""
-           << spanKindName(span.kind) << "\", \"parent\": "
-           << span.parent << ", \"label\": \"" << jsonEscape(span.label)
-           << "\", \"start_us\": " << jsonNumber(toUs(span.start))
-           << ", \"end_us\": " << jsonNumber(toUs(span.end)) << "}";
-        first = false;
-    }
-    os << "\n" << pad << "  ]\n" << pad << "}";
 }
 
 } // namespace relief

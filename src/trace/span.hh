@@ -32,7 +32,6 @@
 #define RELIEF_TRACE_SPAN_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -161,10 +160,6 @@ void addCriticalPathSpans(RequestTrace &trace,
  * timestamps.
  */
 void emitAsyncSlices(TraceRecorder &trace, const RequestTrace &request);
-
-/** Write one relief-trace-v1 request record at @p indent spaces. */
-void writeRequestTraceJson(std::ostream &os, const RequestTrace &trace,
-                           int indent);
 
 } // namespace relief
 

@@ -8,6 +8,7 @@
 #include "mem/bandwidth_resource.hh"
 #include "mem/pressure_ledger.hh"
 #include "sim/logging.hh"
+#include "stats/json.hh"
 
 namespace relief
 {
@@ -264,7 +265,8 @@ TEST(PressureLedgerTest, WriteJsonEmitsSchemaAndBalancedBooks)
     res.claim(0, 100, 0, tag(0, 1, PressureTraffic::DramFetch));
 
     std::ostringstream out;
-    ledger.writeJson(out, fromNs(200.0), 8, {}, "relief-pressure-v1");
+    JsonWriter w(out);
+    ledger.writeJson(w, fromNs(200.0), 8, {}, "relief-pressure-v1");
     std::string doc = out.str();
     EXPECT_NE(doc.find("\"schema\": \"relief-pressure-v1\""),
               std::string::npos);
@@ -273,7 +275,8 @@ TEST(PressureLedgerTest, WriteJsonEmitsSchemaAndBalancedBooks)
     EXPECT_NE(doc.find("\"contenders\""), std::string::npos);
 
     std::ostringstream embedded;
-    ledger.writeJson(embedded, fromNs(200.0), 8, {}, nullptr);
+    JsonWriter embedded_writer(embedded);
+    ledger.writeJson(embedded_writer, fromNs(200.0), 8, {}, nullptr);
     EXPECT_EQ(embedded.str().find("\"schema\""), std::string::npos);
 }
 

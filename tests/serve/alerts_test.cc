@@ -17,6 +17,7 @@
 #include "serve/alerts.hh"
 #include "serve/server.hh"
 #include "sim/simulator.hh"
+#include "stats/json.hh"
 
 using namespace relief;
 
@@ -159,7 +160,8 @@ TEST(BurnRateAlertsTest, JsonExport)
     };
 
     std::ostringstream os;
-    writeAlertsJson(os, summaries, events, 0);
+    JsonWriter w(os);
+    writeAlertsJson(w, summaries, events);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"class\": \"rt\""), std::string::npos);
     EXPECT_NE(json.find("\"opens\": 1"), std::string::npos);
@@ -169,7 +171,8 @@ TEST(BurnRateAlertsTest, JsonExport)
     EXPECT_EQ(json.find("other"), std::string::npos);
 
     std::ostringstream empty;
-    writeAlertsJson(empty, {}, {}, 0);
+    JsonWriter empty_writer(empty);
+    writeAlertsJson(empty_writer, {}, {});
     EXPECT_EQ(empty.str(), "[]");
 }
 

@@ -20,6 +20,7 @@
 #include "dag/apps/apps.hh"
 #include "serve/server.hh"
 #include "sim/logging.hh"
+#include "stats/json.hh"
 #include "trace/sampler.hh"
 
 namespace relief
@@ -41,7 +42,8 @@ std::string
 runJson(const ServeReport &report)
 {
     std::ostringstream out;
-    writeServeRunJson(out, report, "FCFS", "admit-all", "poisson", 1.0,
+    JsonWriter w(out);
+    writeServeRunJson(w, report, "FCFS", "admit-all", "poisson", 1.0,
                       2000.0);
     return out.str();
 }

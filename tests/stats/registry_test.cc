@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "stats/json.hh"
 #include "stats/json_reader.hh"
 #include "stats/registry.hh"
 
@@ -161,7 +162,8 @@ TEST(StatRegistryTest, DumpJsonRoundTrips)
 
     // The document header is Soc::writeStatsJson's (StatsDumpTest).
     std::ostringstream os;
-    registry.dumpJsonStats(os);
+    JsonWriter w(os);
+    registry.dumpJsonStats(w);
     std::string json = os.str();
     EXPECT_NO_THROW(JsonValue::parse(json)) << json;
     EXPECT_NE(json.find("\"kind\": \"counter\""), std::string::npos);
@@ -177,7 +179,8 @@ TEST(StatRegistryTest, DumpJsonEscapesDescriptions)
     registry.addScalar("weird", "has \"quotes\" and\nnewlines",
                        [] { return 1.0; });
     std::ostringstream os;
-    registry.dumpJsonStats(os);
+    JsonWriter w(os);
+    registry.dumpJsonStats(w);
     std::string json = os.str();
     EXPECT_NO_THROW(JsonValue::parse(json)) << json;
     EXPECT_NE(json.find("\\\"quotes\\\""), std::string::npos);
@@ -189,9 +192,10 @@ TEST(StatRegistryTest, DumpJsonStatsEmbeds)
     StatRegistry registry;
     registry.addCounter("n", "", [] { return std::uint64_t(1); });
     std::ostringstream os;
-    os << "{\"stats\": ";
-    registry.dumpJsonStats(os, 2);
-    os << "}";
+    JsonWriter w(os);
+    w.beginObject().key("stats");
+    registry.dumpJsonStats(w);
+    w.end();
     // The fragment form plugs into a larger document (writeStatsJson).
     EXPECT_NO_THROW(JsonValue::parse(os.str())) << os.str();
 }
@@ -202,7 +206,8 @@ TEST(StatRegistryTest, NonFiniteScalarsExportAsNull)
     registry.addFormula("bad.ratio", "0/0",
                         [] { return 0.0 / 0.0; });
     std::ostringstream os;
-    registry.dumpJsonStats(os);
+    JsonWriter w(os);
+    registry.dumpJsonStats(w);
     std::string json = os.str();
     EXPECT_NO_THROW(JsonValue::parse(json)) << json;
     EXPECT_NE(json.find("\"value\": null"), std::string::npos);
