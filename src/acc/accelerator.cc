@@ -28,7 +28,7 @@ Accelerator::acquire()
 }
 
 void
-Accelerator::startCompute(Tick duration, Callback on_done)
+Accelerator::startCompute(Tick duration, Completion on_done)
 {
     RELIEF_ASSERT(busy_, name(), ": compute without acquisition");
     Tick start = now();
@@ -36,13 +36,15 @@ Accelerator::startCompute(Tick duration, Callback on_done)
     computeBusy_.add(now(), start, end);
     // The done event runs the manager's completion handling, so it is
     // scheduler work; functional payloads charge Kernels themselves.
-    sim().at(end, HostCat::Sched,
-             [this, cb = std::move(on_done)]() {
-                 tasksExecuted_.add(1);
-                 busy_ = false;
-                 if (cb)
-                     cb();
-             },
+    auto done = [this, cb = std::move(on_done)]() {
+        tasksExecuted_.add(1);
+        busy_ = false;
+        if (cb)
+            cb();
+    };
+    static_assert(sizeof(done) <= InlineCallable::capacity,
+                  "the compute-done event must not allocate");
+    sim().at(end, HostCat::Sched, std::move(done),
              [this] { return name() + ".computeDone"; });
 }
 

@@ -13,7 +13,6 @@
 #ifndef RELIEF_ACC_ACCELERATOR_HH
 #define RELIEF_ACC_ACCELERATOR_HH
 
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -31,8 +30,6 @@ namespace relief
 class Accelerator : public SimObject
 {
   public:
-    using Callback = std::function<void()>;
-
     /**
      * @param sim       Simulation context.
      * @param name      Debug name, e.g. "soc.convolution0".
@@ -67,7 +64,7 @@ class Accelerator : public SimObject
      * releases the unit when finished. The unit must have been
      * acquire()d (input DMA happens under acquisition).
      */
-    void startCompute(Tick duration, Callback on_done);
+    void startCompute(Tick duration, Completion on_done);
 
     /** Release the functional unit without computing (error paths). */
     void release();

@@ -45,7 +45,7 @@ Node::resetRuntimeState()
     predictedRuntime = 0;
     laxityKey = 0;
     isFwd = false;
-    producerRefs.assign(parents.size(), ProducerRef{});
+    outputAt = OutputLocation{};
     inputSources.assign(parents.size(), InputSource::Dram);
     readyAt = 0;
     launchedAt = 0;

@@ -26,7 +26,6 @@ namespace relief
 {
 
 class Dag;
-class Accelerator;
 
 /** Node lifecycle. */
 enum class NodeStatus : std::uint8_t
@@ -45,12 +44,16 @@ enum class InputSource : std::uint8_t
     Colocated, ///< Produced in place on the same accelerator.
 };
 
-/** Which producer accelerator/partition holds a parent's output
- *  (paper Table III: producer_acc / producer_spm). */
-struct ProducerRef
+/**
+ * Where a node's output was produced (paper Table III: producer_acc /
+ * producer_spm): the accelerator's index in its hardware manager and
+ * the scratchpad partition. The data is still there while that
+ * partition's owner is the node and its data is valid.
+ */
+struct OutputLocation
 {
-    Accelerator *acc = nullptr;
-    int partition = -1;
+    std::int16_t acc = -1; ///< -1 until the output is produced.
+    std::int16_t partition = -1;
 };
 
 /**
@@ -173,10 +176,10 @@ struct Node
     Tick predictedRuntime = 0;  ///< Estimated at ready-queue insert.
     STick laxityKey = 0;        ///< deadline - predictedRuntime.
     bool isFwd = false;         ///< Promoted as a forwarding node.
+    OutputLocation outputAt;    ///< Set when the output is produced.
     /** Children whose payloads have run; once all have, the manager
      *  hands outputData back to the payload buffer pool. */
     std::uint32_t finishedChildren = 0;
-    std::vector<ProducerRef> producerRefs; ///< Parallel to parents.
     std::vector<InputSource> inputSources; ///< Parallel to parents.
 
     // --- Outcome timestamps ---

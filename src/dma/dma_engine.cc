@@ -72,9 +72,22 @@ DmaEngine::routeSlot(std::vector<Route> &table, int index)
     return table[std::size_t(index)];
 }
 
+auto
+DmaEngine::delivered(std::uint64_t bytes, Completion on_done)
+{
+    auto done = [this, bytes, cb = std::move(on_done)]() {
+        outstanding_ -= bytes;
+        if (cb)
+            cb();
+    };
+    static_assert(sizeof(done) <= InlineCallable::capacity,
+                  "a transfer's done event must not allocate");
+    return done;
+}
+
 Tick
 DmaEngine::launch(const Route &path, std::uint64_t bytes, TrafficClass cls,
-                  Callback on_done, const RequestorTag &tag)
+                  Completion on_done, const RequestorTag &tag)
 {
     if (config_.burstBytes > 0 && bytes > config_.burstBytes)
         return launchChunked(path, bytes, cls, std::move(on_done), tag);
@@ -87,19 +100,14 @@ DmaEngine::launch(const Route &path, std::uint64_t bytes, TrafficClass cls,
             " bytes, done at ", timing.end);
 
     outstanding_ += bytes;
-    sim().at(timing.end, HostCat::Dma,
-             [this, bytes, cb = std::move(on_done)]() {
-                 outstanding_ -= bytes;
-                 if (cb)
-                     cb();
-             },
+    sim().at(timing.end, HostCat::Dma, delivered(bytes, std::move(on_done)),
              [this] { return name() + ".done"; });
     return timing.end;
 }
 
 Tick
 DmaEngine::launchChunked(const Route &path, std::uint64_t bytes,
-                         TrafficClass cls, Callback on_done,
+                         TrafficClass cls, Completion on_done,
                          const RequestorTag &tag)
 {
     accountTraffic(bytes, cls);
@@ -164,7 +172,7 @@ DmaEngine::issueNextChunk(ChunkState *state)
                      // Recycle before running the callback: on_done may
                      // start another chunked transfer and reuse this
                      // very state.
-                     Callback done = std::move(state->onDone);
+                     Completion done = std::move(state->onDone);
                      releaseChunk(state);
                      if (done)
                          done();
@@ -195,7 +203,7 @@ DmaEngine::accountTraffic(std::uint64_t bytes, TrafficClass cls)
 }
 
 Tick
-DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
+DmaEngine::readFromDram(std::uint64_t bytes, Completion on_done,
                         std::uint64_t stream_hint,
                         const TransferCtx &ctx)
 {
@@ -215,7 +223,7 @@ DmaEngine::readFromDram(std::uint64_t bytes, Callback on_done,
 }
 
 Tick
-DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
+DmaEngine::writeToDram(std::uint64_t bytes, Completion on_done,
                        std::uint64_t stream_hint, const TransferCtx &ctx)
 {
     int mem_route = dram_.route(stream_hint);
@@ -235,7 +243,7 @@ DmaEngine::writeToDram(std::uint64_t bytes, Callback on_done,
 
 Tick
 DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
-                       std::uint64_t bytes, Callback on_done,
+                       std::uint64_t bytes, Completion on_done,
                        const TransferCtx &ctx)
 {
     RELIEF_ASSERT(&producer != &localSpm_,
@@ -261,7 +269,7 @@ DmaEngine::forwardFrom(Scratchpad &producer, PortId producer_port,
 
 Tick
 DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
-                      std::uint64_t bytes, Callback on_done,
+                      std::uint64_t bytes, Completion on_done,
                       const TransferCtx &ctx)
 {
     RELIEF_ASSERT(&producer != &localSpm_,
@@ -281,12 +289,7 @@ DmaEngine::streamFrom(Scratchpad &producer, PortId producer_port,
     fabric_.recordTransfer(timing.start, timing.end, bytes);
     DPRINTF(Dma, "stream ", bytes, " bytes, done at ", timing.end);
     outstanding_ += bytes;
-    sim().at(timing.end, HostCat::Dma,
-             [this, bytes, cb = std::move(on_done)]() {
-                 outstanding_ -= bytes;
-                 if (cb)
-                     cb();
-             },
+    sim().at(timing.end, HostCat::Dma, delivered(bytes, std::move(on_done)),
              [this] { return name() + ".streamDone"; });
     return timing.end;
 }

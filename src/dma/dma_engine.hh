@@ -14,7 +14,6 @@
 #define RELIEF_DMA_DMA_ENGINE_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -72,8 +71,6 @@ struct TransferCtx
 class DmaEngine : public SimObject
 {
   public:
-    using Callback = std::function<void()>;
-
     /**
      * @param sim       Simulation context.
      * @param name      Debug name.
@@ -96,12 +93,12 @@ class DmaEngine : public SimObject
      *        node id); the banked memory model maps it to a bank.
      * @return the reservation's end tick; @p on_done fires then.
      */
-    Tick readFromDram(std::uint64_t bytes, Callback on_done,
+    Tick readFromDram(std::uint64_t bytes, Completion on_done,
                       std::uint64_t stream_hint = 0,
                       const TransferCtx &ctx = {});
 
     /** Local SPM -> DRAM write-back of @p bytes. */
-    Tick writeToDram(std::uint64_t bytes, Callback on_done,
+    Tick writeToDram(std::uint64_t bytes, Completion on_done,
                      std::uint64_t stream_hint = 0,
                      const TransferCtx &ctx = {});
 
@@ -111,7 +108,7 @@ class DmaEngine : public SimObject
      * partition (beginRead before calling, endRead from @p on_done).
      */
     Tick forwardFrom(Scratchpad &producer, PortId producer_port,
-                     std::uint64_t bytes, Callback on_done,
+                     std::uint64_t bytes, Completion on_done,
                      const TransferCtx &ctx = {});
 
     /**
@@ -122,7 +119,7 @@ class DmaEngine : public SimObject
      * small per-stream setup cost. Accounting matches forwardFrom().
      */
     Tick streamFrom(Scratchpad &producer, PortId producer_port,
-                    std::uint64_t bytes, Callback on_done,
+                    std::uint64_t bytes, Completion on_done,
                     const TransferCtx &ctx = {});
 
     /**
@@ -171,7 +168,7 @@ class DmaEngine : public SimObject
     {
         Route path;
         std::uint64_t remaining = 0;
-        Callback onDone;
+        Completion onDone;
         RequestorTag tag;
     };
 
@@ -189,10 +186,14 @@ class DmaEngine : public SimObject
      */
     Route &routeSlot(std::vector<Route> &table, int index);
 
+    /** The event action ending a whole-buffer transfer of @p bytes:
+     *  drops them from outstandingBytes() and runs @p on_done. */
+    auto delivered(std::uint64_t bytes, Completion on_done);
+
     Tick launch(const Route &path, std::uint64_t bytes, TrafficClass cls,
-                Callback on_done, const RequestorTag &tag);
+                Completion on_done, const RequestorTag &tag);
     Tick launchChunked(const Route &path, std::uint64_t bytes,
-                       TrafficClass cls, Callback on_done,
+                       TrafficClass cls, Completion on_done,
                        const RequestorTag &tag);
     void issueNextChunk(ChunkState *state);
     void accountTraffic(std::uint64_t bytes, TrafficClass cls);

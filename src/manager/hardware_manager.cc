@@ -171,16 +171,32 @@ HardwareManager::releaseReadyList(std::vector<Node *> *list)
     readyFree_.push_back(list);
 }
 
+Accelerator *
+HardwareManager::producerOf(const Node *node) const
+{
+    const OutputLocation &at = node->outputAt;
+    if (at.acc < 0 || std::size_t(at.acc) >= accs_.size())
+        return nullptr;
+    return accs_[std::size_t(at.acc)].acc;
+}
+
 void
 HardwareManager::invalidateDagResidue(Dag *dag)
 {
-    for (AccState &state : accs_) {
-        Scratchpad &spm = state.acc->spm();
-        for (int i = 0; i < dag->numNodes(); ++i) {
-            int part = spm.findOutput(dag->node(i)->id);
-            if (part >= 0 && spm.partition(part).ongoingReads == 0)
-                spm.release(part);
-        }
+    // Each output was produced into one partition, and a finished run
+    // has no reads left in flight, so a node's residue is at most the
+    // partition its location names. A pooled serve instance restamped
+    // with fresh ids owns none.
+    for (int i = 0; i < dag->numNodes(); ++i) {
+        const Node *node = dag->node(i);
+        Accelerator *acc = producerOf(node);
+        if (!acc)
+            continue;
+        Scratchpad &spm = acc->spm();
+        int part = node->outputAt.partition;
+        if (spm.holdsOutput(part, node->id) &&
+            spm.partition(part).ongoingReads == 0)
+            spm.release(part);
     }
 }
 
@@ -279,32 +295,28 @@ HardwareManager::beginLaunch(AccState &state, Node *node)
 
     // Which local partitions hold parent outputs (colocation)?
     state.colocMask = 0;
-    for (std::size_t i = 0; i < node->parents.size(); ++i) {
-        if (canColocate(state, node, i)) {
-            state.colocMask |=
-                1u << unsigned(node->producerRefs[i].partition);
-        }
+    for (const Node *parent : node->parents) {
+        if (canColocate(state, parent))
+            state.colocMask |= 1u << unsigned(parent->outputAt.partition);
     }
     tryAllocateAndIssue(state);
 }
 
 bool
-HardwareManager::canColocate(const AccState &state, const Node *node,
-                             std::size_t input_index) const
+HardwareManager::canColocate(const AccState &state,
+                             const Node *parent) const
 {
-    const ProducerRef &ref = node->producerRefs[input_index];
-    if (!config_.forwardingEnabled || ref.acc != state.acc ||
-        ref.acc == nullptr) {
+    if (!config_.forwardingEnabled || producerOf(parent) != state.acc)
         return false;
-    }
-    const Node *parent = node->parents[input_index];
-    if (state.acc->spm().findOutput(parent->id) != ref.partition)
+    const Scratchpad &spm = state.acc->spm();
+    int part = parent->outputAt.partition;
+    if (!spm.holdsOutput(part, parent->id))
         return false;
     // Paper rule: the scheduler colocates only with the previously
     // executed node. Data that was never written back is also read in
     // place — it exists nowhere else.
     return state.lastExecuted == parent ||
-           !state.acc->spm().partition(ref.partition).writtenBack;
+           !spm.partition(part).writtenBack;
 }
 
 void
@@ -379,19 +391,15 @@ HardwareManager::issueInputs(AccState &state)
         std::uint64_t(node->params.numInputs) * operand +
         node->outputSize();
 
-    auto on_input_done = [this, &state]() {
-        if (--state.pendingInputs == 0)
-            startCompute(state);
-    };
+    auto on_input_done = [this, &state]() { inputLanded(state); };
 
     for (std::size_t i = 0; i < node->parents.size(); ++i) {
         Node *parent = node->parents[i];
-        const ProducerRef &ref = node->producerRefs[i];
+        const int part = parent->outputAt.partition;
         ++metrics_.edgesConsumed;
 
-        if (canColocate(state, node, i) &&
-            (state.colocMask &
-             (1u << unsigned(ref.partition)))) {
+        if (canColocate(state, parent) &&
+            (state.colocMask & (1u << unsigned(part)))) {
             // Colocation: the operand is already in the local SPM.
             node->inputSources[i] = InputSource::Colocated;
             ++metrics_.colocations;
@@ -399,33 +407,33 @@ HardwareManager::issueInputs(AccState &state)
             traceEdgeFlow(state, node, i, InputSource::Colocated);
             continue;
         }
-        bool live = config_.forwardingEnabled && ref.acc != nullptr &&
-                    ref.acc != state.acc &&
-                    ref.acc->spm().findOutput(parent->id) == ref.partition;
+        Accelerator *producer = producerOf(parent);
+        bool live = config_.forwardingEnabled && producer != nullptr &&
+                    producer != state.acc &&
+                    producer->spm().holdsOutput(part, parent->id);
         if (live) {
             // Forward: pull straight from the producer's scratchpad.
             node->inputSources[i] = InputSource::Forwarded;
             ++metrics_.forwards;
             traceEdgeFlow(state, node, i, InputSource::Forwarded);
-            Scratchpad &producer_spm = ref.acc->spm();
-            producer_spm.beginRead(ref.partition);
+            Scratchpad &producer_spm = producer->spm();
+            producer_spm.beginRead(part);
             ++state.pendingInputs;
-            Accelerator *producer_acc = ref.acc;
-            int producer_part = ref.partition;
-            auto done = [this, &state, producer_acc, producer_part,
-                         on_input_done]() {
-                producer_acc->spm().endRead(producer_part);
+            auto done = [this, &state, spm = &producer_spm, part]() {
+                spm->endRead(part);
                 resumeStalledLaunches();
-                on_input_done();
+                inputLanded(state);
             };
+            static_assert(sizeof(done) <= Completion::capacity,
+                          "a forward's completion must not allocate");
             if (config_.forwardMechanism ==
                 ForwardMechanism::StreamBuffer) {
                 state.acc->dma().streamFrom(
-                    producer_spm, producer_acc->dma().port(), operand,
+                    producer_spm, producer->dma().port(), operand,
                     std::move(done), transferCtx(node));
             } else {
                 state.acc->dma().forwardFrom(
-                    producer_spm, producer_acc->dma().port(), operand,
+                    producer_spm, producer->dma().port(), operand,
                     std::move(done), transferCtx(node));
             }
             continue;
@@ -461,6 +469,13 @@ HardwareManager::issueInputs(AccState &state)
 }
 
 void
+HardwareManager::inputLanded(AccState &state)
+{
+    if (--state.pendingInputs == 0)
+        startCompute(state);
+}
+
+void
 HardwareManager::traceEdgeFlow(const AccState &state, const Node *node,
                                std::size_t input_index,
                                InputSource source)
@@ -468,8 +483,8 @@ HardwareManager::traceEdgeFlow(const AccState &state, const Node *node,
     if (!trace_)
         return;
     const Node *parent = node->parents[input_index];
-    const ProducerRef &ref = node->producerRefs[input_index];
-    if (ref.acc == nullptr)
+    const Accelerator *producer = producerOf(parent);
+    if (producer == nullptr)
         return; // Producer identity lost (resubmission residue).
 
     const char *category = source == InputSource::Forwarded
@@ -481,12 +496,12 @@ HardwareManager::traceEdgeFlow(const AccState &state, const Node *node,
     // bounced through main memory, the write-back span on the
     // producer's ".wb" lane, which makes the DRAM round trip visually
     // explicit next to the direct forward/colocation arrows.
-    int src_lane = trace_->lane(ref.acc->name());
+    int src_lane = trace_->lane(producer->name());
     Tick src_time = parent->lifecycle.computeEnd;
     if (source == InputSource::Dram &&
         parent->lifecycle.wbStart != 0 &&
         parent->lifecycle.wbStart <= now()) {
-        src_lane = trace_->lane(ref.acc->name() + ".wb");
+        src_lane = trace_->lane(producer->name() + ".wb");
         src_time = parent->lifecycle.wbStart;
     }
     trace_->flow(parent->label + " -> " + node->label, category,
@@ -521,6 +536,11 @@ HardwareManager::onComputeDone(AccState &state)
     int partition = state.outputPartition;
     node->lifecycle.computeEnd = now();
     state.acc->spm().produceOutput(partition);
+    // Where the output lives, for the children's drivers and the next
+    // submission's residue check (Table III: producer_acc /
+    // producer_spm).
+    node->outputAt = OutputLocation{std::int16_t(&state - accs_.data()),
+                                    std::int16_t(partition)};
 
     if (node->fn) {
         // Functional payloads are real host compute (kernel math),
@@ -593,16 +613,8 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
             onDagComplete_(dag);
     }
 
-    // Record where this output lives so the children's drivers can
-    // find it (Table III: producer_acc / producer_spm).
     std::vector<Node *> *ready = acquireReadyList();
     for (Node *child : node->children) {
-        for (std::size_t i = 0; i < child->parents.size(); ++i) {
-            if (child->parents[i] == node) {
-                child->producerRefs[i] =
-                    ProducerRef{state.acc, partition};
-            }
-        }
         if (++child->completedParents ==
             std::uint32_t(child->parents.size())) {
             child->lifecycle.depsReady = now();
@@ -644,7 +656,7 @@ HardwareManager::handleWriteBack(AccState &state, Node *node,
     Scratchpad &spm = state.acc->spm();
     // The partition may already have been reclaimed (and written back)
     // by a subsequent launch on this accelerator.
-    if (spm.findOutput(node->id) != partition)
+    if (!spm.holdsOutput(partition, node->id))
         return;
 
     bool write_back = node->children.empty() ||

@@ -199,9 +199,12 @@ class HardwareManager : public SimObject
     /** Attempt to start the launch sequence of @p node on @p state. */
     void beginLaunch(AccState &state, Node *node);
 
-    /** Can @p node's @p input_index operand be read in place? */
-    bool canColocate(const AccState &state, const Node *node,
-                     std::size_t input_index) const;
+    /** The accelerator @p node's output was produced on (its
+     *  outputAt), or null before it is produced. */
+    Accelerator *producerOf(const Node *node) const;
+
+    /** Can @p parent's output be read in place by @p state's task? */
+    bool canColocate(const AccState &state, const Node *parent) const;
 
     /** Allocate the output partition (evicting if needed) and issue
      *  inputs; stalls if every partition has active readers. */
@@ -212,6 +215,9 @@ class HardwareManager : public SimObject
 
     /** Issue input transfers and chain into compute. */
     void issueInputs(AccState &state);
+
+    /** One input transfer landed; compute starts after the last. */
+    void inputLanded(AccState &state);
 
     /** Emit the Perfetto flow arrow for one satisfied edge. */
     void traceEdgeFlow(const AccState &state, const Node *node,

@@ -75,17 +75,6 @@ Scratchpad::produceOutput(int index)
     p.producedAt = now();
 }
 
-int
-Scratchpad::findOutput(NodeId node) const
-{
-    for (int i = 0; i < numPartitions(); ++i) {
-        const auto &p = partitions_[std::size_t(i)];
-        if (p.owner == node && p.dataValid)
-            return i;
-    }
-    return -1;
-}
-
 void
 Scratchpad::beginRead(int index)
 {

@@ -82,8 +82,17 @@ class Scratchpad : public SimObject
     /** Mark the output in @p index as produced (compute finished). */
     void produceOutput(int index);
 
-    /** Locate the partition holding valid output of @p node; -1 if gone. */
-    int findOutput(NodeId node) const;
+    /** True if partition @p index (any index) still holds @p node's
+     *  produced output: the O(1) check behind every forward,
+     *  colocation and write-back decision. */
+    bool
+    holdsOutput(int index, NodeId node) const
+    {
+        if (index < 0 || index >= numPartitions())
+            return false;
+        const SpmPartition &p = partitions_[std::size_t(index)];
+        return p.owner == node && p.dataValid;
+    }
 
     /** A consumer DMA starts reading partition @p index. */
     void beginRead(int index);

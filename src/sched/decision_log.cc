@@ -1,7 +1,6 @@
 #include "sched/decision_log.hh"
 
 #include <sstream>
-#include <utility>
 
 #include "sim/logging.hh"
 
@@ -44,16 +43,31 @@ PromotionDecision::summary() const
     return os.str();
 }
 
-void
-DecisionLog::record(PromotionDecision decision)
+const PromotionDecision &
+DecisionLog::record(Tick when, const Node &candidate,
+                    std::size_t queue_depth, PromotionReason reason,
+                    const Node *victim, STick victim_slack)
 {
-    if (decision.granted)
-        ++granted_;
     if (kept_.size() < capacity)
-        kept_.push_back(std::move(decision));
-    else
-        kept_[recorded_ % capacity] = std::move(decision);
+        kept_.emplace_back();
+    PromotionDecision &d = kept_[recorded_ % capacity];
     ++recorded_;
+    d.when = when;
+    d.node = candidate.id;
+    d.label.assign(candidate.label);
+    d.type = candidate.params.type;
+    d.laxity = candidate.laxityKey - STick(when);
+    d.queueDepth = queue_depth;
+    d.granted = promotionGranted(reason);
+    d.reason = reason;
+    if (victim)
+        d.victim.assign(victim->label);
+    else
+        d.victim.clear();
+    d.victimSlack = victim_slack;
+    if (d.granted)
+        ++granted_;
+    return d;
 }
 
 const PromotionDecision &

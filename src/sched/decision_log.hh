@@ -11,12 +11,12 @@
  * left with.
  *
  * The log counts every decision but keeps only the most recent
- * DecisionLog::capacity of them, so a long run holds a fixed amount
- * of memory instead of one record per decision. The kept decisions are
- * queryable in-process (tests assert on individual decisions) and
- * exportable as a JSON array. Every decision is mirrored line-by-line
- * on the Sched debug flag, so `--debug-flags Sched` prints the whole
- * history.
+ * DecisionLog::capacity of them, each written in place in its ring
+ * slot, so a long run holds a fixed amount of memory and, once every
+ * slot has held its longest label, allocates nothing. The kept
+ * decisions are queryable in-process (tests assert on individual
+ * decisions). Every decision is mirrored line-by-line on the Sched
+ * debug flag, so `--debug-flags Sched` prints the whole history.
  */
 
 #ifndef RELIEF_SCHED_DECISION_LOG_HH
@@ -75,7 +75,20 @@ class DecisionLog
     /** How many of the most recent decisions the log keeps. */
     static constexpr std::size_t capacity = 1024;
 
-    void record(PromotionDecision decision);
+    /**
+     * Record the decision @p reason about @p candidate, taken at
+     * @p when against a ready queue @p queue_depth deep; @p victim and
+     * @p victim_slack are the feasibility scan's bound (null and 0
+     * when it found none). The decision is written in place: once the
+     * ring is full it overwrites the oldest kept one, whose label
+     * strings keep their capacity, so a warm log allocates nothing.
+     * @return the recorded decision.
+     */
+    const PromotionDecision &record(Tick when, const Node &candidate,
+                                    std::size_t queue_depth,
+                                    PromotionReason reason,
+                                    const Node *victim,
+                                    STick victim_slack);
 
     /** Decisions recorded since construction or the last clear(). */
     std::size_t size() const { return recorded_; }

@@ -73,27 +73,21 @@ ReliefPolicy::onNodesReady(const std::vector<Node *> &ready,
         for (Node *node : fwdNodes_[t]) {
             std::size_t index = q.findLaxityPos(node);
 
-            PromotionDecision d;
-            d.when = ctx.now;
-            d.node = node->id;
-            d.label = node->label;
-            d.type = node->params.type;
-            d.laxity = node->laxityKey - STick(ctx.now);
-            d.queueDepth = q.size();
+            PromotionReason reason;
             const Node *victim = nullptr;
+            STick victim_slack = 0;
             if (max_forwards <= 0) {
-                d.reason = PromotionReason::NoIdleInstance;
+                reason = PromotionReason::NoIdleInstance;
             } else if (!feasibilityCheck_) {
-                d.reason = PromotionReason::CheckDisabled;
+                reason = PromotionReason::CheckDisabled;
             } else if (isFeasible(q, node, index, ctx.now, &victim,
-                                  &d.victimSlack)) {
-                d.reason = PromotionReason::Feasible;
+                                  &victim_slack)) {
+                reason = PromotionReason::Feasible;
             } else {
-                d.reason = PromotionReason::VictimWouldMiss;
+                reason = PromotionReason::VictimWouldMiss;
             }
-            if (victim)
-                d.victim = victim->label;
-            d.granted = promotionGranted(d.reason);
+            const PromotionDecision &d = log_.record(
+                ctx.now, *node, q.size(), reason, victim, victim_slack);
 
             if (d.granted) {
                 q.pushFront(node);
@@ -106,7 +100,6 @@ ReliefPolicy::onNodesReady(const std::vector<Node *> &ready,
                 ++throttled_;
             }
             DPRINTFN(Sched, ctx.now, "relief", d.summary());
-            log_.record(std::move(d));
         }
     }
 }

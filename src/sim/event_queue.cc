@@ -198,12 +198,12 @@ EventQueue::runOne(Tick limit)
         // predicted-not-taken test, no clock reads.
         const auto cat = static_cast<HostCat>(slot.cat);
         const std::uint64_t t0 = hostProfEnter(cat);
-        slot.action.invoke();
+        slot.action();
         slot.action.reset();
         freeSlot(entry.slot);
         hostProfExitEvent(cat, t0);
     } else {
-        slot.action.invoke();
+        slot.action();
         slot.action.reset();
         freeSlot(entry.slot);
     }

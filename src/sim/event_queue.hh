@@ -32,6 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -46,23 +47,44 @@ namespace relief
 {
 
 /**
- * Type-erased nullary callable with inline small-buffer storage.
- * Captures up to `capacity` bytes live in the slot itself; larger
- * closures fall back to one heap allocation (the caller counts them).
- * Never copied or moved — slots have stable addresses in the slab.
+ * Move-only type-erased nullary callable with a @p Capacity-byte
+ * inline buffer. A closure that fits (and moves without throwing)
+ * lives in the object itself; a larger one falls back to one heap
+ * allocation, which emplace() reports so the event queue can count
+ * it. Moving relocates the stored closure; an empty one (default or
+ * nullptr) tests false.
  */
-class InlineCallable
+template <std::size_t Capacity>
+class InlineFunction
 {
   public:
-    /** Inline capture budget; sized so every model call site
-     *  (this + a few scalars + a std::function callback) fits. */
-    static constexpr std::size_t capacity = 64;
+    static constexpr std::size_t capacity = Capacity;
 
-    InlineCallable() = default;
-    ~InlineCallable() { reset(); }
+    InlineFunction() = default;
+    InlineFunction(std::nullptr_t) noexcept {}
 
-    InlineCallable(const InlineCallable &) = delete;
-    InlineCallable &operator=(const InlineCallable &) = delete;
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, InlineFunction> &&
+                  std::is_invocable_v<std::decay_t<F> &>>>
+    InlineFunction(F &&fn)
+    {
+        emplace(std::forward<F>(fn));
+    }
+
+    InlineFunction(InlineFunction &&other) noexcept { take(other); }
+
+    InlineFunction &
+    operator=(InlineFunction &&other) noexcept
+    {
+        if (this != &other) {
+            reset();
+            take(other);
+        }
+        return *this;
+    }
+
+    ~InlineFunction() { reset(); }
 
     /**
      * Store @p fn, destroying any previous callable.
@@ -75,48 +97,86 @@ class InlineCallable
     {
         using Fn = std::decay_t<F>;
         reset();
-        if constexpr (sizeof(Fn) <= capacity &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
+        if constexpr (sizeof(Fn) <= Capacity &&
+                      alignof(Fn) <= alignof(std::max_align_t) &&
+                      std::is_nothrow_move_constructible_v<Fn>) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(fn));
             invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
+            manage_ = [](void *from, void *to) {
+                Fn *fn = static_cast<Fn *>(from);
+                if (to)
+                    ::new (to) Fn(std::move(*fn));
+                fn->~Fn();
+            };
             return false;
         } else {
-            heap_ = new Fn(std::forward<F>(fn));
-            invoke_ = [](void *p) { (*static_cast<Fn *>(p))(); };
-            destroy_ = [](void *p) { delete static_cast<Fn *>(p); };
+            Fn *heap = new Fn(std::forward<F>(fn));
+            ::new (static_cast<void *>(buf_)) Fn *(heap);
+            invoke_ = [](void *p) { (**static_cast<Fn **>(p))(); };
+            manage_ = [](void *from, void *to) {
+                Fn *fn = *static_cast<Fn **>(from);
+                if (to)
+                    ::new (to) Fn *(fn);
+                else
+                    delete fn;
+            };
             return true;
         }
     }
 
-    bool engaged() const { return invoke_ != nullptr; }
+    explicit operator bool() const { return invoke_ != nullptr; }
 
     void
-    invoke()
+    operator()() const
     {
-        invoke_(target());
+        invoke_(const_cast<unsigned char *>(buf_));
     }
 
     /** Destroy the stored callable (no-op when empty). */
     void
     reset()
     {
-        if (invoke_) {
-            destroy_(target());
+        if (manage_) {
+            manage_(buf_, nullptr);
             invoke_ = nullptr;
-            destroy_ = nullptr;
-            heap_ = nullptr;
+            manage_ = nullptr;
         }
     }
 
   private:
-    void *target() { return heap_ ? heap_ : static_cast<void *>(buf_); }
+    /** Relocate @p other's callable into this empty object. */
+    void
+    take(InlineFunction &other)
+    {
+        if (!other.manage_)
+            return;
+        other.manage_(other.buf_, buf_);
+        invoke_ = other.invoke_;
+        manage_ = other.manage_;
+        other.invoke_ = nullptr;
+        other.manage_ = nullptr;
+    }
 
-    alignas(std::max_align_t) unsigned char buf_[capacity];
+    alignas(std::max_align_t) unsigned char buf_[Capacity];
     void (*invoke_)(void *) = nullptr;
-    void (*destroy_)(void *) = nullptr;
-    void *heap_ = nullptr;
+    /** Moves the callable at the first argument to the second, or
+     *  destroys it when the second is null. */
+    void (*manage_)(void *, void *) = nullptr;
 };
+
+/** An event's action. Every model call site fits its 64 bytes: `this`,
+ *  a scalar and a Completion at most. */
+using InlineCallable = InlineFunction<64>;
+
+/**
+ * The one completion type from the hardware manager down to the event
+ * that fires it: DMA transfers and accelerator compute take one. Its
+ * 32-byte buffer holds the manager's largest completion (a forward's:
+ * `this`, the consumer's state, the producer scratchpad and partition),
+ * and the event closure wrapping it (`this`, the byte count and the
+ * completion) still fits InlineCallable, so neither allocates.
+ */
+using Completion = InlineFunction<32>;
 
 class EventQueue;
 

@@ -109,6 +109,7 @@ TEST(DagTest, SubmitResetsRuntimeState)
 
     dag.submit(1000);
     a->status = NodeStatus::Finished;
+    a->outputAt = OutputLocation{2, 1};
     b->completedParents = 1;
     dag.noteNodeFinished();
     EXPECT_EQ(dag.numFinished(), 1);
@@ -117,8 +118,10 @@ TEST(DagTest, SubmitResetsRuntimeState)
     EXPECT_EQ(dag.arrivalTick(), 5000u);
     EXPECT_EQ(dag.numFinished(), 0);
     EXPECT_EQ(a->status, NodeStatus::Waiting);
+    EXPECT_EQ(a->outputAt.acc, -1);
+    EXPECT_EQ(a->outputAt.partition, -1);
     EXPECT_EQ(b->completedParents, 0u);
-    EXPECT_EQ(b->producerRefs.size(), b->parents.size());
+    EXPECT_EQ(b->inputSources.size(), b->parents.size());
 }
 
 TEST(DagTest, AbsoluteDeadlineFollowsArrival)

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/soc.hh"
+#include "dag/apps/apps.hh"
 #include "dag/dag.hh"
+#include "workload/scenario.hh"
 
 namespace relief
 {
@@ -416,6 +421,110 @@ TEST(ManagerTest, MultiInstanceTypeRunsConcurrently)
     ASSERT_TRUE(dag->complete());
     EXPECT_LT(std::max(a->launchedAt, b->launchedAt),
               std::min(a->finishedAt, b->finishedAt));
+}
+
+/** One valid scratchpad partition, found by a full scan. */
+struct HeldOutput
+{
+    const Scratchpad *spm;
+    int partition;
+    NodeId owner;
+};
+
+/** Every valid partition of @p soc's scratchpads owned by a node of
+ *  @p dag: the scan the manager's one-partition checks stand for. */
+std::vector<HeldOutput>
+heldOutputs(Soc &soc, const Dag &dag)
+{
+    std::vector<HeldOutput> held;
+    for (Accelerator *acc : soc.accelerators()) {
+        const Scratchpad &spm = acc->spm();
+        for (int p = 0; p < spm.numPartitions(); ++p) {
+            const SpmPartition &part = spm.partition(p);
+            for (int i = 0; part.dataValid && i < dag.numNodes(); ++i) {
+                if (part.owner == dag.node(i)->id)
+                    held.push_back(HeldOutput{&spm, p, part.owner});
+            }
+        }
+    }
+    return held;
+}
+
+TEST(ManagerResidueTest, ResubmissionLeavesNoValidPartitionOfTheDag)
+{
+    // The manager looks for a node's output only in the partition it
+    // was produced in. A scan of every scratchpad agrees as long as a
+    // resubmitted DAG leaves nothing valid behind: every read of the
+    // finished run has ended, so its residue is released whole.
+    for (const std::string mix : {"C", "CDL", "GHL", "CDGHL"}) {
+        for (PolicyKind policy : {PolicyKind::Relief, PolicyKind::Fcfs,
+                                  PolicyKind::Lax}) {
+            SCOPED_TRACE(mix + " " + policyName(policy));
+            resetNodeIds();
+            SocConfig config;
+            config.policy = policy;
+            Soc soc(config);
+            std::vector<DagPtr> dags;
+            int resubmissions = 0;
+            std::size_t released = 0;
+            std::size_t residue = 0;
+            soc.manager().setDagCompletionHandler([&](Dag *dag) {
+                if (soc.sim().now() >= fromMs(20.0))
+                    return;
+                released += heldOutputs(soc, *dag).size();
+                soc.manager().submitDag(dag, soc.sim().now());
+                // Runs right after the resubmission took effect.
+                soc.sim().at(soc.sim().now(), [&, dag] {
+                    EXPECT_EQ(dag->arrivalTick(), soc.sim().now());
+                    residue += heldOutputs(soc, *dag).size();
+                    ++resubmissions;
+                });
+            });
+            for (AppId app : parseMix(mix)) {
+                dags.push_back(buildApp(app));
+                soc.manager().submitDag(dags.back().get(), 0);
+            }
+            soc.run(fromMs(20.0));
+            EXPECT_GT(resubmissions, 3);
+            EXPECT_GT(released, 0u); // the finished runs held outputs
+            EXPECT_EQ(residue, 0u);
+        }
+    }
+}
+
+TEST(ManagerResidueTest, ReusedPoolInstanceReleasesNothingAtReuse)
+{
+    // The serve driver's reuse step: at retirement, restamp the
+    // instance with fresh ids and submit it again. The previous
+    // incarnation's outputs stay where they are, left to LRU eviction.
+    resetNodeIds();
+    Soc soc{SocConfig{}};
+    std::vector<DagPtr> pool;
+    int reuses = 0;
+    std::size_t kept = 0;
+    soc.manager().setDagCompletionHandler([](Dag *) {});
+    soc.manager().setDagRetireHandler([&](Dag *dag) {
+        if (soc.sim().now() >= fromMs(20.0))
+            return;
+        std::vector<HeldOutput> held = heldOutputs(soc, *dag);
+        dag->restampIds();
+        soc.manager().submitDag(dag, soc.sim().now());
+        soc.sim().at(soc.sim().now(), [&, dag, held] {
+            EXPECT_EQ(dag->arrivalTick(), soc.sim().now());
+            for (const HeldOutput &h : held)
+                EXPECT_TRUE(h.spm->holdsOutput(h.partition, h.owner))
+                    << "node " << h.owner << " released at reuse";
+            kept += held.size();
+            ++reuses;
+        });
+    });
+    for (AppId app : parseMix("CDL")) {
+        pool.push_back(buildApp(app));
+        soc.manager().submitDag(pool.back().get(), 0);
+    }
+    soc.run(fromMs(20.0));
+    EXPECT_GT(reuses, 3);
+    EXPECT_GT(kept, 0u);
 }
 
 } // namespace

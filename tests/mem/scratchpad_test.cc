@@ -38,9 +38,9 @@ TEST_F(ScratchpadTest, AllocatePreferEmptyPartitions)
 TEST_F(ScratchpadTest, OutputInvisibleUntilProduced)
 {
     spm.allocateOutput(0, 7, 100);
-    EXPECT_EQ(spm.findOutput(7), -1);
+    EXPECT_FALSE(spm.holdsOutput(0, 7));
     spm.produceOutput(0);
-    EXPECT_EQ(spm.findOutput(7), 0);
+    EXPECT_TRUE(spm.holdsOutput(0, 7));
 }
 
 TEST_F(ScratchpadTest, OngoingReadsBlockReclaim)
@@ -142,12 +142,17 @@ TEST_F(ScratchpadTest, EnergyTracksTraffic)
     EXPECT_DOUBLE_EQ(s.energyPJ(), 300.0);
 }
 
-TEST_F(ScratchpadTest, FindOutputOnlyMatchesOwner)
+TEST_F(ScratchpadTest, HoldsOutputOnlyForOwner)
 {
     spm.allocateOutput(0, 5, 100);
     spm.produceOutput(0);
-    EXPECT_EQ(spm.findOutput(6), -1);
-    EXPECT_EQ(spm.findOutput(5), 0);
+    EXPECT_FALSE(spm.holdsOutput(0, 6));
+    EXPECT_TRUE(spm.holdsOutput(0, 5));
+    EXPECT_FALSE(spm.holdsOutput(1, 5)); // another partition
+    EXPECT_FALSE(spm.holdsOutput(-1, 5)); // no location yet
+    EXPECT_FALSE(spm.holdsOutput(spm.numPartitions(), 5));
+    spm.release(0);
+    EXPECT_FALSE(spm.holdsOutput(0, 5));
 }
 
 } // namespace

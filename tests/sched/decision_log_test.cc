@@ -223,14 +223,14 @@ TEST(DecisionLogRingTest, KeepsOnlyTheMostRecentDecisions)
     // the kept window is the last `capacity` of them, in order.
     const std::size_t total = 2 * DecisionLog::capacity + 10;
     DecisionLog log;
+    Node candidate;
     for (std::size_t i = 0; i < total; ++i) {
-        PromotionDecision d;
-        d.node = NodeId(i);
-        d.label = "candidate-with-a-long-label-" + std::to_string(i);
-        d.granted = i % 3 == 0;
-        d.reason = d.granted ? PromotionReason::Feasible
-                             : PromotionReason::NoIdleInstance;
-        log.record(std::move(d));
+        candidate.id = NodeId(i);
+        candidate.label = "candidate-with-a-long-label-" + std::to_string(i);
+        log.record(0, candidate, 0,
+                   i % 3 == 0 ? PromotionReason::Feasible
+                              : PromotionReason::NoIdleInstance,
+                   nullptr, 0);
     }
     EXPECT_EQ(log.size(), total);
     EXPECT_EQ(log.numGranted(), (total + 2) / 3);
