@@ -444,7 +444,7 @@ Soc::writeStatsJson(std::ostream &os) const
             .end();
     }
     w.end().key("pressure");
-    ledger_->writeJson(w, sim_.now(), 8, pressureSummary(), nullptr);
+    ledger_->writeJson(w, sim_.now(), pressureSummary(), nullptr);
     w.end();
     os << "\n";
 }
@@ -466,11 +466,11 @@ Soc::pressureSummary() const
 }
 
 void
-Soc::writePressureJson(std::ostream &os, int top_k) const
+Soc::writePressureJson(std::ostream &os) const
 {
     HostProfScope prof(HostCat::Stats);
     JsonWriter w(os);
-    ledger_->writeJson(w, sim_.now(), top_k, pressureSummary(),
+    ledger_->writeJson(w, sim_.now(), pressureSummary(),
                        "relief-pressure-v1");
     os << "\n";
 }

@@ -216,11 +216,12 @@ class Soc
     const PressureLedger &pressureLedger() const { return *ledger_; }
 
     /**
-     * Standalone "relief-pressure-v1" artifact: per-resource top-K
-     * contender tables, delay split, per-QoS rollups. Written by
+     * Standalone "relief-pressure-v1" artifact: per-resource top
+     * contender tables (PressureLedger::reportedContenders), delay
+     * split, per-QoS rollups. Written by
      * `relief_sim --pressure-report FILE`.
      */
-    void writePressureJson(std::ostream &os, int top_k = 8) const;
+    void writePressureJson(std::ostream &os) const;
 
     /** Byte totals embedded in the pressure document. */
     PressureLedger::Summary pressureSummary() const;

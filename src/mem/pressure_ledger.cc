@@ -214,7 +214,7 @@ PressureLedger::topContenders(int resource, int k) const
 }
 
 void
-PressureLedger::writeJson(JsonWriter &w, Tick end_tick, int top_k,
+PressureLedger::writeJson(JsonWriter &w, Tick end_tick,
                           const Summary &summary,
                           const char *schema) const
 {
@@ -281,7 +281,7 @@ PressureLedger::writeJson(JsonWriter &w, Tick end_tick, int top_k,
             .field("busy_us", toUs(bw.busyTime(end_tick)))
             .field("occupancy", end_tick ? bw.occupancy(end_tick) : 0.0)
             .key("contenders").beginArray();
-        for (const Contender &row : topContenders(res, top_k)) {
+        for (const Contender &row : topContenders(res, reportedContenders)) {
             int src = keySource(row.key);
             w.beginObject(JsonLayout::Inline)
                 .field("source", src < 0 ? std::string("untagged")

@@ -183,6 +183,9 @@ class PressureLedger
      */
     std::vector<Contender> topContenders(int resource, int k) const;
 
+    /** Contenders listed per resource in the pressure document. */
+    static constexpr int reportedContenders = 8;
+
     /** Workload-level byte totals the caller knows and we do not. */
     struct Summary
     {
@@ -194,13 +197,14 @@ class PressureLedger
 
     /**
      * Emit the pressure document body as the next value: totals,
-     * per-QoS rollups, and per-resource contender tables. When @p schema
+     * per-QoS rollups, and per-resource contender tables (the top
+     * reportedContenders of each). When @p schema
      * is non-null it is emitted as a leading "schema" field (the
      * relief-pressure-v1 artifact); pass nullptr to embed the same body
      * inside another document (the stats JSON "pressure" block).
      */
-    void writeJson(JsonWriter &w, Tick end_tick, int top_k,
-                   const Summary &summary, const char *schema) const;
+    void writeJson(JsonWriter &w, Tick end_tick, const Summary &summary,
+                   const char *schema) const;
 
     /** Zero every slot and reset the registered resources, records
      *  included, so slot sums keep matching their counters. */

@@ -266,7 +266,7 @@ TEST(PressureLedgerTest, WriteJsonEmitsSchemaAndBalancedBooks)
 
     std::ostringstream out;
     JsonWriter w(out);
-    ledger.writeJson(w, fromNs(200.0), 8, {}, "relief-pressure-v1");
+    ledger.writeJson(w, fromNs(200.0), {}, "relief-pressure-v1");
     std::string doc = out.str();
     EXPECT_NE(doc.find("\"schema\": \"relief-pressure-v1\""),
               std::string::npos);
@@ -276,7 +276,7 @@ TEST(PressureLedgerTest, WriteJsonEmitsSchemaAndBalancedBooks)
 
     std::ostringstream embedded;
     JsonWriter embedded_writer(embedded);
-    ledger.writeJson(embedded_writer, fromNs(200.0), 8, {}, nullptr);
+    ledger.writeJson(embedded_writer, fromNs(200.0), {}, nullptr);
     EXPECT_EQ(embedded.str().find("\"schema\""), std::string::npos);
 }
 
