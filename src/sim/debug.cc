@@ -1,6 +1,5 @@
 #include "sim/debug.hh"
 
-#include <array>
 #include <sstream>
 
 namespace relief
@@ -11,10 +10,10 @@ namespace debug_detail
 // Thread-local so independent simulations on a parallel runner's
 // worker threads keep isolated flag sets (core/parallel.hh copies the
 // launching thread's mask into each worker).
-thread_local constinit std::array<bool, numDebugFlags> enabledFlags{};
+thread_local constinit std::uint32_t enabledMask = 0;
 } // namespace debug_detail
 
-using debug_detail::enabledFlags;
+using debug_detail::enabledMask;
 
 const char *
 debugFlagName(DebugFlag flag)
@@ -52,7 +51,8 @@ allDebugFlags()
 void
 setDebugFlag(DebugFlag flag, bool enabled)
 {
-    enabledFlags[std::size_t(flag)] = enabled;
+    const std::uint32_t bit = std::uint32_t(1) << std::size_t(flag);
+    enabledMask = enabled ? enabledMask | bit : enabledMask & ~bit;
 }
 
 bool
@@ -91,24 +91,19 @@ setDebugFlags(const std::string &csv)
 void
 clearDebugFlags()
 {
-    enabledFlags.fill(false);
+    enabledMask = 0;
 }
 
 std::uint32_t
 debugFlagMask()
 {
-    std::uint32_t mask = 0;
-    for (std::size_t i = 0; i < numDebugFlags; ++i)
-        if (enabledFlags[i])
-            mask |= std::uint32_t(1) << i;
-    return mask;
+    return enabledMask;
 }
 
 void
 setDebugFlagMask(std::uint32_t mask)
 {
-    for (std::size_t i = 0; i < numDebugFlags; ++i)
-        enabledFlags[i] = (mask >> i) & 1;
+    enabledMask = mask;
 }
 
 void

@@ -20,7 +20,6 @@
 #ifndef RELIEF_SIM_DEBUG_HH
 #define RELIEF_SIM_DEBUG_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -44,7 +43,7 @@ enum class DebugFlag : std::size_t
     Serve,  ///< Serving layer: admissions, kept traces, SLO alerts.
 };
 
-/** Number of debug flags (array sizing). */
+/** Number of debug flags. */
 constexpr std::size_t numDebugFlags = 7;
 
 /** Printable name of @p flag ("Sched", "Dma", ...). */
@@ -55,11 +54,11 @@ const std::vector<DebugFlag> &allDebugFlags();
 
 namespace debug_detail
 {
-/** The calling thread's flags (each parallel experiment owns its own
- *  set; see core/parallel.hh). constinit tells other TUs the array
- *  needs no dynamic initialisation, so they read it directly instead
- *  of through a TLS init wrapper. */
-extern thread_local constinit std::array<bool, numDebugFlags> enabledFlags;
+/** The calling thread's flags, bit i for DebugFlag i (each parallel
+ *  experiment owns its own set; see core/parallel.hh). constinit tells
+ *  other TUs the mask needs no dynamic initialisation, so they read it
+ *  directly instead of through a TLS init wrapper. */
+extern thread_local constinit std::uint32_t enabledMask;
 } // namespace debug_detail
 
 /** True when @p flag is enabled: the one check behind every DPRINTF,
@@ -67,7 +66,7 @@ extern thread_local constinit std::array<bool, numDebugFlags> enabledFlags;
 inline bool
 debugFlagEnabled(DebugFlag flag)
 {
-    return debug_detail::enabledFlags[std::size_t(flag)];
+    return (debug_detail::enabledMask >> std::size_t(flag)) & 1;
 }
 
 /** Enable or disable one flag. */

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "kernels/elemwise.hh"
 #include "sim/logging.hh"
@@ -43,6 +46,46 @@ TEST(ElemwiseTest, DivByZeroIsGuarded)
     std::vector<float> one = {1.0f};
     auto out = elemwise(ElemOp::Div, one, &zero);
     EXPECT_FLOAT_EQ(out[0], 0.0f);
+}
+
+TEST(ElemwiseTest, DivGuardMatchesFloatCompare)
+{
+    // The kernel tests |b| > 1e-12 on the bits; it must agree with the
+    // float compare on the guard's edges, infinities, NaN and random
+    // bit patterns, bit for bit.
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float eps = 1e-12f;
+    std::vector<float> num, den;
+    for (float d : {0.0f, -0.0f, eps, -eps, std::nextafter(eps, 1.0f),
+                    -std::nextafter(eps, 1.0f), inf, -inf, nan, -nan,
+                    1.0f, -3.0f}) {
+        for (float n : {1.0f, -0.0f, inf, nan}) {
+            num.push_back(n);
+            den.push_back(d);
+        }
+    }
+    std::uint32_t state = 1;
+    for (int i = 0; i < 65536; ++i) {
+        std::uint32_t words[2];
+        for (std::uint32_t &w : words) {
+            state = state * 1664525u + 1013904223u;
+            w = state;
+        }
+        float n, d;
+        std::memcpy(&n, &words[0], sizeof n);
+        std::memcpy(&d, &words[1], sizeof d);
+        num.push_back(n);
+        den.push_back(d);
+    }
+    auto out = elemwise(ElemOp::Div, num, &den);
+    for (std::size_t i = 0; i < num.size(); ++i) {
+        const float want = std::abs(den[i]) > eps ? num[i] / den[i] : 0.0f;
+        std::uint32_t got_bits, want_bits;
+        std::memcpy(&got_bits, &out[i], sizeof got_bits);
+        std::memcpy(&want_bits, &want, sizeof want_bits);
+        ASSERT_EQ(got_bits, want_bits) << num[i] << " / " << den[i];
+    }
 }
 
 TEST(ElemwiseTest, SqrAndSqrt)

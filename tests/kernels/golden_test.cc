@@ -6,8 +6,11 @@
  * output bits must equal the value pinned here. The values were taken
  * from the scalar backend of the former hand-vectorised kernels, which
  * every backend matched bit for bit, so any rewrite of a kernel for
- * speed has to keep these bits. Atan2, Tanh, Sigmoid and the ISP's
- * gamma call libm, so their digests also pin glibc's float results.
+ * speed has to keep these bits. Atan2, Sigmoid and the ISP's gamma
+ * call libm, so their digests also pin glibc's float results. Tanh
+ * calls no libm: its digest pins the in-tree transcription of fdlibm's
+ * tanhf (kernels/elemwise.cc), which tanh_test.cc holds to fdlibm on
+ * every input.
  */
 
 #include <gtest/gtest.h>
