@@ -55,13 +55,4 @@ Accelerator::release()
     busy_ = false;
 }
 
-void
-Accelerator::resetStats()
-{
-    computeBusy_.clear();
-    tasksExecuted_.reset();
-    spm_->resetStats();
-    dma_->resetStats();
-}
-
 } // namespace relief

@@ -148,18 +148,10 @@ Soc::registerStats()
                      [this] { return toMs(sim_.events().curTick()); });
     stats_.addCounter("sim.events", "events executed",
                       [this] { return sim_.events().numExecuted(); });
-    stats_.addCounter("sim.events_cancelled",
-                      "cancelled events dropped (lazy deletion)",
-                      [this] { return sim_.events().numCancelled(); });
     stats_.addCounter("sim.event_heap_callables",
                       "event captures too large for the inline buffer",
                       [this] {
                           return sim_.events().numHeapCallables();
-                      });
-    stats_.addCounter("sim.event_compactions",
-                      "event-heap compaction passes",
-                      [this] {
-                          return sim_.events().numCompactions();
                       });
 
     stats_.addCounter("dram.read_bytes", "bytes read from DRAM",

@@ -308,14 +308,4 @@ DmaEngine::bytesMoved(TrafficClass cls) const
     return 0;
 }
 
-void
-DmaEngine::resetStats()
-{
-    readChannel_.resetStats();
-    writeChannel_.resetStats();
-    dramReadBytes_.reset();
-    dramWriteBytes_.reset();
-    forwardBytes_.reset();
-}
-
 } // namespace relief

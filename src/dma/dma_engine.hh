@@ -128,7 +128,6 @@ class DmaEngine : public SimObject
      * construction, -1 (untagged) until then.
      */
     void setPressureSource(int source_id) { sourceId_ = source_id; }
-    int pressureSource() const { return sourceId_; }
 
     /** The engine's own channels, for pressure-ledger registration. */
     BandwidthResource &readChannel() { return readChannel_; }
@@ -145,8 +144,6 @@ class DmaEngine : public SimObject
     /** Bytes launched but not yet delivered, across both channels —
      *  the IntervalSampler's memory-pressure probe. */
     std::uint64_t outstandingBytes() const { return outstanding_; }
-
-    void resetStats();
 
   private:
     /** Resources one transfer claims, in order, with the constants

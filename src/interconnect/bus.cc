@@ -35,11 +35,4 @@ Bus::path(PortId src, PortId dst)
     return {&channel_};
 }
 
-void
-Bus::resetStats()
-{
-    Interconnect::resetStats();
-    channel_.resetStats();
-}
-
 } // namespace relief

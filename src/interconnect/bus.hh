@@ -37,7 +37,6 @@ class Bus : public Interconnect
     {
         return {&channel_};
     }
-    void resetStats() override;
 
     const BandwidthResource &channel() const { return channel_; }
 

@@ -42,14 +42,4 @@ Crossbar::path(PortId src, PortId dst)
             ports_[std::size_t(dst)].ingress.get()};
 }
 
-void
-Crossbar::resetStats()
-{
-    Interconnect::resetStats();
-    for (auto &port : ports_) {
-        port.egress->resetStats();
-        port.ingress->resetStats();
-    }
-}
-
 } // namespace relief

@@ -44,7 +44,6 @@ class Crossbar : public Interconnect
         }
         return all;
     }
-    void resetStats() override;
 
   private:
     struct Port

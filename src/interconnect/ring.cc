@@ -66,14 +66,4 @@ Ring::path(PortId src, PortId dst)
     return out;
 }
 
-void
-Ring::resetStats()
-{
-    Interconnect::resetStats();
-    for (auto &link : links_) {
-        link.clockwise->resetStats();
-        link.counterClockwise->resetStats();
-    }
-}
-
 } // namespace relief

@@ -48,7 +48,6 @@ class Ring : public Interconnect
         }
         return all;
     }
-    void resetStats() override;
 
     /** Hops a src -> dst transfer traverses (shorter direction). */
     int hopCount(PortId src, PortId dst) const;

@@ -105,17 +105,6 @@ BandwidthResource::occupancy(Tick upTo) const
     return double(busyTime(upTo)) / double(upTo);
 }
 
-void
-BandwidthResource::resetStats()
-{
-    totalBytes_.reset();
-    numTransfers_.reset();
-    waitTicks_ = 0;
-    heldTicks_ = 0;
-    held_.clear();
-    head_ = 0;
-}
-
 namespace
 {
 

@@ -101,10 +101,6 @@ class BandwidthResource
     /** Fraction of [0, upTo) covered by reservations. */
     double occupancy(Tick upTo) const;
 
-    /** Zero the counters and forget the reservation record; nextFree
-     *  stays, so later claims still queue. */
-    void resetStats();
-
   private:
     friend class PressureLedger; // attaches; walks the record
     /** The one claim loop, behind every reserveTransfer. */

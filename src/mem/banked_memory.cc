@@ -44,12 +44,4 @@ BankedMemory::route(std::uint64_t stream_hint)
     return int(bank_index);
 }
 
-void
-BankedMemory::resetStats()
-{
-    MainMemory::resetStats();
-    for (auto &bank : banks_)
-        bank->resetStats();
-}
-
 } // namespace relief

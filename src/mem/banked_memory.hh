@@ -72,8 +72,6 @@ class BankedMemory : public MainMemory
         return *banks_[std::size_t(index)];
     }
 
-    void resetStats() override;
-
   private:
     std::vector<std::unique_ptr<BandwidthResource>> banks_;
 };

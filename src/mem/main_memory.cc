@@ -20,12 +20,4 @@ MainMemory::energyPJ() const
            double(writeBytes()) * config_.writeEnergyPJPerByte;
 }
 
-void
-MainMemory::resetStats()
-{
-    channel_.resetStats();
-    readBytes_.reset();
-    writeBytes_.reset();
-}
-
 } // namespace relief

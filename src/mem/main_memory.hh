@@ -104,7 +104,6 @@ class MainMemory : public SimObject
     double energyPJ() const;
 
     const MainMemoryConfig &config() const { return config_; }
-    virtual void resetStats();
 
     ~MainMemory() override = default;
 

@@ -298,12 +298,4 @@ PressureLedger::writeJson(JsonWriter &w, Tick end_tick,
     w.end().end();
 }
 
-void
-PressureLedger::resetStats()
-{
-    std::fill(slots_.begin(), slots_.end(), Slot{});
-    for (BandwidthResource *res : resources_)
-        res->resetStats();
-}
-
 } // namespace relief

@@ -206,10 +206,6 @@ class PressureLedger
     void writeJson(JsonWriter &w, Tick end_tick, const Summary &summary,
                    const char *schema) const;
 
-    /** Zero every slot and reset the registered resources, records
-     *  included, so slot sums keep matching their counters. */
-    void resetStats();
-
   private:
     /** Charge a claim's wait [request_time, request_time + pending)
      *  on @p res to the reservations that caused it, in @p row. */

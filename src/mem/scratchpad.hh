@@ -119,7 +119,6 @@ class Scratchpad : public SimObject
     double energyPJ() const;
 
     const ScratchpadConfig &config() const { return config_; }
-    void resetStats();
 
   private:
     SpmPartition &partitionRef(int index);

@@ -41,7 +41,7 @@ BurnRateAlerts::setLiveness(std::function<bool()> alive)
 void
 BurnRateAlerts::start()
 {
-    if (pending_.pending())
+    if (armed_)
         return;
     tick();
 }
@@ -54,10 +54,10 @@ BurnRateAlerts::tick()
     // IntervalSampler): two periodic services keyed on raw event-queue
     // occupancy would keep each other alive forever.
     bool alive = alive_ ? alive_() : !sim().events().empty();
+    armed_ = alive;
     if (alive)
-        pending_ = sim().after(config_.evalPeriod, HostCat::Serve,
-                               [this] { tick(); },
-                               "serve.alerts.tick");
+        sim().after(config_.evalPeriod, HostCat::Serve, [this] { tick(); },
+                    "serve.alerts.tick");
 }
 
 double

@@ -147,7 +147,8 @@ class BurnRateAlerts : public SimObject
     const std::vector<ClassSlo> *classes_;
     std::vector<ClassState> states_;
     std::function<bool()> alive_;
-    EventHandle pending_;
+    /** A tick is scheduled; start() then does nothing. */
+    bool armed_ = false;
     std::vector<AlertEvent> events_;
     bool finished_ = false;
 };

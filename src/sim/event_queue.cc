@@ -63,14 +63,9 @@ EventQueue::allocSlot()
 }
 
 void
-EventQueue::freeSlot(std::uint32_t id) const
+EventQueue::freeSlot(std::uint32_t id)
 {
     Slot &slot = slotRef(id);
-    // Bumping the generation here (and again before firing) makes any
-    // outstanding handle to this lifetime stale, so a recycled slot
-    // can never be cancelled through an old handle.
-    ++slot.gen;
-    slot.cancelled = false;
     slot.label = "";
     if (!slot.dynLabel.empty())
         slot.dynLabel.clear(); // keeps capacity: no churn on reuse
@@ -88,86 +83,8 @@ EventQueue::pushEntry(Tick when, std::uint64_t seq, std::uint32_t id)
 }
 
 bool
-EventQueue::slotPending(std::uint32_t id, std::uint32_t gen) const
-{
-    const Slot &slot = slotRef(id);
-    return slot.gen == gen && !slot.cancelled;
-}
-
-void
-EventQueue::cancelSlot(std::uint32_t id, std::uint32_t gen)
-{
-    Slot &slot = slotRef(id);
-    if (slot.gen != gen || slot.cancelled)
-        return;
-    slot.cancelled = true;
-    // Release the captured resources eagerly; the heap entry itself is
-    // dropped lazily (skipCancelled) or in bulk (compact).
-    slot.action.reset();
-    if (!slot.dynLabel.empty())
-        slot.dynLabel.clear();
-    ++cancelledInHeap_;
-    maybeCompact();
-}
-
-void
-EventQueue::maybeCompact()
-{
-    if (cancelledInHeap_ < compactionMinimum_ ||
-        cancelledInHeap_ * 2 < heap_.size())
-        return;
-    compact();
-}
-
-void
-EventQueue::compact()
-{
-    std::size_t kept = 0;
-    for (const Entry &entry : heap_) {
-        if (slotRef(entry.slot).cancelled) {
-            ++numCancelled_;
-            freeSlot(entry.slot);
-        } else {
-            heap_[kept++] = entry;
-        }
-    }
-    heap_.resize(kept);
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-    cancelledInHeap_ = 0;
-    ++numCompactions_;
-}
-
-void
-EventQueue::skipCancelled() const
-{
-    while (!heap_.empty() && slotRef(heap_.front().slot).cancelled) {
-        std::pop_heap(heap_.begin(), heap_.end(), Later{});
-        std::uint32_t id = heap_.back().slot;
-        heap_.pop_back();
-        freeSlot(id);
-        ++numCancelled_;
-        --cancelledInHeap_;
-    }
-}
-
-bool
-EventQueue::empty() const
-{
-    skipCancelled();
-    return heap_.empty();
-}
-
-Tick
-EventQueue::nextTick() const
-{
-    skipCancelled();
-    return heap_.empty() ? maxTick : heap_.front().when;
-}
-
-bool
 EventQueue::runOne(Tick limit)
 {
-    skipCancelled();
     if (heap_.empty() || heap_.front().when > limit)
         return false;
 
@@ -177,10 +94,6 @@ EventQueue::runOne(Tick limit)
     Slot &slot = slotRef(entry.slot);
     RELIEF_ASSERT(entry.when >= curTick_, "event time went backwards");
     curTick_ = entry.when;
-    // Invalidate handles before invoking: the event counts as fired,
-    // and a cancel() from inside its own action is a no-op instead of
-    // destroying the callable mid-execution.
-    ++slot.gen;
     ++numExecuted_;
     if (labelsEnabled()) {
         const char *what = !slot.dynLabel.empty() ? slot.dynLabel.c_str()

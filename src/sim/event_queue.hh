@@ -5,9 +5,8 @@
  * Events are closures scheduled at an absolute tick. Two events at the
  * same tick fire in the order they were scheduled (a monotonically
  * increasing sequence number breaks ties), which keeps every simulation
- * fully deterministic. Cancellation is lazy: a cancelled event stays in
- * the heap but is skipped when popped, and the heap compacts itself
- * when cancelled entries pile up (long continuous-mode runs).
+ * fully deterministic. An event, once scheduled, always fires: a run
+ * only moves forward, so the queue has no cancellation.
  *
  * The steady state allocates nothing. Event state lives in a chunked
  * slab owned by the queue and recycled through a free list; the heap
@@ -178,39 +177,6 @@ using InlineCallable = InlineFunction<64>;
  */
 using Completion = InlineFunction<32>;
 
-class EventQueue;
-
-/**
- * Handle to a scheduled event, usable to cancel it or query whether it
- * has fired. Copies refer to the same event. A handle references its
- * slot by index plus a generation counter, so it safely reports "not
- * pending" after the slot is recycled for a later event; it must not
- * outlive the EventQueue itself.
- */
-class EventHandle
-{
-  public:
-    EventHandle() = default;
-
-    /** True if the event is still waiting to fire. */
-    bool pending() const;
-
-    /** Prevent the event from firing; no-op if already fired/cancelled. */
-    void cancel();
-
-  private:
-    friend class EventQueue;
-
-    EventHandle(EventQueue *queue, std::uint32_t slot, std::uint32_t gen)
-        : queue_(queue), slot_(slot), gen_(gen)
-    {
-    }
-
-    EventQueue *queue_ = nullptr;
-    std::uint32_t slot_ = 0;
-    std::uint32_t gen_ = 0;
-};
-
 /** Constrains the catless schedule() overloads so a HostCat argument
  *  always selects the category-taking forms (a nullary action lambda
  *  would otherwise let HostCat bind to the action parameter). */
@@ -233,7 +199,6 @@ class EventQueue
      *
      * @param when   Absolute firing time; must be >= the current tick.
      * @param action Closure invoked when the event fires.
-     * @return handle usable to cancel the event.
      *
      * The label overloads:
      *  - `const char *`: stored as-is (must be a string literal or
@@ -241,8 +206,6 @@ class EventQueue
      *  - nullary callable returning std::string: invoked only when the
      *    Event debug flag is enabled, so dynamic labels cost nothing
      *    in normal runs.
-     *  - std::string: kept only under the Event debug flag (the
-     *    argument itself was already built; prefer the lazy form).
      *
      * Each form also accepts a HostCat *before* the action
      * (`schedule(when, HostCat::Dma, action, label)`), attributing
@@ -252,82 +215,56 @@ class EventQueue
      * free whether or not profiling runs.
      */
     template <typename F, typename = NotHostCat<F>>
-    EventHandle
+    void
     schedule(Tick when, F &&action)
     {
-        return schedule(when, HostCat::Other, std::forward<F>(action),
-                        static_cast<const char *>(""));
+        schedule(when, HostCat::Other, std::forward<F>(action),
+                 static_cast<const char *>(""));
     }
 
     template <typename F, typename = NotHostCat<F>>
-    EventHandle
+    void
     schedule(Tick when, F &&action, const char *label)
     {
-        return schedule(when, HostCat::Other, std::forward<F>(action),
-                        label);
-    }
-
-    template <typename F, typename = NotHostCat<F>>
-    EventHandle
-    schedule(Tick when, F &&action, std::string label)
-    {
-        return schedule(when, HostCat::Other, std::forward<F>(action),
-                        std::move(label));
+        schedule(when, HostCat::Other, std::forward<F>(action), label);
     }
 
     template <typename F, typename LabelFn,
               typename = NotHostCat<F>,
               typename = std::enable_if_t<std::is_invocable_v<LabelFn &>>>
-    EventHandle
+    void
     schedule(Tick when, F &&action, LabelFn &&labelFn)
     {
-        return schedule(when, HostCat::Other, std::forward<F>(action),
-                        std::forward<LabelFn>(labelFn));
+        schedule(when, HostCat::Other, std::forward<F>(action),
+                 std::forward<LabelFn>(labelFn));
     }
 
     template <typename F>
-    EventHandle
+    void
     schedule(Tick when, HostCat cat, F &&action)
     {
-        return schedule(when, cat, std::forward<F>(action),
-                        static_cast<const char *>(""));
+        schedule(when, cat, std::forward<F>(action),
+                 static_cast<const char *>(""));
     }
 
     template <typename F>
-    EventHandle
+    void
     schedule(Tick when, HostCat cat, F &&action, const char *label)
     {
-        return place(when, nextSeq_++, cat, std::forward<F>(action),
-                     label);
-    }
-
-    template <typename F>
-    EventHandle
-    schedule(Tick when, HostCat cat, F &&action, std::string label)
-    {
-        if (when < curTick_)
-            pastEventPanic(when, label.c_str());
-        EventHandle handle =
-            schedule(when, cat, std::forward<F>(action),
-                     static_cast<const char *>(""));
-        if (labelsEnabled())
-            slotRef(handle.slot_).dynLabel = std::move(label);
-        return handle;
+        place(when, nextSeq_++, cat, std::forward<F>(action), label);
     }
 
     template <typename F, typename LabelFn,
               typename = std::enable_if_t<std::is_invocable_v<LabelFn &>>>
-    EventHandle
+    void
     schedule(Tick when, HostCat cat, F &&action, LabelFn &&labelFn)
     {
         if (when < curTick_)
             pastEventPanic(when, std::string(labelFn()).c_str());
-        EventHandle handle =
-            schedule(when, cat, std::forward<F>(action),
-                     static_cast<const char *>(""));
+        std::uint32_t id = place(when, nextSeq_++, cat,
+                                 std::forward<F>(action), "");
         if (labelsEnabled())
-            slotRef(handle.slot_).dynLabel = labelFn();
-        return handle;
+            slotRef(id).dynLabel = labelFn();
     }
 
     /**
@@ -346,23 +283,26 @@ class EventQueue
      * there); panics on a number outside every reserved block.
      */
     template <typename F>
-    EventHandle
+    void
     scheduleReserved(Tick when, std::uint64_t seq, HostCat cat, F &&action,
                      const char *label)
     {
         if (!reserved(seq))
             unreservedSeqPanic(seq, label);
-        return place(when, seq, cat, std::forward<F>(action), label);
+        place(when, seq, cat, std::forward<F>(action), label);
     }
 
     /** Absolute time of the event most recently popped (current time). */
     Tick curTick() const { return curTick_; }
 
-    /** True if no pending (non-cancelled) events remain. */
-    bool empty() const;
+    /** True if no events remain. */
+    bool empty() const { return heap_.empty(); }
 
     /** Tick of the earliest pending event; maxTick if none. */
-    Tick nextTick() const;
+    Tick nextTick() const
+    {
+        return heap_.empty() ? maxTick : heap_.front().when;
+    }
 
     /**
      * Pop and run the earliest pending event if it is due by
@@ -378,15 +318,14 @@ class EventQueue
     /** Number of events scheduled so far. */
     std::uint64_t numScheduled() const { return numScheduled_; }
 
-    /** Cancelled events dropped so far (skipped at pop or compacted
-     *  away) — makes lazy deletion observable (sim.events_cancelled). */
-    std::uint64_t numCancelled() const { return numCancelled_; }
+    /** Always 0: an event, once scheduled, fires. Kept only because
+     *  the benchmark's `sim.cancelled_frac` probe
+     *  (perfbench/relief_benchmark.cc) still reads it; it goes with
+     *  that probe. */
+    std::uint64_t numCancelled() const { return 0; }
 
     /** Callables too large for the inline buffer (heap fallbacks). */
     std::uint64_t numHeapCallables() const { return numHeapCallables_; }
-
-    /** Times the heap was compacted to purge cancelled entries. */
-    std::uint64_t numCompactions() const { return numCompactions_; }
 
     /** Slots currently carved out of the slab (high-water mark of
      *  concurrently pending events, rounded up to a chunk). */
@@ -395,16 +334,7 @@ class EventQueue
         return chunks_.size() * slotsPerChunk;
     }
 
-    /**
-     * Compact the heap once at least this many cancelled entries are
-     * buried in it (and they are the majority). Tests lower it to
-     * exercise compaction with small queues.
-     */
-    void setCompactionMinimum(std::size_t n) { compactionMinimum_ = n; }
-
   private:
-    friend class EventHandle;
-
     static constexpr std::uint32_t noSlot = ~std::uint32_t(0);
     static constexpr std::size_t slotsPerChunk = 256;
 
@@ -414,11 +344,10 @@ class EventQueue
         InlineCallable action;
         std::string dynLabel;   ///< Only set under the Event debug flag.
         const char *label = ""; ///< Static-literal label, always kept.
-        std::uint32_t gen = 0;  ///< Bumped on fire and on free.
         std::uint32_t nextFree = noSlot;
         std::uint8_t cat = 0;   ///< HostCat for wall-time attribution.
-        bool cancelled = false;
     };
+    static_assert(sizeof(Slot) <= 128, "an event slot fits two cache lines");
 
     /** Heap entry: plain data, cheap to sift. */
     struct Entry
@@ -448,9 +377,10 @@ class EventQueue
         return chunks_[id / slotsPerChunk][id % slotsPerChunk];
     }
 
-    /** The one schedule body: every form ends here. */
+    /** The one schedule body: every form ends here.
+     *  @return the event's slot. */
     template <typename F>
-    EventHandle
+    std::uint32_t
     place(Tick when, std::uint64_t seq, HostCat cat, F &&action,
           const char *label)
     {
@@ -466,7 +396,7 @@ class EventQueue
                 hostProfCountHeapAlloc(cat);
         }
         pushEntry(when, seq, id);
-        return EventHandle(this, id, slot.gen);
+        return id;
     }
 
     [[noreturn]] void pastEventPanic(Tick when, const char *label) const;
@@ -475,44 +405,20 @@ class EventQueue
     bool reserved(std::uint64_t seq) const;
 
     std::uint32_t allocSlot();
-    void freeSlot(std::uint32_t id) const;
+    void freeSlot(std::uint32_t id);
     void pushEntry(Tick when, std::uint64_t seq, std::uint32_t id);
-    bool slotPending(std::uint32_t id, std::uint32_t gen) const;
-    void cancelSlot(std::uint32_t id, std::uint32_t gen);
-    void maybeCompact();
-    void compact();
-
-    /** Drop cancelled events from the top of the heap. */
-    void skipCancelled() const;
 
     std::vector<std::unique_ptr<Slot[]>> chunks_;
-    mutable std::uint32_t freeHead_ = noSlot;
-    mutable std::vector<Entry> heap_;
-    std::size_t compactionMinimum_ = 1024;
-    mutable std::size_t cancelledInHeap_ = 0;
+    std::uint32_t freeHead_ = noSlot;
+    std::vector<Entry> heap_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     /** Blocks handed out by reserveSeqs(), as [first, end). */
     std::vector<std::pair<std::uint64_t, std::uint64_t>> reservedSeqs_;
     std::uint64_t numExecuted_ = 0;
     std::uint64_t numScheduled_ = 0;
-    mutable std::uint64_t numCancelled_ = 0;
     std::uint64_t numHeapCallables_ = 0;
-    std::uint64_t numCompactions_ = 0;
 };
-
-inline bool
-EventHandle::pending() const
-{
-    return queue_ && queue_->slotPending(slot_, gen_);
-}
-
-inline void
-EventHandle::cancel()
-{
-    if (queue_)
-        queue_->cancelSlot(slot_, gen_);
-}
 
 } // namespace relief
 

@@ -6,8 +6,7 @@ namespace relief
 Tick
 Simulator::run(Tick limit)
 {
-    stopRequested_ = false;
-    while (!stopRequested_ && events_.runOne(limit))
+    while (events_.runOne(limit))
         ;
     return now();
 }

@@ -39,20 +39,20 @@ class Simulator
      * through and tags the event for host-time attribution.
      */
     template <typename F, typename... Label>
-    EventHandle
+    void
     at(Tick when, F &&action, Label &&...label)
     {
-        return events_.schedule(when, std::forward<F>(action),
-                                std::forward<Label>(label)...);
+        events_.schedule(when, std::forward<F>(action),
+                         std::forward<Label>(label)...);
     }
 
     /** Schedule @p action @p delay ticks from now. */
     template <typename F, typename... Label>
-    EventHandle
+    void
     after(Tick delay, F &&action, Label &&...label)
     {
-        return events_.schedule(now() + delay, std::forward<F>(action),
-                                std::forward<Label>(label)...);
+        events_.schedule(now() + delay, std::forward<F>(action),
+                         std::forward<Label>(label)...);
     }
 
     /** Reserve @p n event sequence numbers (EventQueue::reserveSeqs). */
@@ -64,12 +64,12 @@ class Simulator
     /** at() under a reserved sequence number
      *  (EventQueue::scheduleReserved). */
     template <typename F>
-    EventHandle
+    void
     atReserved(Tick when, std::uint64_t seq, HostCat cat, F &&action,
                const char *label)
     {
-        return events_.scheduleReserved(when, seq, cat,
-                                        std::forward<F>(action), label);
+        events_.scheduleReserved(when, seq, cat, std::forward<F>(action),
+                                 label);
     }
 
     /**
@@ -78,15 +78,11 @@ class Simulator
      */
     Tick run(Tick limit = maxTick);
 
-    /** Request that run() return after the current event. */
-    void stop() { stopRequested_ = true; }
-
     /** Direct access to the queue (tests, stats). */
     const EventQueue &events() const { return events_; }
 
   private:
     EventQueue events_;
-    bool stopRequested_ = false;
 };
 
 /**

@@ -71,12 +71,4 @@ IntervalUnion::covered(Tick upTo) const
     return total;
 }
 
-void
-IntervalUnion::clear()
-{
-    intervals_.clear();
-    folded_ = 0;
-    rawSum_ = 0;
-}
-
 } // namespace relief

@@ -44,10 +44,6 @@ class IntervalUnion
      *  at the last addition. */
     std::size_t numIntervals() const { return intervals_.size(); }
 
-    /** Forget every interval; the watermark stays, since time does not
-     *  run backwards. */
-    void clear();
-
   private:
     /** Sorted, disjoint; only the front entries can end by the
      *  watermark, and the next add() folds them. */

@@ -97,6 +97,10 @@ class JsonWriter
         return key(name).value(v);
     }
 
+    /** Write @p text verbatim as the next value; it must already be
+     *  valid JSON. */
+    JsonWriter &literal(std::string_view text);
+
   private:
     struct Frame
     {
@@ -108,7 +112,6 @@ class JsonWriter
     JsonWriter &open(char brace, char close, JsonLayout layout);
     /** The comma, newline or space ahead of the next member. */
     void separate();
-    JsonWriter &literal(std::string_view text);
     JsonWriter &string(std::string_view text);
 
     std::ostream &os_;

@@ -32,12 +32,6 @@ Accum::stddev() const
     return std::sqrt(variance());
 }
 
-void
-Accum::reset()
-{
-    *this = Accum();
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t num_buckets)
     : lo_(lo), hi_(hi),
       bucketWidth_((hi - lo) / double(num_buckets ? num_buckets : 1)),
@@ -105,15 +99,6 @@ Histogram::quantile(double q) const
     // Target falls in the overflow bin: the best available bound is
     // the largest observed sample.
     return summary_.max();
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
-    summary_.reset();
 }
 
 double

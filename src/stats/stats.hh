@@ -20,7 +20,6 @@ class Counter
   public:
     void add(std::uint64_t amount = 1) { value_ += amount; }
     std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
 
   private:
     std::uint64_t value_ = 0;
@@ -42,7 +41,6 @@ class Accum
     double stddev() const;
     double min() const { return count_ ? min_ : 0.0; }
     double max() const { return count_ ? max_ : 0.0; }
-    void reset();
 
   private:
     std::uint64_t count_ = 0;
@@ -92,8 +90,6 @@ class Histogram
 
     double rangeLo() const { return lo_; }
     double rangeHi() const { return hi_; }
-
-    void reset();
 
   private:
     double lo_;

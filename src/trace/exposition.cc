@@ -62,7 +62,7 @@ StatExposition::sanitizeName(const std::string &name)
 void
 StatExposition::start()
 {
-    if (pending_.pending())
+    if (armed_)
         return;
     tick();
 }
@@ -74,10 +74,10 @@ StatExposition::tick()
     // Same liveness discipline as the IntervalSampler: re-arm only
     // while the model is alive, or an idle event queue spins forever.
     bool alive = alive_ ? alive_() : !sim().events().empty();
+    armed_ = alive;
     if (alive)
-        pending_ = sim().after(config_.period, HostCat::Stats,
-                               [this] { tick(); },
-                               "exposition.tick");
+        sim().after(config_.period, HostCat::Stats, [this] { tick(); },
+                    "exposition.tick");
 }
 
 void

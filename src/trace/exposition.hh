@@ -104,7 +104,8 @@ class StatExposition : public SimObject
     const StatRegistry &stats_;
     ExpositionConfig config_;
     std::function<bool()> alive_;
-    EventHandle pending_;
+    /** A tick is scheduled; start() then does nothing. */
+    bool armed_ = false;
     std::vector<std::string> snapshots_;
     /** Previous snapshot's counter values (delta-window rates). */
     std::map<std::string, double> prevValues_;

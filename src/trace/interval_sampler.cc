@@ -32,15 +32,9 @@ IntervalSampler::setLiveness(std::function<bool()> alive)
 void
 IntervalSampler::start()
 {
-    if (pending_.pending())
+    if (armed_)
         return;
     sampleOnce();
-}
-
-void
-IntervalSampler::stop()
-{
-    pending_.cancel();
 }
 
 void
@@ -51,10 +45,10 @@ IntervalSampler::sampleOnce()
     // Re-arm only while the model still has work in flight; otherwise
     // the sampler would keep an idle event queue spinning forever.
     bool alive = alive_ ? alive_() : !sim().events().empty();
+    armed_ = alive;
     if (alive)
-        pending_ = sim().after(period_, HostCat::Stats,
-                               [this] { sampleOnce(); },
-                               "sampler.tick");
+        sim().after(period_, HostCat::Stats, [this] { sampleOnce(); },
+                    "sampler.tick");
 }
 
 } // namespace relief

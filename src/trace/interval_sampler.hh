@@ -57,11 +57,9 @@ class IntervalSampler : public SimObject
     std::size_t numProbes() const { return probes_.size(); }
     Tick period() const { return period_; }
 
-    /** Take the first sample now and begin periodic sampling. */
+    /** Take the first sample now and begin periodic sampling; a
+     *  no-op while a wakeup is already scheduled. */
     void start();
-
-    /** Cancel the pending wakeup; start() re-arms. */
-    void stop();
 
   private:
     void sampleOnce();
@@ -70,7 +68,8 @@ class IntervalSampler : public SimObject
     Tick period_;
     std::vector<std::pair<int, Probe>> probes_;
     std::function<bool()> alive_;
-    EventHandle pending_;
+    /** A tick is scheduled; start() then does nothing. */
+    bool armed_ = false;
 };
 
 } // namespace relief

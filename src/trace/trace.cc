@@ -1,6 +1,7 @@
 #include "trace/trace.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -8,6 +9,29 @@
 
 namespace relief
 {
+
+namespace
+{
+
+/** @p t picoseconds as exact microseconds: the whole part, then up to
+ *  six fractional digits with trailing zeros trimmed. */
+std::string
+exactUs(Tick t)
+{
+    std::string out = std::to_string(t / 1000000);
+    if (Tick frac = t % 1000000) {
+        char buf[8];
+        std::snprintf(buf, sizeof(buf), ".%06llu",
+                      static_cast<unsigned long long>(frac));
+        std::size_t len = 7;
+        while (buf[len - 1] == '0')
+            --len;
+        out.append(buf, len);
+    }
+    return out;
+}
+
+} // namespace
 
 TraceRecorder::TraceRecorder()
 {
@@ -194,8 +218,8 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             event(s.name)
                 .field("cat", s.category)
                 .field("ph", "X")
-                .field("ts", toUs(s.start))
-                .field("dur", toUs(s.end - s.start))
+                .key("ts").literal(exactUs(s.start))
+                .key("dur").literal(exactUs(s.end - s.start))
                 .field("pid", 1).field("tid", s.lane)
                 .end();
             break;
@@ -206,7 +230,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             const CounterSample &s = samples_[ref.index];
             event(trackNames_[std::size_t(s.track)])
                 .field("ph", "C")
-                .field("ts", toUs(s.when))
+                .key("ts").literal(exactUs(s.when))
                 .field("pid", 1)
                 .key("args").beginObject(JsonLayout::Compact)
                 .field("value", s.value)
@@ -225,7 +249,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
             if (!start)
                 w.field("bp", "e");
             w.field("id", f.id)
-                .field("ts", toUs(start ? f.srcTime : f.dstTime))
+                .key("ts").literal(exactUs(start ? f.srcTime : f.dstTime))
                 .field("pid", 1).field("tid", start ? f.srcLane : f.dstLane)
                 .end();
             break;
@@ -238,7 +262,7 @@ TraceRecorder::writeChromeJson(std::ostream &os) const
                 .field("cat", e.category)
                 .field("ph", e.begin ? "b" : "e")
                 .field("id", e.id)
-                .field("ts", toUs(e.ts))
+                .key("ts").literal(exactUs(e.ts))
                 .field("pid", 1).field("tid", 0)
                 .end();
             break;

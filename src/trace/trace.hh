@@ -157,7 +157,8 @@ class TraceRecorder
      * misrenders flows whose "s" half appears after its "f" half, so
      * the sort (stable, "s" before "f" and async halves in insertion
      * order at equal timestamps) is a documented guarantee of this
-     * writer.
+     * writer. Every ts and dur is the exact tick in microseconds, up
+     * to six fractional digits.
      */
     void writeChromeJson(std::ostream &os) const;
 

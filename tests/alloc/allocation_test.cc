@@ -83,13 +83,9 @@ TEST(AllocationTest, WarmTransfersAllocateNothing)
 
         // Warm-up: each route's first transfer builds it; the rest
         // size the event slab. The occupancy interval stores hold only
-        // the intervals in flight, a few entries each, and
-        // resetStats() empties them without shrinking.
+        // the intervals in flight, a few entries each, so the warm-up
+        // also sizes them.
         transferRounds(soc, acc, producer, 1000);
-        for (Accelerator *a : accs)
-            a->resetStats();
-        soc.dram().resetStats();
-        soc.fabric().resetStats();
 
         std::uint64_t before = allocationCount();
         transferRounds(soc, acc, producer, 1000);

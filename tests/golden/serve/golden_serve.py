@@ -12,7 +12,13 @@ burn-rate alerts (logged to stderr under the Serve debug flag), 20%
 tail sampling, and every output: the relief-serve-v1 document (--out),
 the stats JSON, the relief-trace-v1 document, the Perfetto trace, the
 final exposition snapshot and every earlier one (--expo-series, hashed
-as one document).
+as one document). Beyond its hashes, each serve config must show
+Perfetto async request slices ("b"/"e", cat "request"), at least two
+snapshots in the series, `relief_serve_offered_total` in the final
+snapshot, a nonzero `relief_dram_channel_busy_us` in the second one
+(a mid-run snapshot reports the busy time so far) and at least one
+burn-rate alert opening. The first config runs again without the
+exposition and must write the same two traces byte for byte.
 
 Each config in SIM_CONFIGS runs RELIEF_SIM in WORKDIR/sim-<config> with
 the stats JSON, the text stats dump, the relief-pressure-v1 report, the
@@ -94,6 +100,7 @@ SIM_CONFIGS = {
                              "--limit-ms", "10"],
 }
 BUILD_INFO = re.compile(rb'\n\s*"build_info": \{[^{}]*\},')
+DRAM_BUSY = re.compile(rb"^relief_dram_channel_busy_us (\S+)$", re.MULTILINE)
 SCHED_DECISION = re.compile(r"^ *[0-9]+: relief: (promote|deny) ",
                             re.MULTILINE)
 
@@ -118,18 +125,63 @@ def read(workdir, name):
         return f.read()
 
 
-def serve_docs(binary, workdir, args):
-    stdout, stderr = run(binary, workdir, args + SERVE_COMMON)
+def expo_series(workdir):
+    """The --expo-series snapshots of a serve run, in order."""
     series = sorted(glob.glob(os.path.join(workdir, "expo.prom.*")),
                     key=lambda p: int(p.rsplit(".", 1)[1]))
+    return [read(workdir, os.path.basename(p)) for p in series]
+
+
+def serve_docs(binary, workdir, args):
+    stdout, stderr = run(binary, workdir, args + SERVE_COMMON)
     docs = {name: read(workdir, name + ".json")
             for name in ("serve", "stats", "perfetto")}
     docs["trace_doc"] = read(workdir, "trace.json")
     docs["expo"] = read(workdir, "expo.prom")
-    docs["expo_series"] = b"".join(read(workdir, os.path.basename(p))
-                                   for p in series)
+    docs["expo_series"] = b"".join(expo_series(workdir))
     docs["stdout"], docs["stderr"] = stdout, stderr
     return docs
+
+
+def check_serve(docs, workdir):
+    """The request slices, exposition snapshots and alerts of a serve
+    config."""
+    events = json.loads(docs["perfetto"])
+    errors = ["trace has no %s event" % what
+              for what, seen in (
+                  ('"ph":"b"', any(e.get("ph") == "b" for e in events)),
+                  ('"ph":"e"', any(e.get("ph") == "e" for e in events)),
+                  ('"cat":"request"',
+                   any(e.get("cat") == "request" for e in events)))
+              if not seen]
+    series = expo_series(workdir)
+    if len(series) < 2:
+        errors.append("%d exposition snapshots, want >= 2" % len(series))
+    else:
+        busy = DRAM_BUSY.search(series[1])
+        if not busy or float(busy.group(1)) <= 0:
+            errors.append("second snapshot has no relief_dram_channel_busy_us"
+                          " > 0")
+    if not re.search(rb"^relief_serve_offered_total ", docs["expo"],
+                     re.MULTILINE):
+        errors.append("final snapshot has no relief_serve_offered_total")
+    alerts = json.loads(docs["serve"])["runs"][0]["alerts"]
+    if sum(a["opens"] for a in alerts) == 0:
+        errors.append("no burn-rate alert opened")
+    return errors
+
+
+def check_repeat(binary, root):
+    """Rerun the first serve config without the exposition: its two
+    traces must not change."""
+    name, args = next(iter(SERVE_CONFIGS.items()))
+    expo = SERVE_COMMON.index("--expo")
+    common = SERVE_COMMON[:expo] + SERVE_COMMON[expo + 3:]
+    first, again = os.path.join(root, name), os.path.join(root, name + "-b")
+    run(binary, again, args + common)
+    return ["%s: %s differs in a run without the exposition" % (name, doc)
+            for doc in ("trace.json", "perfetto.json")
+            if read(first, doc) != read(again, doc)]
 
 
 def sim_docs(binary, workdir, args):
@@ -172,17 +224,20 @@ def main(argv):
     for name, args in SERVE_CONFIGS.items():
         workdir = os.path.join(root, name)
         docs = serve_docs(serve, workdir, args)
+        errors += ["%s: %s" % (name, e) for e in check_serve(docs, workdir)]
         got["relief_serve"][name] = {doc: digest(data, workdir)
                                      for doc, data in docs.items()}
+    errors += check_repeat(serve, root)
     for name, args in SIM_CONFIGS.items():
         workdir = os.path.join(root, "sim-" + name)
         docs = sim_docs(sim, workdir, args)
         if name == "observability":
-            errors += check_observability(docs)
+            errors += ["%s: %s" % (name, e)
+                       for e in check_observability(docs)]
         got["relief_sim"][name] = {doc: digest(data, workdir)
                                    for doc, data in docs.items()}
     if errors:
-        print("observability outputs incomplete:\n  %s"
+        print("outputs incomplete:\n  %s"
               % "\n  ".join(errors), file=sys.stderr)
         return 1
     if len(argv) == 5:

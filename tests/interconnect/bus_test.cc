@@ -141,15 +141,6 @@ TEST_F(BusTest, OverlappingTransfersMatchUnionAsClockAdvances)
             << "upTo " << up_to;
 }
 
-TEST_F(BusTest, ResetStatsClearsOccupancy)
-{
-    Bus bus = makeBus();
-    bus.recordTransfer(0, fromNs(50.0), 1000);
-    bus.resetStats();
-    EXPECT_EQ(bus.busyTime(), 0u);
-    EXPECT_EQ(bus.totalBytes(), 0u);
-}
-
 TEST_F(BusTest, DefaultBandwidthMatchesTableVI)
 {
     Bus bus = makeBus();

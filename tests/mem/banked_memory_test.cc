@@ -95,17 +95,6 @@ TEST(BankedMemoryTest, SameBankStreamsSerialize)
     EXPECT_EQ(t2.end, fromNs(400.0));
 }
 
-TEST(BankedMemoryTest, ResetClearsBankStats)
-{
-    Simulator sim;
-    BankedMemory mem(sim, "dram", simpleConfig());
-    reserveTransfer(mem.path(3), 0, 1000);
-    mem.resetStats();
-    for (int i = 0; i < mem.numBanks(); ++i)
-        EXPECT_EQ(mem.bank(i).totalBytes(), 0u);
-    EXPECT_EQ(mem.channel().totalBytes(), 0u);
-}
-
 TEST(BankedMemoryTest, WorksAsSocBackend)
 {
     // Compile/behaviour check through the polymorphic interface.

@@ -52,17 +52,6 @@ TEST(MainMemoryTest, EnergyScalesWithBytes)
     EXPECT_DOUBLE_EQ(mem.energyPJ(), 3000.0);
 }
 
-TEST(MainMemoryTest, ResetClearsCounters)
-{
-    Simulator sim;
-    MainMemory mem(sim, "dram");
-    mem.recordRead(100);
-    mem.channel().claim(0, 64);
-    mem.resetStats();
-    EXPECT_EQ(mem.totalBytes(), 0u);
-    EXPECT_EQ(mem.channel().totalBytes(), 0u);
-}
-
 TEST(MainMemoryTest, StreamingTimeMatchesTableICalibration)
 {
     // A 192 KiB elem-matrix working set (two inputs + one output)

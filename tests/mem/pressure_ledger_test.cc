@@ -199,20 +199,6 @@ TEST(PressureLedgerTest, TopContendersSortByDelayCaused)
     EXPECT_EQ(top1[0].key, rows[0].key);
 }
 
-TEST(PressureLedgerTest, ResetStatsClearsSlotsAndRings)
-{
-    PressureLedger ledger;
-    ledger.addSource("a");
-    BandwidthResource res("r", 1.0, 0);
-    int id = ledger.addResource(res);
-    ledger.seal();
-
-    res.claim(0, 100, 0, tag(0));
-    ledger.resetStats();
-    EXPECT_EQ(ledger.resourceTotal(id).transfers, 0u);
-    EXPECT_EQ(ledger.queueDepth(id, 0), 0);
-}
-
 TEST(PressureLedgerTest, TaggedReserveTransferChargesEveryResource)
 {
     PressureLedger ledger;

@@ -65,17 +65,6 @@ class ReferencePipe
         return start;
     }
 
-    void
-    reset()
-    {
-        busy_.clear();
-        ring_.clear();
-        head_ = 0;
-        wait_ = 0;
-        std::fill(suffered_.begin(), suffered_.end(), 0);
-        std::fill(caused_.begin(), caused_.end(), 0);
-    }
-
     int
     queueDepth(Tick now) const
     {
@@ -113,8 +102,7 @@ class ReferencePipe
  * 10 k tagged claims on a resource of @p latency: bursts at one request
  * time separated by idle gaps or overlapping the backlog, zero-byte
  * claims, and request times that lag an earlier claim's. After every
- * claim each derived value is compared with the reference; the ledger
- * is reset once, halfway.
+ * claim each derived value is compared with the reference.
  */
 void
 checkAgainstReference(Tick latency, std::uint64_t seed)
@@ -136,11 +124,6 @@ checkAgainstReference(Tick latency, std::uint64_t seed)
     Tick clock = 0;
     Tick latest = 0; // latest request time, as busyTime requires
     for (int i = 0; i < claims; ++i) {
-        if (i == claims / 2) {
-            ledger.resetStats();
-            ref.reset();
-            ASSERT_EQ(ledger.queueDepth(id, latest), 0);
-        }
         if (pick(0, 3) == 0) // a new burst, after a gap or mid-backlog
             clock += fromNs(double(pick(0, 600)));
         Tick request = clock;

@@ -73,42 +73,6 @@ TEST(EventQueueTest, SchedulingAtCurrentTickIsAllowed)
     EXPECT_TRUE(ran);
 }
 
-TEST(EventQueueTest, CancelledEventDoesNotFire)
-{
-    EventQueue q;
-    bool fired = false;
-    EventHandle h = q.schedule(10, [&] { fired = true; });
-    EXPECT_TRUE(h.pending());
-    h.cancel();
-    EXPECT_FALSE(h.pending());
-    while (q.runOne()) {
-    }
-    EXPECT_FALSE(fired);
-}
-
-TEST(EventQueueTest, CancelledEventsAreSkippedByEmptyAndNextTick)
-{
-    EventQueue q;
-    EventHandle h = q.schedule(10, [] {});
-    q.schedule(20, [] {});
-    h.cancel();
-    EXPECT_EQ(q.nextTick(), 20u);
-    EXPECT_FALSE(q.empty());
-    EXPECT_TRUE(q.runOne());
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueueTest, HandleReportsFiredState)
-{
-    EventQueue q;
-    EventHandle h = q.schedule(10, [] {});
-    EXPECT_TRUE(h.pending());
-    q.runOne();
-    EXPECT_FALSE(h.pending());
-    // Cancelling after firing is a harmless no-op.
-    h.cancel();
-}
-
 TEST(EventQueueTest, EventsScheduledFromEventsRun)
 {
     EventQueue q;
@@ -127,13 +91,14 @@ TEST(EventQueueTest, EventsScheduledFromEventsRun)
 TEST(EventQueueTest, CountsScheduledAndExecuted)
 {
     EventQueue q;
-    EventHandle h = q.schedule(1, [] {});
+    q.schedule(1, [] {});
     q.schedule(2, [] {});
-    h.cancel();
+    EXPECT_EQ(q.numScheduled(), 2u);
+    EXPECT_EQ(q.numExecuted(), 0u);
     while (q.runOne()) {
     }
     EXPECT_EQ(q.numScheduled(), 2u);
-    EXPECT_EQ(q.numExecuted(), 1u);
+    EXPECT_EQ(q.numExecuted(), 2u);
 }
 
 TEST(EventQueueTest, MillionTrivialEventsNeverTouchTheHeap)
@@ -171,76 +136,6 @@ TEST(EventQueueTest, OversizedCaptureFallsBackToHeapAndIsCounted)
     EXPECT_EQ(q.numHeapCallables(), 1u);
     EXPECT_TRUE(q.runOne());
     EXPECT_EQ(result, 42);
-}
-
-TEST(EventQueueTest, CancelledSkipsAreCounted)
-{
-    EventQueue q;
-    EventHandle a = q.schedule(10, [] {});
-    EventHandle b = q.schedule(20, [] {});
-    q.schedule(30, [] {});
-    a.cancel();
-    b.cancel();
-    while (q.runOne()) {
-    }
-    EXPECT_EQ(q.numCancelled(), 2u);
-    EXPECT_EQ(q.numExecuted(), 1u);
-}
-
-TEST(EventQueueTest, CompactionPurgesCancelledEntries)
-{
-    EventQueue q;
-    q.setCompactionMinimum(8);
-    std::vector<EventHandle> handles;
-    int fired = 0;
-    for (int i = 0; i < 32; ++i)
-        handles.push_back(
-            q.schedule(Tick(100 + i), [&fired] { ++fired; }));
-    // Cancel most of the heap; once cancelled entries are both >= the
-    // minimum and the majority, the queue compacts in place.
-    for (int i = 0; i < 24; ++i)
-        handles[std::size_t(i)].cancel();
-    EXPECT_GE(q.numCompactions(), 1u);
-    EXPECT_EQ(q.numCancelled(), 24u);
-    // Survivors still fire, in order.
-    Tick last = 0;
-    while (q.runOne())
-        last = q.curTick();
-    EXPECT_EQ(fired, 8);
-    EXPECT_EQ(last, 131u);
-    EXPECT_EQ(q.numExecuted(), 8u);
-}
-
-TEST(EventQueueTest, StaleHandleCannotTouchARecycledSlot)
-{
-    EventQueue q;
-    bool first = false;
-    bool second = false;
-    EventHandle old = q.schedule(10, [&first] { first = true; });
-    EXPECT_TRUE(q.runOne());
-    // The slot is recycled for a new event; the old handle must
-    // neither report it pending nor cancel it.
-    EventHandle fresh = q.schedule(20, [&second] { second = true; });
-    EXPECT_FALSE(old.pending());
-    old.cancel();
-    EXPECT_TRUE(fresh.pending());
-    EXPECT_TRUE(q.runOne());
-    EXPECT_TRUE(first);
-    EXPECT_TRUE(second);
-}
-
-TEST(EventQueueTest, CancellingOwnEventWhileFiringIsANoOp)
-{
-    EventQueue q;
-    EventHandle self;
-    int runs = 0;
-    self = q.schedule(10, [&] {
-        ++runs;
-        self.cancel(); // must not destroy the running callable
-        EXPECT_FALSE(self.pending());
-    });
-    EXPECT_TRUE(q.runOne());
-    EXPECT_EQ(runs, 1);
 }
 
 TEST(EventQueueTest, DynamicLabelsAreLazyUnderTheEventFlag)

@@ -95,15 +95,6 @@ TEST(IntervalUnionTest, QueryThenAddThenQuery)
     EXPECT_EQ(u.covered(), 20u);
 }
 
-TEST(IntervalUnionTest, ClearResets)
-{
-    IntervalUnion u;
-    u.add(0, 0, 10);
-    u.clear();
-    EXPECT_EQ(u.covered(), 0u);
-    EXPECT_EQ(u.rawSum(), 0u);
-}
-
 TEST(IntervalUnionTest, BackToBackIntervalsAreStoredOnce)
 {
     IntervalUnion u;
@@ -173,12 +164,6 @@ TEST(IntervalUnionTest, AdditionsAndQueriesBeforeTheWatermarkPanic)
     // claim's, queued behind it).
     u.add(50, 200, 210);
     EXPECT_EQ(u.covered(), 110u);
-
-    // clear() forgets the intervals, not the clock.
-    u.clear();
-    EXPECT_EQ(u.covered(100), 0u);
-    EXPECT_THROW(u.add(0, 50, 60), PanicError);
-    EXPECT_THROW(u.covered(99), PanicError);
 }
 
 /** Ticks every interval of an equivalence stream lies within. */
@@ -354,14 +339,6 @@ TEST(IntervalUnionTest, CoalescingMatchesBruteForceReference)
                 added.emplace_back(s, e);
             }
             expectMatchesReference(u, added, rng);
-
-            // After clear() only the new stream counts.
-            u.clear();
-            EXPECT_EQ(u.numIntervals(), 0u);
-            std::vector<Interval> fresh = makeStream(kind, rng, 30);
-            for (const auto &[s, e] : fresh)
-                u.add(0, s, e);
-            expectMatchesReference(u, fresh, rng);
         }
     }
 

@@ -11,15 +11,13 @@ namespace relief
 namespace
 {
 
-TEST(CounterTest, AddsAndResets)
+TEST(CounterTest, Adds)
 {
     Counter c;
     EXPECT_EQ(c.value(), 0u);
     c.add();
     c.add(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
 }
 
 TEST(AccumTest, EmptyIsZero)
@@ -61,15 +59,6 @@ TEST(AccumTest, NegativeSamples)
     EXPECT_DOUBLE_EQ(a.mean(), 0.0);
     EXPECT_DOUBLE_EQ(a.min(), -3.0);
     EXPECT_DOUBLE_EQ(a.max(), 3.0);
-}
-
-TEST(AccumTest, ResetClearsState)
-{
-    Accum a;
-    a.sample(5.0);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
 }
 
 TEST(HistogramQuantileTest, EmptyIsZero)

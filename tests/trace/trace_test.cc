@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/soc.hh"
 #include "sim/logging.hh"
@@ -70,6 +73,37 @@ TEST(TraceRecorderTest, ChromeJsonHasMetadataAndEvents)
     EXPECT_NE(json.find("\"dur\":15"), std::string::npos);
     EXPECT_EQ(json.front(), '[');
     EXPECT_EQ(json[json.size() - 2], ']');
+}
+
+TEST(TraceRecorderTest, ChromeJsonTimestampsAreExactMicroseconds)
+{
+    // Past 10 s of simulated time, spans 1 ns apart keep distinct
+    // timestamps: ts and dur are written from the integer tick, not
+    // rounded to a fixed number of significant digits.
+    TraceRecorder trace;
+    int lane_id = trace.lane("acc");
+    trace.span(lane_id, "a", fromMs(10000.0) + fromNs(1.0),
+               fromMs(10000.0) + fromUs(2.5));
+    trace.span(lane_id, "b", fromMs(10000.0) + fromNs(2.0),
+               fromMs(10000.0) + fromNs(3.0));
+    std::ostringstream os;
+    trace.writeChromeJson(os);
+    const std::string json = os.str();
+    EXPECT_NE(json.find("\"ts\":10000000.001,\"dur\":2.499"),
+              std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"ts\":10000000.002,\"dur\":0.001"),
+              std::string::npos)
+        << json;
+
+    JsonValue doc = JsonValue::parse(json);
+    std::vector<double> ts;
+    for (std::size_t i = 0; i < doc.size(); ++i) {
+        if (doc.at(i).at("ph").asString() == "X")
+            ts.push_back(doc.at(i).at("ts").asNumber());
+    }
+    ASSERT_EQ(ts.size(), 2u);
+    EXPECT_LT(ts[0], ts[1]);
 }
 
 TEST(TraceRecorderTest, JsonEscapesQuotes)
@@ -311,18 +345,27 @@ TEST(IntervalSamplerTest, SamplesEveryPeriodWhileEventsPend)
     EXPECT_DOUBLE_EQ(trace.counterSamples().back().value, 7.0);
 }
 
-TEST(IntervalSamplerTest, StopCancelsPendingWakeup)
+TEST(IntervalSamplerTest, StartWhileArmedIsANoOp)
 {
     Simulator sim;
     TraceRecorder trace;
     IntervalSampler sampler(sim, trace, fromUs(10.0));
     sampler.addProbe("depth", [] { return 1.0; });
-    sim.at(fromUs(95.0), [] {}, "workload");
+    sim.at(fromUs(15.0), [] {}, "workload");
     sampler.start();
-    sampler.stop();
-    sim.run();
-    // Only the immediate start() sample; the periodic chain is gone.
-    EXPECT_EQ(trace.numCounterSamples(), 1u);
+    sampler.start(); // a wakeup is pending: no second chain
+    // The limit only bounds a failure: two chains would keep each
+    // other alive.
+    EXPECT_EQ(sim.run(fromUs(100.0)), fromUs(20.0));
+    // Samples at 0, 10 and 20 us, once each.
+    ASSERT_EQ(trace.numCounterSamples(), 3u);
+    EXPECT_EQ(trace.counterSamples()[1].when, fromUs(10.0));
+
+    // The chain died with the workload, so start() samples again.
+    sim.at(fromUs(25.0), [] {}, "workload");
+    sampler.start();
+    EXPECT_EQ(sim.run(fromUs(100.0)), fromUs(30.0));
+    EXPECT_EQ(trace.numCounterSamples(), 5u);
 }
 
 TEST(TraceIntegrationTest, SocEmitsSpansForEveryNode)
@@ -389,6 +432,41 @@ TEST(TraceIntegrationTest, SocEmitsCounterTracks)
     for (const CounterSample &s : trace.counterSamples()) {
         EXPECT_GE(s.value, 0.0);
         EXPECT_LE(s.when, end + soc.sampler()->period());
+    }
+}
+
+TEST(TraceIntegrationTest, RunToALimitThenOnSamplesLikeOneRun)
+{
+    // Soc::run starts the sampler every time. Stopping at a sampler
+    // tick leaves its next wakeup pending; the second run must not
+    // start another chain beside it, or every sample from the stop on
+    // is recorded twice.
+    auto samples = [](bool split) {
+        Soc soc;
+        TraceRecorder &trace = soc.enableTracing(fromUs(10.0));
+        DagPtr dag = buildApp(AppId::Canny);
+        soc.submit(dag);
+        if (split) {
+            EXPECT_EQ(soc.run(fromUs(30.0)), fromUs(30.0));
+            EXPECT_FALSE(dag->complete());
+        }
+        soc.run(fromMs(50.0));
+        EXPECT_TRUE(dag->complete());
+        return trace.counterSamples();
+    };
+    const std::vector<CounterSample> split = samples(true);
+    const std::vector<CounterSample> whole = samples(false);
+
+    std::set<std::pair<int, Tick>> seen;
+    std::size_t duplicates = 0;
+    for (const CounterSample &s : split)
+        duplicates += !seen.insert({s.track, s.when}).second;
+    EXPECT_EQ(duplicates, 0u);
+    ASSERT_EQ(split.size(), whole.size());
+    for (std::size_t i = 0; i < split.size(); ++i) {
+        EXPECT_EQ(split[i].track, whole[i].track) << i;
+        EXPECT_EQ(split[i].when, whole[i].when) << i;
+        EXPECT_EQ(split[i].value, whole[i].value) << i;
     }
 }
 
