@@ -156,7 +156,7 @@ run(int argc, char **argv)
         std::cout << "serve " << policyName(policy_kinds[points[i].policy])
                   << " @ " << Table::num(loads[points[i].load], 2)
                   << "x: goodput "
-                  << Table::num(total.goodputRps(reports[i].horizon), 1)
+                  << Table::num(total.goodputRps(), 1)
                   << " rps, p99 "
                   << Table::num(total.latencyMs.quantile(0.99), 2)
                   << " ms, miss " << Table::num(total.missRate() * 100, 1)

@@ -140,169 +140,198 @@ Soc::Soc(const SocConfig &config) : config_(config)
 void
 Soc::registerStats()
 {
-    // Registration order is the text-dump order; keep it aligned with
-    // the historical dumpStats() layout so diffs stay line-stable.
-    stats_.addCounter("sim.ticks", "final tick (ps)",
-                      [this] { return sim_.events().curTick(); });
-    stats_.addScalar("sim.time_ms", "simulated milliseconds",
-                     [this] { return toMs(sim_.events().curTick()); });
-    stats_.addCounter("sim.events", "events executed",
-                      [this] { return sim_.events().numExecuted(); });
-    stats_.addCounter("sim.event_heap_callables",
-                      "event captures too large for the inline buffer",
-                      [this] {
-                          return sim_.events().numHeapCallables();
-                      });
+    // Binding order is the text-dump order; keep it aligned with the
+    // historical dumpStats() layout so diffs stay line-stable.
+    static constexpr StatDef platform[] = {
+        StatDef::counter("sim.ticks", "final tick (ps)",
+                         [](const Soc &s) { return s.sim_.now(); }),
+        StatDef::scalar("sim.time_ms", "simulated milliseconds",
+                        [](const Soc &s) { return toMs(s.sim_.now()); }),
+        StatDef::counter("sim.events", "events executed", [](const Soc &s) {
+            return s.sim_.events().numExecuted();
+        }),
+        StatDef::counter("sim.event_heap_callables",
+                         "event captures too large for the inline buffer",
+                         [](const Soc &s) {
+                             return s.sim_.events().numHeapCallables();
+                         }),
+        StatDef::counter("dram.read_bytes", "bytes read from DRAM",
+                         [](const Soc &s) { return s.dram_->readBytes(); }),
+        StatDef::counter("dram.write_bytes", "bytes written to DRAM",
+                         [](const Soc &s) { return s.dram_->writeBytes(); }),
+        StatDef::scalar("dram.energy_pj", "dynamic DRAM energy",
+                        [](const Soc &s) { return s.dram_->energyPJ(); }),
+        StatDef::scalar("dram.channel.busy_us", "channel busy time",
+                        [](const Soc &s) {
+                            return toUs(
+                                s.dram_->channel().busyTime(s.sim_.now()));
+                        }),
+        StatDef::counter("dram.channel.transfers", "channel reservations",
+                         [](const Soc &s) {
+                             return s.dram_->channel().numTransfers();
+                         }),
+        StatDef::counter("fabric.bytes", "fabric payload bytes",
+                         [](const Soc &s) {
+                             return s.fabric_->totalBytes();
+                         }),
+        StatDef::counter("fabric.transfers", "fabric transactions",
+                         [](const Soc &s) {
+                             return s.fabric_->numTransfers();
+                         }),
+        StatDef::formula("fabric.occupancy", "fraction of time busy",
+                         [](const Soc &s) {
+                             return s.fabric_->occupancy(s.sim_.now());
+                         }),
+    };
+    stats_.bind(platform, this);
 
-    stats_.addCounter("dram.read_bytes", "bytes read from DRAM",
-                      [this] { return dram_->readBytes(); });
-    stats_.addCounter("dram.write_bytes", "bytes written to DRAM",
-                      [this] { return dram_->writeBytes(); });
-    stats_.addScalar("dram.energy_pj", "dynamic DRAM energy",
-                     [this] { return dram_->energyPJ(); });
-    stats_.addScalar("dram.channel.busy_us", "channel busy time",
-                     [this] {
-                         return toUs(dram_->channel().busyTime(sim_.now()));
-                     });
-    stats_.addCounter("dram.channel.transfers", "channel reservations",
-                      [this] {
-                          return dram_->channel().numTransfers();
-                      });
+    using A = Accelerator;
+    static constexpr StatDef accelerator[] = {
+        StatDef::counter(".tasks", "tasks completed",
+                         [](const A &a) { return a.tasksExecuted(); }),
+        StatDef::scalar(".compute_busy_us", "compute busy time",
+                        [](const A &a) {
+                            return toUs(a.computeBusyTime(a.now()));
+                        }),
+        StatDef::counter(".spm.read_bytes", "scratchpad bytes read",
+                         [](const A &a) { return a.spm().readBytes(); }),
+        StatDef::counter(".spm.write_bytes", "scratchpad bytes written",
+                         [](const A &a) { return a.spm().writeBytes(); }),
+        StatDef::scalar(".spm.energy_pj", "scratchpad energy",
+                        [](const A &a) { return a.spm().energyPJ(); }),
+        StatDef::counter(".dma.dram_read_bytes", "DRAM loads issued",
+                         [](const A &a) {
+                             return a.dma().bytesMoved(
+                                 TrafficClass::DramRead);
+                         }),
+        StatDef::counter(".dma.dram_write_bytes", "DRAM write-backs issued",
+                         [](const A &a) {
+                             return a.dma().bytesMoved(
+                                 TrafficClass::DramWrite);
+                         }),
+        StatDef::counter(".dma.forward_bytes", "forwarded bytes pulled",
+                         [](const A &a) {
+                             return a.dma().bytesMoved(
+                                 TrafficClass::SpmForward);
+                         }),
+    };
+    for (const auto &acc : accs_)
+        stats_.bind(accelerator, acc.get(), acc->name());
 
-    stats_.addCounter("fabric.bytes", "fabric payload bytes",
-                      [this] { return fabric_->totalBytes(); });
-    stats_.addCounter("fabric.transfers", "fabric transactions",
-                      [this] { return fabric_->numTransfers(); });
-    stats_.addFormula("fabric.occupancy", "fraction of time busy",
-                      [this] { return fabric_->occupancy(sim_.now()); });
+    using R = RunMetrics;
+    static constexpr StatDef manager[] = {
+        StatDef::counter("manager.edges", "parent edges satisfied",
+                         [](const R &r) { return r.edgesConsumed; }),
+        StatDef::counter("manager.forwards", "edges forwarded SPM-to-SPM",
+                         [](const R &r) { return r.forwards; }),
+        StatDef::counter("manager.colocations", "edges colocated",
+                         [](const R &r) { return r.colocations; }),
+        StatDef::counter("manager.dram_edges", "edges served from DRAM",
+                         [](const R &r) { return r.dramEdges; }),
+        StatDef::counter("manager.writebacks_avoided",
+                         "outputs never sent to DRAM",
+                         [](const R &r) { return r.writebacksAvoided; }),
+        StatDef::counter("manager.nodes_finished", "tasks completed",
+                         [](const R &r) { return r.nodesFinished; }),
+        StatDef::counter("manager.node_deadlines_met",
+                         "tasks within deadline",
+                         [](const R &r) { return r.nodeDeadlinesMet; }),
+        StatDef::counter("manager.dags_finished", "DAGs completed",
+                         [](const R &r) { return r.dagsFinished; }),
+        StatDef::counter("manager.dag_deadlines_met",
+                         "DAGs within deadline",
+                         [](const R &r) { return r.dagDeadlinesMet; }),
+        StatDef::scalar("manager.busy_us", "modeled scheduling time",
+                        [](const R &r) { return toUs(r.managerBusyTime); }),
+        StatDef::formula("manager.push_mean_us",
+                         "mean ready-queue insert cost", [](const R &r) {
+                             return toUs(Tick(r.pushLatency.mean()));
+                         }),
+        StatDef::formula("manager.queue_wait_mean_us",
+                         "mean ready-to-launch wait", [](const R &r) {
+                             return toUs(Tick(r.queueWait.mean()));
+                         }),
+        StatDef::formula("manager.queue_wait_max_us",
+                         "max ready-to-launch wait", [](const R &r) {
+                             return toUs(Tick(r.queueWait.max()));
+                         }),
+        StatDef::formula("manager.queue_depth_mean",
+                         "mean queue length at insert",
+                         [](const R &r) { return r.queueDepth.mean(); }),
+        StatDef::formula("manager.forward_fraction",
+                         "forwarded+colocated edges / consumed (Fig. 4)",
+                         [](const R &r) {
+                             return r.forwardFraction(r.edgesConsumed);
+                         }),
+        StatDef::formula("manager.node_deadline_fraction",
+                         "tasks within deadline / finished (Fig. 8)",
+                         [](const R &r) { return r.nodeDeadlineFraction(); }),
+        StatDef::formula("manager.dag_deadline_fraction",
+                         "DAGs within deadline / finished",
+                         [](const R &r) { return r.dagDeadlineFraction(); }),
+        StatDef::histogram("manager.queue_wait_us",
+                           "ready-to-launch wait distribution (us)",
+                           [](const R &r) { return &r.queueWaitUs; }),
+        StatDef::histogram("manager.queue_depth",
+                           "queue length at insert distribution",
+                           [](const R &r) { return &r.queueDepthHist; }),
+    };
+    stats_.bind(manager, &manager_->metrics());
 
-    for (const auto &acc_ptr : accs_) {
-        Accelerator *acc = acc_ptr.get();
-        const std::string prefix = acc->name();
-        stats_.addCounter(prefix + ".tasks", "tasks completed",
-                          [acc] { return acc->tasksExecuted(); });
-        stats_.addScalar(prefix + ".compute_busy_us",
-                         "compute busy time", [this, acc] {
-                             return toUs(acc->computeBusyTime(sim_.now()));
-                         });
-        stats_.addCounter(prefix + ".spm.read_bytes",
-                          "scratchpad bytes read",
-                          [acc] { return acc->spm().readBytes(); });
-        stats_.addCounter(prefix + ".spm.write_bytes",
-                          "scratchpad bytes written",
-                          [acc] { return acc->spm().writeBytes(); });
-        stats_.addScalar(prefix + ".spm.energy_pj", "scratchpad energy",
-                         [acc] { return acc->spm().energyPJ(); });
-        stats_.addCounter(prefix + ".dma.dram_read_bytes",
-                          "DRAM loads issued", [acc] {
-                              return acc->dma().bytesMoved(
-                                  TrafficClass::DramRead);
-                          });
-        stats_.addCounter(prefix + ".dma.dram_write_bytes",
-                          "DRAM write-backs issued", [acc] {
-                              return acc->dma().bytesMoved(
-                                  TrafficClass::DramWrite);
-                          });
-        stats_.addCounter(prefix + ".dma.forward_bytes",
-                          "forwarded bytes pulled", [acc] {
-                              return acc->dma().bytesMoved(
-                                  TrafficClass::SpmForward);
-                          });
-    }
-
-    const RunMetrics &m = manager_->metrics();
-    stats_.addCounter("manager.edges", "parent edges satisfied",
-                      [&m] { return m.edgesConsumed; });
-    stats_.addCounter("manager.forwards", "edges forwarded SPM-to-SPM",
-                      [&m] { return m.forwards; });
-    stats_.addCounter("manager.colocations", "edges colocated",
-                      [&m] { return m.colocations; });
-    stats_.addCounter("manager.dram_edges", "edges served from DRAM",
-                      [&m] { return m.dramEdges; });
-    stats_.addCounter("manager.writebacks_avoided",
-                      "outputs never sent to DRAM",
-                      [&m] { return m.writebacksAvoided; });
-    stats_.addCounter("manager.nodes_finished", "tasks completed",
-                      [&m] { return m.nodesFinished; });
-    stats_.addCounter("manager.node_deadlines_met",
-                      "tasks within deadline",
-                      [&m] { return m.nodeDeadlinesMet; });
-    stats_.addCounter("manager.dags_finished", "DAGs completed",
-                      [&m] { return m.dagsFinished; });
-    stats_.addCounter("manager.dag_deadlines_met",
-                      "DAGs within deadline",
-                      [&m] { return m.dagDeadlinesMet; });
-    stats_.addScalar("manager.busy_us", "modeled scheduling time",
-                     [&m] { return toUs(m.managerBusyTime); });
-    stats_.addFormula("manager.push_mean_us",
-                      "mean ready-queue insert cost",
-                      [&m] { return toUs(Tick(m.pushLatency.mean())); });
-    stats_.addFormula("manager.queue_wait_mean_us",
-                      "mean ready-to-launch wait",
-                      [&m] { return toUs(Tick(m.queueWait.mean())); });
-    stats_.addFormula("manager.queue_wait_max_us",
-                      "max ready-to-launch wait",
-                      [&m] { return toUs(Tick(m.queueWait.max())); });
-    stats_.addFormula("manager.queue_depth_mean",
-                      "mean queue length at insert",
-                      [&m] { return m.queueDepth.mean(); });
-    stats_.addFormula("manager.forward_fraction",
-                      "forwarded+colocated edges / consumed (Fig. 4)",
-                      [&m] { return m.forwardFraction(m.edgesConsumed); });
-    stats_.addFormula("manager.node_deadline_fraction",
-                      "tasks within deadline / finished (Fig. 8)",
-                      [&m] { return m.nodeDeadlineFraction(); });
-    stats_.addFormula("manager.dag_deadline_fraction",
-                      "DAGs within deadline / finished",
-                      [&m] { return m.dagDeadlineFraction(); });
-    stats_.addHistogram("manager.queue_wait_us",
-                        "ready-to-launch wait distribution (us)",
-                        &m.queueWaitUs);
-    stats_.addHistogram("manager.queue_depth",
-                        "queue length at insert distribution",
-                        &m.queueDepthHist);
-    stats_.addCounter("manager.queue_peak_depth",
-                      "largest ready-queue length reached", [this] {
-                          std::size_t peak = 0;
-                          for (const ReadyQueue &q :
-                               manager_->readyQueues())
-                              peak = std::max(peak, q.peakSize());
-                          return std::uint64_t(peak);
-                      });
+    static constexpr StatDef queues[] = {
+        StatDef::counter("manager.queue_peak_depth",
+                         "largest ready-queue length reached",
+                         [](const HardwareManager &m) {
+                             std::size_t peak = 0;
+                             for (const ReadyQueue &q : m.readyQueues())
+                                 peak = std::max(peak, q.peakSize());
+                             return peak;
+                         }),
+    };
+    stats_.bind(queues, manager_.get());
 
     // Critical-path attribution (manager/critical_path.hh): one sample
     // per finished DAG execution, per bucket. Bucket means sum to the
     // mean end-to-end DAG latency.
-    stats_.addHistogram("manager.cp_queue_wait_us",
-                        "critical-path queue wait per DAG (us)",
-                        &m.cpQueueWaitUs);
-    stats_.addHistogram("manager.cp_manager_us",
-                        "critical-path manager overhead per DAG (us)",
-                        &m.cpManagerUs);
-    stats_.addHistogram("manager.cp_dma_in_us",
-                        "critical-path input-DMA time per DAG (us)",
-                        &m.cpDmaInUs);
-    stats_.addHistogram("manager.cp_compute_us",
-                        "critical-path compute time per DAG (us)",
-                        &m.cpComputeUs);
-    stats_.addHistogram("manager.cp_dma_out_us",
-                        "critical-path write-back time per DAG (us)",
-                        &m.cpDmaOutUs);
-    stats_.addHistogram("manager.cp_dep_stall_us",
-                        "critical-path dependency stall per DAG (us)",
-                        &m.cpDepStallUs);
-    stats_.addHistogram("manager.cp_total_us",
-                        "end-to-end DAG latency (us)", &m.cpTotalUs);
+    static constexpr StatDef criticalPath[] = {
+        StatDef::histogram("manager.cp_queue_wait_us",
+                           "critical-path queue wait per DAG (us)",
+                           [](const R &r) { return &r.cpQueueWaitUs; }),
+        StatDef::histogram("manager.cp_manager_us",
+                           "critical-path manager overhead per DAG (us)",
+                           [](const R &r) { return &r.cpManagerUs; }),
+        StatDef::histogram("manager.cp_dma_in_us",
+                           "critical-path input-DMA time per DAG (us)",
+                           [](const R &r) { return &r.cpDmaInUs; }),
+        StatDef::histogram("manager.cp_compute_us",
+                           "critical-path compute time per DAG (us)",
+                           [](const R &r) { return &r.cpComputeUs; }),
+        StatDef::histogram("manager.cp_dma_out_us",
+                           "critical-path write-back time per DAG (us)",
+                           [](const R &r) { return &r.cpDmaOutUs; }),
+        StatDef::histogram("manager.cp_dep_stall_us",
+                           "critical-path dependency stall per DAG (us)",
+                           [](const R &r) { return &r.cpDepStallUs; }),
+        StatDef::histogram("manager.cp_total_us",
+                           "end-to-end DAG latency (us)",
+                           [](const R &r) { return &r.cpTotalUs; }),
 
-    // Functional-kernel scratch pooling (kernels/scratch.hh). The
-    // pool is thread-local and reset at every experiment entry point,
-    // so these read the run's own counts on the thread that dumps.
-    stats_.addCounter("kernels.scratch_reuses",
-                      "kernel scratch buffers served from the pool",
-                      [] { return ScratchPool::forThread().reuses(); });
-    stats_.addCounter("kernels.scratch_allocs",
-                      "kernel scratch buffers freshly allocated",
-                      [] { return ScratchPool::forThread().allocs(); });
+        // Functional-kernel scratch pooling (kernels/scratch.hh). The
+        // pool is thread-local and reset at every experiment entry
+        // point, so these read the run's own counts on the thread that
+        // dumps, not the metrics they are bound with.
+        StatDef::counter("kernels.scratch_reuses",
+                         "kernel scratch buffers served from the pool",
+                         [](const R &) {
+                             return ScratchPool::forThread().reuses();
+                         }),
+        StatDef::counter("kernels.scratch_allocs",
+                         "kernel scratch buffers freshly allocated",
+                         [](const R &) {
+                             return ScratchPool::forThread().allocs();
+                         }),
+    };
+    stats_.bind(criticalPath, &manager_->metrics());
 }
 
 Soc::~Soc() = default;

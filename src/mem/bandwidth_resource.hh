@@ -73,7 +73,10 @@ class BandwidthResource
      * is claim(earliest, bytes, earliest, untagged). @p earliest must
      * not precede @p request_time; FIFO queueing then starts every
      * claim after every earlier request time, so the busy time before
-     * the latest one is final.
+     * the latest one is final. @p request_time may lag an earlier
+     * claim's (claimRoute's never do); the ledger then charges the
+     * part of the wait that reservations pruned at that earlier
+     * request time caused to the next reservation still held.
      */
     Tick claim(Tick earliest, std::uint64_t bytes, Tick request_time,
                const RequestorTag &tag);

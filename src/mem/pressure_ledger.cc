@@ -135,10 +135,14 @@ PressureLedger::chargeWait(const BandwidthResource &res, Slot *row,
 {
     // Walk the wait interval [request_time, request_time+pending) over
     // the resource's outstanding reservations, oldest first, charging
-    // each segment to the reservation covering (or, across an idle
-    // gap, the next one holding) the pipe. The newest entry ends
-    // exactly where the wait does, so the whole interval is always
-    // attributed and caused == suffered per resource.
+    // each segment to the reservation covering the pipe or, across an
+    // idle gap or a pruned entry, the next one holding it. The newest
+    // entry ends exactly where the wait does and after the request
+    // time, so no pruning has dropped it and the whole interval is
+    // always attributed: caused == suffered per resource. A pruned
+    // entry can overlap the wait only when this request time lags an
+    // earlier claim's, which only the public tagged
+    // BandwidthResource::claim allows (claimRoute passes one clock).
     Tick low = request_time;
     Tick wait_end = request_time + pending;
     for (auto r = res.held_.begin() + std::ptrdiff_t(res.head_);
@@ -149,11 +153,8 @@ PressureLedger::chargeWait(const BandwidthResource &res, Slot *row,
         row[r->key].waitCaused += hi - low;
         low = hi;
     }
-    if (low < wait_end) {
-        // The record was reset mid-backlog (stats reset); keep the
-        // books balanced by charging the untagged bucket.
-        row[0].waitCaused += wait_end - low;
-    }
+    RELIEF_ASSERT(low == wait_end, res.name(), ": wait walk stopped at ",
+                  low, " short of ", wait_end);
 }
 
 PressureLedger::Slot

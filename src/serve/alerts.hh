@@ -114,7 +114,7 @@ class BurnRateAlerts : public SimObject
     /** Per-class summaries (valid after finish()). */
     std::vector<ClassAlertSummary> summary() const;
 
-  private:
+    /** One burn-window sample of a class's counters. */
     struct Sample
     {
         Tick when = 0;
@@ -122,6 +122,7 @@ class BurnRateAlerts : public SimObject
         std::uint64_t missed = 0;
     };
 
+    /** One class's live alert state and burn-window samples. */
     struct ClassState
     {
         std::deque<Sample> samples;
@@ -139,6 +140,13 @@ class BurnRateAlerts : public SimObject
         double slowBurn = 0.0;
     };
 
+    /** Class @p i's live state (the serve.*.alert_* stats read it). */
+    const ClassState &classState(std::size_t i) const
+    {
+        return states_[i];
+    }
+
+  private:
     void tick();
     double windowBurn(const ClassState &state, Tick window,
                       std::size_t &base) const;

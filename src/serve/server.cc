@@ -48,9 +48,12 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
         parallelism_ = 1;
 
     slo_.resize(config_.classes.size());
-    for (std::size_t i = 0; i < config_.classes.size(); ++i)
+    for (std::size_t i = 0; i < config_.classes.size(); ++i) {
         slo_[i].name = config_.classes[i].name;
+        slo_[i].horizon = config_.horizon;
+    }
     total_.name = "total";
+    total_.horizon = config_.horizon;
 
     perClassInSystem_.assign(config_.classes.size(), 0);
 
@@ -119,100 +122,103 @@ void
 ServeDriver::registerStats()
 {
     StatRegistry &stats = soc_->stats();
-    auto add_class = [&stats, this](const std::string &prefix,
-                                    const ClassSlo &slo) {
-        stats.addCounter(prefix + ".offered", "requests generated",
-                         [&slo] { return slo.offered; });
-        stats.addCounter(prefix + ".admitted", "requests admitted",
-                         [&slo] { return slo.admitted; });
-        stats.addCounter(prefix + ".shed",
-                         "requests dropped by load shedding",
-                         [&slo] { return slo.shed; });
-        stats.addCounter(prefix + ".rejected",
+    static constexpr StatDef perClass[] = {
+        StatDef::counter(".offered", "requests generated",
+                         [](const ClassSlo &c) { return c.offered; }),
+        StatDef::counter(".admitted", "requests admitted",
+                         [](const ClassSlo &c) { return c.admitted; }),
+        StatDef::counter(".shed", "requests dropped by load shedding",
+                         [](const ClassSlo &c) { return c.shed; }),
+        StatDef::counter(".rejected",
                          "requests dropped as predicted infeasible",
-                         [&slo] { return slo.rejected; });
-        stats.addCounter(prefix + ".completed",
+                         [](const ClassSlo &c) { return c.rejected; }),
+        StatDef::counter(".completed",
                          "requests finished within the horizon",
-                         [&slo] { return slo.completed; });
-        stats.addCounter(prefix + ".missed",
-                         "completions past their deadline",
-                         [&slo] { return slo.missed; });
-        stats.addCounter(prefix + ".in_flight",
+                         [](const ClassSlo &c) { return c.completed; }),
+        StatDef::counter(".missed", "completions past their deadline",
+                         [](const ClassSlo &c) { return c.missed; }),
+        StatDef::counter(".in_flight",
                          "requests still executing at the horizon",
-                         [&slo] { return slo.inFlight; });
-        stats.addFormula(prefix + ".goodput_rps",
+                         [](const ClassSlo &c) { return c.inFlight; }),
+        StatDef::formula(".goodput_rps",
                          "deadline-meeting completions per second",
-                         [&slo, this] {
-                             return slo.goodputRps(config_.horizon);
-                         });
-        stats.addFormula(prefix + ".miss_rate", "missed / completed",
-                         [&slo] { return slo.missRate(); });
-        stats.addFormula(prefix + ".shed_rate",
-                         "(shed + rejected) / offered",
-                         [&slo] { return slo.shedRate(); });
-        stats.addHistogram(prefix + ".latency_ms",
-                           "end-to-end request latency (ms)",
-                           &slo.latencyMs);
-        stats.addHistogram(prefix + ".time_in_system_ms",
+                         [](const ClassSlo &c) { return c.goodputRps(); }),
+        StatDef::formula(".miss_rate", "missed / completed",
+                         [](const ClassSlo &c) { return c.missRate(); }),
+        StatDef::formula(".shed_rate", "(shed + rejected) / offered",
+                         [](const ClassSlo &c) { return c.shedRate(); }),
+        StatDef::histogram(".latency_ms", "end-to-end request latency (ms)",
+                           [](const ClassSlo &c) { return &c.latencyMs; }),
+        StatDef::histogram(".time_in_system_ms",
                            "request time in system (ms)",
-                           &slo.timeInSystemMs);
+                           [](const ClassSlo &c) {
+                               return &c.timeInSystemMs;
+                           }),
     };
-    add_class("serve", total_);
-    for (std::size_t i = 0; i < slo_.size(); ++i)
-        add_class("serve." + slo_[i].name, slo_[i]);
-    stats.addCounter("serve.dag_builds",
-                     "request DAG instances built (the rest are reused)",
-                     [this] {
-                         double builds = 0.0;
-                         for (const DagPool &pool : pools_)
-                             builds += double(pool.instances.size());
-                         return builds;
-                     });
+    stats.bind(perClass, &total_, "serve");
+    for (const ClassSlo &slo : slo_)
+        stats.bind(perClass, &slo, "serve." + slo.name);
+
+    static constexpr StatDef pools[] = {
+        StatDef::counter("serve.dag_builds",
+                         "request DAG instances built (the rest are reused)",
+                         [](const ServeDriver &d) {
+                             std::size_t builds = 0;
+                             for (const DagPool &pool : d.pools_)
+                                 builds += pool.instances.size();
+                             return builds;
+                         }),
+    };
+    stats.bind(pools, this);
 
     if (sampler_) {
-        const TailSampleSummary &s = sampler_->summary();
-        stats.addCounter("serve.trace.kept_ok",
-                         "sampled-in OK request traces",
-                         [&s] { return s.keptOk; });
-        stats.addCounter("serve.trace.kept_miss",
-                         "kept SLO-miss / in-flight traces",
-                         [&s] { return s.keptMiss; });
-        stats.addCounter("serve.trace.kept_shed", "kept shed traces",
-                         [&s] { return s.keptShed; });
-        stats.addCounter("serve.trace.kept_rejected",
-                         "kept rejected traces",
-                         [&s] { return s.keptRejected; });
-        stats.addCounter("serve.trace.dropped",
-                         "sampled-out OK request traces",
-                         [&s] { return s.dropped; });
+        using Summary = TailSampleSummary;
+        static constexpr StatDef sampling[] = {
+            StatDef::counter("serve.trace.kept_ok",
+                             "sampled-in OK request traces",
+                             [](const Summary &s) { return s.keptOk; }),
+            StatDef::counter("serve.trace.kept_miss",
+                             "kept SLO-miss / in-flight traces",
+                             [](const Summary &s) { return s.keptMiss; }),
+            StatDef::counter("serve.trace.kept_shed", "kept shed traces",
+                             [](const Summary &s) { return s.keptShed; }),
+            StatDef::counter("serve.trace.kept_rejected",
+                             "kept rejected traces",
+                             [](const Summary &s) {
+                                 return s.keptRejected;
+                             }),
+            StatDef::counter("serve.trace.dropped",
+                             "sampled-out OK request traces",
+                             [](const Summary &s) { return s.dropped; }),
+        };
+        stats.bind(sampling, &sampler_->summary());
     }
     if (alerts_) {
-        for (std::size_t i = 0; i < slo_.size(); ++i) {
-            const std::string prefix = "serve." + slo_[i].name;
-            stats.addCounter(prefix + ".alert_opens",
-                             "burn-rate alert openings",
-                             [a = alerts_.get(), i] {
-                                 return double(a->summary()[i].opens);
-                             });
-            stats.addCounter(prefix + ".alert_closes",
-                             "burn-rate alert closings",
-                             [a = alerts_.get(), i] {
-                                 return double(a->summary()[i].closes);
-                             });
-            stats.addScalar(prefix + ".alert_active",
+        using State = BurnRateAlerts::ClassState;
+        static constexpr StatDef alerting[] = {
+            StatDef::counter(".alert_opens", "burn-rate alert openings",
+                             [](const State &a) { return a.opens; }),
+            StatDef::counter(".alert_closes", "burn-rate alert closings",
+                             [](const State &a) { return a.closes; }),
+            StatDef::scalar(".alert_active",
                             "burn-rate alert currently open",
-                            [a = alerts_.get(), i] {
-                                return a->summary()[i].active ? 1.0
-                                                              : 0.0;
-                            });
-        }
+                            [](const State &a) {
+                                return a.open ? 1.0 : 0.0;
+                            }),
+        };
+        for (std::size_t i = 0; i < slo_.size(); ++i)
+            stats.bind(alerting, &alerts_->classState(i),
+                       "serve." + slo_[i].name);
     }
     if (exposition_) {
-        stats.addCounter("serve.telemetry.snapshots",
-                         "exposition snapshots published",
-                         [e = exposition_.get()] {
-                             return double(e->numSnapshots());
-                         });
+        static constexpr StatDef telemetry[] = {
+            StatDef::counter("serve.telemetry.snapshots",
+                             "exposition snapshots published",
+                             [](const StatExposition &e) {
+                                 return e.numSnapshots();
+                             }),
+        };
+        stats.bind(telemetry, exposition_.get());
     }
 }
 
@@ -517,7 +523,7 @@ printSloTable(std::ostream &os, const ServeReport &report,
                       std::to_string(slo.completed),
                       std::to_string(slo.missed),
                       std::to_string(slo.inFlight),
-                      Table::num(slo.goodputRps(report.horizon), 1),
+                      Table::num(slo.goodputRps(), 1),
                       Table::num(slo.missRate() * 100.0, 1),
                       Table::num(slo.shedRate() * 100.0, 1),
                       Table::num(slo.latencyMs.quantile(0.50), 2),
@@ -547,7 +553,7 @@ writeQuantiles(JsonWriter &w, const char *name, const Histogram &hist)
 
 /** One ClassSlo: counters, rates, latency and time-in-system quantiles. */
 void
-writeClassSloJson(JsonWriter &w, const ClassSlo &slo, Tick horizon)
+writeClassSloJson(JsonWriter &w, const ClassSlo &slo)
 {
     w.beginObject()
         .field("name", slo.name)
@@ -558,7 +564,7 @@ writeClassSloJson(JsonWriter &w, const ClassSlo &slo, Tick horizon)
         .field("completed", slo.completed)
         .field("missed", slo.missed)
         .field("in_flight", slo.inFlight)
-        .field("goodput_rps", slo.goodputRps(horizon))
+        .field("goodput_rps", slo.goodputRps())
         .field("miss_rate", slo.missRate())
         .field("shed_rate", slo.shedRate());
     writeQuantiles(w, "latency_ms", slo.latencyMs);
@@ -581,10 +587,10 @@ writeServeRunJson(JsonWriter &w, const ServeReport &report,
         .field("offered_load", offered_load)
         .field("rate_rps", rate_rps)
         .key("total");
-    writeClassSloJson(w, report.total, report.horizon);
+    writeClassSloJson(w, report.total);
     w.key("classes").beginArray();
     for (const ClassSlo &slo : report.classes)
-        writeClassSloJson(w, slo, report.horizon);
+        writeClassSloJson(w, slo);
     w.end().key("pressure").beginArray();
     for (const ServeReport::QosPressure &qos : report.pressure) {
         w.beginObject(JsonLayout::Inline)

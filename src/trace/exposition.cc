@@ -112,36 +112,34 @@ StatExposition::render()
        << p << "_exposition_sim_time_ms " << promNumber(toMs(now()))
        << "\n";
 
-    std::vector<std::pair<std::string, double>> counters;
-    for (const std::string &name : stats_.names()) {
-        const std::string metric = p + "_" + sanitizeName(name);
-        switch (stats_.kind(name)) {
+    // Stats bound since the previous snapshot start from 0.
+    prevValues_.resize(stats_.size(), 0.0);
+    std::size_t position = 0;
+    stats_.forEach([&](const Stat &stat) {
+        const std::string metric = p + "_" + sanitizeName(stat.name());
+        switch (stat.kind()) {
           case StatKind::Counter: {
-            double value = stats_.value(name);
+            double value = double(stat.counter());
             os << "# TYPE " << metric << "_total counter\n"
                << metric << "_total " << promNumber(value) << "\n";
             // Delta-window rate: change since the previous snapshot
             // over the window, not a cumulative average — readable
             // without a scraper-side derivative.
-            double prev = 0.0;
-            auto it = prevValues_.find(name);
-            if (it != prevValues_.end())
-                prev = it->second;
+            double &prev = prevValues_[position];
             double rate =
                 window_s > 0.0 ? (value - prev) / window_s : 0.0;
             os << "# TYPE " << metric << "_per_sec gauge\n"
                << metric << "_per_sec " << promNumber(rate) << "\n";
-            counters.emplace_back(name, value);
+            prev = value;
             break;
           }
           case StatKind::Scalar:
           case StatKind::Formula:
             os << "# TYPE " << metric << " gauge\n"
-               << metric << " " << promNumber(stats_.value(name))
-               << "\n";
+               << metric << " " << promNumber(stat.value()) << "\n";
             break;
           case StatKind::Histogram: {
-            const Histogram &hist = stats_.histogram(name);
+            const Histogram &hist = stat.histogram();
             os << "# TYPE " << metric << " summary\n"
                << metric << "{quantile=\"0.5\"} "
                << promNumber(hist.quantile(0.50)) << "\n"
@@ -155,9 +153,8 @@ StatExposition::render()
             break;
           }
         }
-    }
-    for (auto &[name, value] : counters)
-        prevValues_[name] = value;
+        ++position;
+    });
     return os.str();
 }
 

@@ -35,7 +35,6 @@
 #define RELIEF_TRACE_EXPOSITION_HH
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -107,8 +106,9 @@ class StatExposition : public SimObject
     /** A tick is scheduled; start() then does nothing. */
     bool armed_ = false;
     std::vector<std::string> snapshots_;
-    /** Previous snapshot's counter values (delta-window rates). */
-    std::map<std::string, double> prevValues_;
+    /** Previous snapshot's counter values (delta-window rates), by
+     *  stat position in binding order. */
+    std::vector<double> prevValues_;
     Tick prevTick_ = 0;
 };
 

@@ -313,13 +313,4 @@ TraceRecorder::writeGantt(std::ostream &os, Tick from, Tick to,
     }
 }
 
-void
-TraceRecorder::clear()
-{
-    spans_.clear();
-    samples_.clear();
-    flows_.clear();
-    asyncEvents_.clear();
-}
-
 } // namespace relief

@@ -170,8 +170,6 @@ class TraceRecorder
     void writeGantt(std::ostream &os, Tick from = 0, Tick to = maxTick,
                     int width = 100) const;
 
-    void clear();
-
   private:
     std::vector<std::string> laneNames_;
     std::unordered_map<std::string, int> laneIds_;

@@ -183,6 +183,29 @@ TEST(AllocationTest, WarmDecisionLogLapAllocatesNothing)
     EXPECT_EQ(log.at(log.size() - 2).victim, victim.label);
 }
 
+/** Allocations made constructing and destroying one Soc. */
+std::uint64_t
+constructionAllocs(const SocConfig &config)
+{
+    std::uint64_t before = allocationCount();
+    {
+        Soc soc(config);
+    }
+    return allocationCount() - before;
+}
+
+/** Each producer declares its stats once in a static table, and a Soc
+ *  binds the tables with one {table, object, prefix} record per
+ *  instance, so its 97 stats cost a handful of allocations, not a
+ *  name, a description, two closures and a map node each (686 and
+ *  768 allocations when they did). */
+TEST(AllocationTest, SocConstructionAllocatesLittle)
+{
+    EXPECT_LE(constructionAllocs(SocConfig{}), 220u);
+    EXPECT_LE(constructionAllocs(socConfig(platforms[2])), 300u)
+        << platforms[2].name;
+}
+
 /** Allocations per executed event inside Soc::run of a continuous CDL
  *  run under RELIEF; set-up (Soc, DAG builds) is not counted. */
 double

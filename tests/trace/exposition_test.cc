@@ -23,7 +23,7 @@ using namespace relief;
 namespace
 {
 
-/** A registry backed by mutable counters the test can advance. */
+/** A registry bound to mutable counters the test can advance. */
 struct Fixture
 {
     Simulator sim;
@@ -34,11 +34,15 @@ struct Fixture
 
     Fixture()
     {
-        stats.addCounter("sim.events", "events executed",
-                         [this] { return events; });
-        stats.addScalar("acc.conv0.occupancy", "busy fraction",
-                        [this] { return occupancy; });
-        stats.addHistogram("serve.latency_ms", "latency", &latency);
+        static constexpr StatDef rows[] = {
+            StatDef::counter("sim.events", "events executed",
+                             [](const Fixture &f) { return f.events; }),
+            StatDef::scalar("acc.conv0.occupancy", "busy fraction",
+                            [](const Fixture &f) { return f.occupancy; }),
+            StatDef::histogram("serve.latency_ms", "latency",
+                               [](const Fixture &f) { return &f.latency; }),
+        };
+        stats.bind(rows, this);
     }
 };
 
@@ -198,4 +202,29 @@ TEST(ExpositionTest, AtomicFilePublicationAndSeries)
     std::remove(config.path.c_str());
     std::remove((config.path + ".0").c_str());
     std::remove((config.path + ".1").c_str());
+}
+
+TEST(ExpositionTest, CounterBoundAfterASnapshotRatesFromZero)
+{
+    Fixture f;
+    ExpositionConfig config;
+    StatExposition expo(f.sim, f.stats, config);
+    expo.snapshotNow();
+
+    static constexpr StatDef late[] = {
+        StatDef::counter("late.events", "bound after a snapshot",
+                         [](const Fixture &g) { return g.events; }),
+    };
+    f.stats.bind(late, &f);
+    f.events = 5;
+    f.sim.at(fromMs(1.0), [&expo] { expo.snapshotNow(); }, "test.snap");
+    f.sim.run();
+
+    ASSERT_EQ(expo.numSnapshots(), 2u);
+    const std::string &text = expo.snapshots()[1];
+    // Both counters moved 0 -> 5 over 1 ms.
+    EXPECT_NEAR(sampleValue(text, "relief_sim_events_per_sec"), 5000.0,
+                1e-6);
+    EXPECT_NEAR(sampleValue(text, "relief_late_events_per_sec"), 5000.0,
+                1e-6);
 }

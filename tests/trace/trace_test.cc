@@ -138,16 +138,6 @@ TEST(TraceRecorderTest, GanttClipsToWindow)
     EXPECT_NE(os.str().find("xxxxxxxxxx"), std::string::npos);
 }
 
-TEST(TraceRecorderTest, ClearDropsSpansKeepsLanes)
-{
-    TraceRecorder trace;
-    int lane_id = trace.lane("acc");
-    trace.span(lane_id, "t", 0, 10);
-    trace.clear();
-    EXPECT_EQ(trace.numSpans(), 0u);
-    EXPECT_EQ(trace.numLanes(), 1);
-}
-
 TEST(TraceRecorderTest, CounterTracksAreDeduplicatedAndOrdered)
 {
     TraceRecorder trace;
@@ -212,16 +202,6 @@ TEST(TraceRecorderTest, JsonEscapesControlCharacters)
               std::string::npos);
 }
 
-TEST(TraceRecorderTest, ClearDropsCounterSamplesKeepsTracks)
-{
-    TraceRecorder trace;
-    int track = trace.counterTrack("depth");
-    trace.counter(track, 10, 1.0);
-    trace.clear();
-    EXPECT_EQ(trace.numCounterSamples(), 0u);
-    EXPECT_EQ(trace.numCounterTracks(), 1);
-}
-
 TEST(TraceRecorderTest, HorizonCoversCounterSamplesAndFlows)
 {
     // Regression: horizon() used to look only at spans, so a
@@ -254,9 +234,6 @@ TEST(TraceRecorderTest, FlowsRecordedAndBackwardsArrowsClamped)
     EXPECT_EQ(trace.flows()[0].dstTime, 200u);
     // A backwards arrow clamps to zero length at the destination.
     EXPECT_EQ(trace.flows()[1].dstTime, 300u);
-
-    trace.clear();
-    EXPECT_EQ(trace.numFlows(), 0u);
 }
 
 TEST(TraceRecorderTest, UnknownFlowLanePanics)
