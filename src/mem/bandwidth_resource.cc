@@ -47,38 +47,93 @@ Tick
 BandwidthResource::reserve(Tick earliest, std::uint64_t bytes,
                            Tick request_time, int key)
 {
-    // Queueing delay at *this* resource: how far its existing backlog
-    // alone pushes the claim past its request time. A chain's common
-    // start (earliest) can be later still — that wait belongs to the
-    // other resources in the path and is accounted there.
-    Tick pending = nextFree_ > request_time ? nextFree_ - request_time : 0;
-    waitTicks_ += pending;
-
+    if (!row_)
+        unsealedPanic();
     // Every burst of a chunked transfer has the same size.
     if (bytes != holdBytes_) {
         holdBytes_ = bytes;
         hold_ = holdTime(bytes);
     }
+    PressureSlot &own = row_[key];
+    own.bytes += bytes;
+    own.transfers += 1;
+    own.serviceTicks += hold_;
+    latestRequest_ = std::max(latestRequest_, request_time);
+
+    if (nextFree_ <= request_time) {
+        // Every held reservation has ended by the request time (the
+        // newest ends at nextFree_): none delays this claim, and none
+        // can delay a later one.
+        held_.clear();
+        head_ = 0;
+    } else {
+        // Queueing delay at *this* resource: how far its existing
+        // backlog alone pushes the claim past its request time. A
+        // chain's common start (earliest) can be later still — that
+        // wait belongs to the other resources in the path and is
+        // accounted there.
+        Tick pending = nextFree_ - request_time;
+        own.waitSuffered += pending;
+        // Reservations ended by the request time delay no one any
+        // more. The newest ends past it, so the scan stops in range.
+        while (held_[head_].end <= request_time)
+            ++head_;
+        chargeWait(request_time, pending);
+        if (held_.size() == held_.capacity() && head_ > 0) {
+            // Reclaim ended entries instead of growing: the record is
+            // bounded by the work in flight.
+            held_.erase(held_.begin(),
+                        held_.begin() + std::ptrdiff_t(head_));
+            head_ = 0;
+        }
+    }
     Tick start = std::max(earliest, nextFree_);
     nextFree_ = start + hold_;
-    heldTicks_ += hold_;
-    latestRequest_ = std::max(latestRequest_, request_time);
-    totalBytes_.add(bytes);
-    numTransfers_.add(1);
-
-    // Reservations ended by the request time delay no one any more.
-    while (head_ < held_.size() && held_[head_].end <= request_time)
-        ++head_;
-    if (ledger_)
-        ledger_->record(*this, key, request_time, pending, hold_, bytes);
-    if (held_.size() == held_.capacity() && head_ > 0) {
-        // Reclaim ended entries instead of growing: the record is
-        // bounded by the work in flight.
-        held_.erase(held_.begin(), held_.begin() + std::ptrdiff_t(head_));
-        head_ = 0;
-    }
     held_.push_back({start, nextFree_, std::int32_t(key)});
     return start;
+}
+
+void
+BandwidthResource::chargeWait(Tick request_time, Tick pending)
+{
+    // Walk the wait interval [request_time, request_time+pending) over
+    // the outstanding reservations, oldest first, charging each
+    // segment to the reservation covering the pipe or, across an idle
+    // gap or a pruned entry, the next one holding it. The newest entry
+    // ends exactly where the wait does and after the request time, so
+    // no pruning has dropped it and the whole interval is always
+    // attributed: caused == suffered per resource. A pruned entry can
+    // overlap the wait only when this request time lags an earlier
+    // claim's, which only the public tagged claim() allows (claimRoute
+    // passes one clock).
+    Tick low = request_time;
+    Tick wait_end = request_time + pending;
+    for (auto r = held_.begin() + std::ptrdiff_t(head_);
+         r != held_.end() && low < wait_end; ++r) {
+        if (r->end <= low)
+            continue;
+        Tick hi = std::min(r->end, wait_end);
+        row_[r->key].waitCaused += hi - low;
+        low = hi;
+    }
+    RELIEF_ASSERT(low == wait_end, name_, ": wait walk stopped at ", low,
+                  " short of ", wait_end);
+}
+
+void
+BandwidthResource::unsealedPanic() const
+{
+    panic("pressure ledger recording before seal(): resource ", name_,
+          " is attached but has no counter row");
+}
+
+PressureSlot
+BandwidthResource::total() const
+{
+    PressureSlot sum;
+    for (int key = 0; key < rowKeys_; ++key)
+        sum.accumulate(row_[key]);
+    return sum;
 }
 
 Tick
@@ -89,12 +144,23 @@ BandwidthResource::busyTime(Tick upTo) const
                   latestRequest_);
     // A hold ending past upTo ends past every request time, so it is
     // still in the record, at its end: subtract the overhang.
-    Tick busy = heldTicks_;
+    Tick busy = total().serviceTicks;
     for (auto r = held_.rbegin(); r != held_.rend() - head_ && r->end > upTo;
          ++r) {
         busy -= r->end - std::max(r->start, upTo);
     }
     return busy;
+}
+
+int
+BandwidthResource::queueDepth(Tick now) const
+{
+    // Reservation ends are non-decreasing (FIFO pipe), so the count
+    // of entries still outstanding at @p now is a binary search away.
+    auto it = std::upper_bound(
+        held_.begin() + std::ptrdiff_t(head_), held_.end(), now,
+        [](Tick t, const Reservation &r) { return t < r.end; });
+    return int(held_.end() - it);
 }
 
 double

@@ -51,10 +51,17 @@ PressureLedger::addResource(BandwidthResource &res)
 {
     RELIEF_ASSERT(!sealed_, "pressure ledger sealed; cannot add resource ",
                   res.name());
+    RELIEF_ASSERT(res.numTransfers() == 0, "resource ", res.name(),
+                  " attached to a pressure ledger after claiming");
+    RELIEF_ASSERT(!res.ledger_, "resource ", res.name(),
+                  " attached to two pressure ledgers");
     int id = int(resources_.size());
     resources_.push_back(&res);
     res.ledger_ = this;
     res.ledgerId_ = id;
+    // No row until seal() sizes the slot table.
+    res.row_ = nullptr;
+    res.rowKeys_ = 0;
     return id;
 }
 
@@ -64,6 +71,10 @@ PressureLedger::seal()
     RELIEF_ASSERT(!sealed_, "pressure ledger sealed twice");
     numKeys_ = 1 + numSources() * numQosClasses() * numPressureTraffic;
     slots_.assign(std::size_t(numResources()) * numKeys_, Slot{});
+    for (int id = 0; id < numResources(); ++id) {
+        resources_[id]->row_ = &slots_[std::size_t(id) * numKeys_];
+        resources_[id]->rowKeys_ = numKeys_;
+    }
     sealed_ = true;
 }
 
@@ -129,41 +140,11 @@ PressureLedger::slot(int resource, int key) const
     return slots_.at(std::size_t(resource) * numKeys_ + key);
 }
 
-void
-PressureLedger::chargeWait(const BandwidthResource &res, Slot *row,
-                           Tick request_time, Tick pending)
-{
-    // Walk the wait interval [request_time, request_time+pending) over
-    // the resource's outstanding reservations, oldest first, charging
-    // each segment to the reservation covering the pipe or, across an
-    // idle gap or a pruned entry, the next one holding it. The newest
-    // entry ends exactly where the wait does and after the request
-    // time, so no pruning has dropped it and the whole interval is
-    // always attributed: caused == suffered per resource. A pruned
-    // entry can overlap the wait only when this request time lags an
-    // earlier claim's, which only the public tagged
-    // BandwidthResource::claim allows (claimRoute passes one clock).
-    Tick low = request_time;
-    Tick wait_end = request_time + pending;
-    for (auto r = res.held_.begin() + std::ptrdiff_t(res.head_);
-         r != res.held_.end() && low < wait_end; ++r) {
-        if (r->end <= low)
-            continue;
-        Tick hi = std::min(r->end, wait_end);
-        row[r->key].waitCaused += hi - low;
-        low = hi;
-    }
-    RELIEF_ASSERT(low == wait_end, res.name(), ": wait walk stopped at ",
-                  low, " short of ", wait_end);
-}
-
 PressureLedger::Slot
 PressureLedger::resourceTotal(int resource) const
 {
-    Slot total;
-    for (int key = 0; key < numKeys_; ++key)
-        total.accumulate(slot(resource, key));
-    return total;
+    RELIEF_ASSERT(sealed_, "pressure ledger not sealed");
+    return resources_.at(resource)->total();
 }
 
 PressureLedger::Slot
@@ -182,13 +163,7 @@ PressureLedger::qosTotal(int qos) const
 int
 PressureLedger::queueDepth(int resource, Tick now) const
 {
-    const BandwidthResource &res = *resources_.at(resource);
-    // Reservation ends are non-decreasing (FIFO pipe), so the count
-    // of entries still outstanding at @p now is a binary search away.
-    auto it = std::upper_bound(
-        res.held_.begin() + std::ptrdiff_t(res.head_), res.held_.end(), now,
-        [](Tick t, const auto &r) { return t < r.end; });
-    return int(res.held_.end() - it);
+    return resources_.at(resource)->queueDepth(now);
 }
 
 std::vector<PressureLedger::Contender>

@@ -14,14 +14,15 @@
  * *who* is pressuring each memory-plane resource, not just how busy
  * the resource is.
  *
- * Hot-path contract: once seal() has run, record() touches only
- * pre-sized slot arrays indexed by small integer ids — no allocation,
- * no hashing. The reservation ring is the resource's, not the
- * ledger's: each resource's FIFO record of outstanding reservations
- * carries their keys. When a claim waits, the wait interval is walked
- * over that record and each overlap is charged to that reservation's
- * key, so per resource the sum of delay-caused always equals the sum
- * of delay-suffered.
+ * Hot-path contract: the ledger is not on the claim path. seal()
+ * hands each registered resource its row of the pre-sized slot table,
+ * and the resource's claim bumps its own key's slot there — no
+ * allocation, no hashing, no call. The reservation record is the
+ * resource's too: each resource's FIFO record of outstanding
+ * reservations carries their keys. When a claim waits, the resource
+ * walks the wait interval over that record and charges each overlap to
+ * that reservation's key, so per resource the sum of delay-caused
+ * always equals the sum of delay-suffered.
  */
 
 #ifndef RELIEF_MEM_PRESSURE_LEDGER_HH
@@ -32,7 +33,6 @@
 #include <vector>
 
 #include "mem/bandwidth_resource.hh"
-#include "sim/logging.hh"
 #include "sim/ticks.hh"
 #include "stats/json.hh"
 
@@ -81,14 +81,16 @@ class PressureLedger
 
     /**
      * Register @p res and attach the ledger to it, so every claim the
-     * resource serves is recorded here. @return the resource id.
+     * resource serves is counted here; @p res must not have claimed
+     * yet. @return the resource id.
      */
     int addResource(BandwidthResource &res);
 
     /**
-     * Freeze the key space and allocate the slot table. Must run after
-     * all sources/classes/resources are registered and before the
-     * first record(); record() on an unsealed ledger is a bug.
+     * Freeze the key space, allocate the slot table and give each
+     * resource its row. Must run after all sources/classes/resources
+     * are registered and before the first claim; a claim on a resource
+     * of an unsealed ledger panics.
      */
     void seal();
     bool sealed() const { return sealed_; }
@@ -108,57 +110,13 @@ class PressureLedger
     const std::string &qosClassName(int qos) const;
     const BandwidthResource &resource(int id) const;
 
-    // --- Hot path ---
-
-    /**
-     * Account one claim of key @p key on @p res. Called by the
-     * resource's claim, before the new reservation joins its record,
-     * with @p pending = the queueing delay this claim suffered there
-     * (how long the pipe's backlog pushed it past @p request_time),
-     * @p hold the granted reservation's length, and @p bytes its size.
-     * Zero-allocation once sealed. Inline: a claim that waits zero
-     * (most of them) only bumps its own slot; only a wait is walked
-     * out of line.
-     */
-    void
-    record(const BandwidthResource &res, int key, Tick request_time,
-           Tick pending, Tick hold, std::uint64_t bytes)
-    {
-        RELIEF_ASSERT(sealed_, "pressure ledger recording before seal()");
-        Slot *row = &slots_[std::size_t(res.ledgerId()) * numKeys_];
-        Slot &own = row[key];
-        own.bytes += bytes;
-        own.transfers += 1;
-        own.serviceTicks += hold;
-        own.waitSuffered += pending;
-        if (pending > 0)
-            chargeWait(res, row, request_time, pending);
-    }
-
     // --- Accounting views ---
 
-    struct Slot
-    {
-        std::uint64_t bytes = 0;
-        std::uint64_t transfers = 0;
-        Tick serviceTicks = 0;  ///< Time the resource was held.
-        Tick waitSuffered = 0;  ///< Delay this key's transfers ate.
-        Tick waitCaused = 0;    ///< Delay this key inflicted on others.
-
-        void
-        accumulate(const Slot &other)
-        {
-            bytes += other.bytes;
-            transfers += other.transfers;
-            serviceTicks += other.serviceTicks;
-            waitSuffered += other.waitSuffered;
-            waitCaused += other.waitCaused;
-        }
-    };
+    using Slot = PressureSlot;
 
     const Slot &slot(int resource, int key) const;
 
-    /** Sum of all slots of @p resource (== the resource's counters). */
+    /** Sum of all slots of @p resource: its counters. */
     Slot resourceTotal(int resource) const;
 
     /** Claim-weighted rollup of one QoS class across all resources. */
@@ -207,11 +165,6 @@ class PressureLedger
                    const char *schema) const;
 
   private:
-    /** Charge a claim's wait [request_time, request_time + pending)
-     *  on @p res to the reservations that caused it, in @p row. */
-    void chargeWait(const BandwidthResource &res, Slot *row,
-                    Tick request_time, Tick pending);
-
     std::vector<std::string> sources_;
     std::vector<std::string> qosClasses_;
     std::vector<BandwidthResource *> resources_;

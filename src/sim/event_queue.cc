@@ -78,19 +78,46 @@ void
 EventQueue::pushEntry(Tick when, std::uint64_t seq, std::uint32_t id)
 {
     heap_.push_back(Entry{when, seq, id});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    // The running event's entry is still the root: popping it sifts the
+    // new entry down from the root in its place.
+    if (rootRunning_)
+        popRoot();
+    else
+        std::push_heap(heap_.begin(), heap_.end(), Later{});
     ++numScheduled_;
+}
+
+void
+EventQueue::popRoot()
+{
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    rootRunning_ = false;
+}
+
+Tick
+EventQueue::nextTick() const
+{
+    if (!rootRunning_)
+        return heap_.empty() ? maxTick : heap_.front().when;
+    // The running event's entry is the root; the next event is the
+    // earlier of its children.
+    Tick next = maxTick;
+    for (std::size_t i = 1; i < 3 && i < heap_.size(); ++i)
+        next = std::min(next, heap_[i].when);
+    return next;
 }
 
 bool
 EventQueue::runOne(Tick limit)
 {
+    RELIEF_ASSERT(!rootRunning_,
+                  "runOne() inside an event's action, or after one threw");
     if (heap_.empty() || heap_.front().when > limit)
         return false;
 
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Entry entry = heap_.back();
-    heap_.pop_back();
+    const Entry entry = heap_.front();
+    rootRunning_ = true;
     Slot &slot = slotRef(entry.slot);
     RELIEF_ASSERT(entry.when >= curTick_, "event time went backwards");
     curTick_ = entry.when;
@@ -112,15 +139,21 @@ EventQueue::runOne(Tick limit)
         const auto cat = static_cast<HostCat>(slot.cat);
         const std::uint64_t t0 = hostProfEnter(cat);
         slot.action();
-        slot.action.reset();
-        freeSlot(entry.slot);
+        finish(entry.slot);
         hostProfExitEvent(cat, t0);
     } else {
         slot.action();
-        slot.action.reset();
-        freeSlot(entry.slot);
+        finish(entry.slot);
     }
     return true;
+}
+
+void
+EventQueue::finish(std::uint32_t id)
+{
+    freeSlot(id);
+    if (rootRunning_) // the action scheduled nothing
+        popRoot();
 }
 
 } // namespace relief

@@ -295,19 +295,22 @@ class EventQueue
     /** Absolute time of the event most recently popped (current time). */
     Tick curTick() const { return curTick_; }
 
-    /** True if no events remain. */
-    bool empty() const { return heap_.empty(); }
+    /** True if no events remain. Inside an action, its own event no
+     *  longer counts. */
+    bool empty() const { return heap_.size() == std::size_t(rootRunning_); }
 
-    /** Tick of the earliest pending event; maxTick if none. */
-    Tick nextTick() const
-    {
-        return heap_.empty() ? maxTick : heap_.front().when;
-    }
+    /** Tick of the earliest pending event; maxTick if none. Inside an
+     *  action, its own event no longer counts. */
+    Tick nextTick() const;
 
     /**
-     * Pop and run the earliest pending event if it is due by
-     * @p limit, advancing current time. The heap top is inspected
-     * once: this is the whole per-event step of Simulator::run.
+     * Run the earliest pending event if it is due by @p limit,
+     * advancing current time. The heap top is inspected once: this is
+     * the whole per-event step of Simulator::run. The event's entry
+     * stays at the heap root while its action runs; the action's first
+     * schedule() takes its place with one sift down, and otherwise it
+     * is popped after the action. Either way an event costs one sift
+     * down, not a pop and a push.
      * @return false if no pending event is due by @p limit.
      */
     bool runOne(Tick limit = maxTick);
@@ -406,11 +409,18 @@ class EventQueue
 
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t id);
+    /** Recycle the run event's slot and pop its entry if no schedule()
+     *  took its place. */
+    void finish(std::uint32_t id);
     void pushEntry(Tick when, std::uint64_t seq, std::uint32_t id);
+    /** Pop the running event's entry off the root. */
+    void popRoot();
 
     std::vector<std::unique_ptr<Slot[]>> chunks_;
     std::uint32_t freeHead_ = noSlot;
     std::vector<Entry> heap_;
+    /** The root is the entry of the event whose action is running. */
+    bool rootRunning_ = false;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     /** Blocks handed out by reserveSeqs(), as [first, end). */

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dma/dma_engine.hh"
 #include "interconnect/bus.hh"
 #include "interconnect/ring.hh"
+#include "sim/debug.hh"
 #include "sim/logging.hh"
 
 namespace relief
@@ -56,6 +60,26 @@ TEST_F(DmaEngineTest, DramReadTimingFollowsBottleneck)
     build();
     Tick end = dma->readFromDram(200, nullptr);
     EXPECT_EQ(end, fromNs(100.0)); // 200 B at 2 B/ns DRAM
+}
+
+TEST_F(DmaEngineTest, DmaFlagPrintsTheLaunchLine)
+{
+    build();
+    std::vector<std::string> lines;
+    LogSink previous = setLogSink(
+        [&lines](LogLevel, const std::string &msg) {
+            lines.push_back(msg);
+        });
+    clearDebugFlags();
+    setDebugFlag(DebugFlag::Dma);
+    dma->readFromDram(200, nullptr);
+    clearDebugFlags();
+    setLogSink(std::move(previous));
+    ASSERT_EQ(lines.size(), 1u);
+    EXPECT_NE(lines[0].find("dma: dram-read launch 200 bytes, done at " +
+                            std::to_string(fromNs(100.0))),
+              std::string::npos)
+        << lines[0];
 }
 
 TEST_F(DmaEngineTest, CallbackFiresAtCompletion)

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mem/bandwidth_resource.hh"
+#include "mem/pressure_ledger.hh"
 #include "sim/logging.hh"
 
 namespace relief
@@ -86,6 +87,63 @@ TEST(BandwidthResourceTest, BusyTimeOfGappedStreamMatchesClippedHolds)
         EXPECT_EQ(res.busyTime(up_to), expected) << "upTo " << up_to;
     }
     EXPECT_THROW(res.busyTime(now - 1), PanicError);
+}
+
+TEST(BandwidthResourceTest, LedgerRowIsTheResourceCounters)
+{
+    // One claim sequence on a resource of its own and on one whose
+    // counters are its row in a sealed ledger: bursts that queue, idle
+    // gaps, several requestor keys.
+    BandwidthResource alone("alone", 1.0, fromNs(3.0)); // 1 B/ns
+    BandwidthResource tracked("tracked", 1.0, fromNs(3.0));
+    PressureLedger ledger;
+    ledger.addSource("a");
+    ledger.addSource("b");
+    int id = ledger.addResource(tracked);
+    ledger.seal();
+
+    std::mt19937_64 rng(5);
+    auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    Tick now = 0;
+    for (int burst = 0; burst < 300; ++burst) {
+        now += fromNs(double(pick(0, 300)));
+        for (std::uint64_t i = 0, n = pick(1, 3); i < n; ++i) {
+            std::uint64_t bytes = pick(1, 120);
+            RequestorTag tag;
+            tag.source = std::int16_t(int(pick(0, 2)) - 1); // -1: untagged
+            ASSERT_EQ(alone.claim(now, bytes, now, tag),
+                      tracked.claim(now, bytes, now, tag));
+        }
+    }
+    EXPECT_GT(alone.waitTime(), 0u);           // claims queued
+    EXPECT_LT(alone.busyTime(now), now);       // and the pipe idled
+
+    PressureLedger::Slot row;
+    for (int key = 0; key < ledger.numKeys(); ++key)
+        row.accumulate(ledger.slot(id, key));
+    EXPECT_GT(ledger.slot(id, 0).transfers, 0u);
+    EXPECT_LT(ledger.slot(id, 0).transfers, row.transfers);
+    for (const BandwidthResource *res : {&alone, &tracked}) {
+        SCOPED_TRACE(res->name());
+        EXPECT_EQ(res->totalBytes(), row.bytes);
+        EXPECT_EQ(res->numTransfers(), row.transfers);
+        EXPECT_EQ(res->waitTime(), row.waitSuffered);
+        EXPECT_EQ(res->busyTime(maxTick), row.serviceTicks);
+        EXPECT_EQ(res->total().waitCaused, row.waitSuffered);
+    }
+    for (Tick up_to : {now, now + fromNs(50.0), alone.nextFree(), maxTick})
+        EXPECT_EQ(alone.busyTime(up_to), tracked.busyTime(up_to));
+
+    // A zero-wait claim finds every reservation ended and drops them.
+    Tick idle = alone.nextFree() + fromNs(10.0);
+    alone.claim(idle, 64, idle, RequestorTag{});
+    tracked.claim(idle, 64, idle, RequestorTag{});
+    EXPECT_EQ(alone.queueDepth(idle), 1);
+    EXPECT_EQ(tracked.queueDepth(idle), 1);
+    EXPECT_EQ(ledger.queueDepth(id, idle), 1);
+    EXPECT_EQ(alone.busyTime(idle + 1), tracked.busyTime(idle + 1));
 }
 
 TEST(BandwidthResourceTest, ZeroBandwidthIsRejected)

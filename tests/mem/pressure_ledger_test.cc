@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "mem/banked_memory.hh"
 #include "mem/bandwidth_resource.hh"
@@ -67,6 +68,29 @@ TEST(PressureLedgerTest, UntaggedAndOutOfRangeMapToKeyZero)
     EXPECT_EQ(ledger.keyFor(tag(7)), 0);  // source never registered
     EXPECT_EQ(ledger.keyFor(tag(0, 9)), 0); // class never registered
     EXPECT_EQ(ledger.keySource(0), -1);
+}
+
+TEST(PressureLedgerTest, ClaimBeforeSealPanics)
+{
+    PressureLedger ledger;
+    ledger.addSource("accA");
+    BandwidthResource res("r", 1.0, 0);
+    ledger.addResource(res);
+    // Attached, but its counter row comes with seal().
+    try {
+        res.claim(0, 100, 0, tag(0));
+        FAIL() << "a claim before seal() went through";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find("before seal()"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(res.numTransfers(), 0u);
+    EXPECT_THROW(reserveTransfer({&res}, 0, 100, tag(0)), PanicError);
+
+    ledger.seal();
+    res.claim(0, 100, 0, tag(0));
+    EXPECT_EQ(ledger.slot(0, ledger.keyFor(tag(0))).transfers, 1u);
 }
 
 TEST(PressureLedgerTest, SufferedDelayMatchesResourceAggregate)

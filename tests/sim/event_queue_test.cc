@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -267,6 +271,84 @@ TEST(EventQueueTest, ReservedSeqsGoThroughTheOneScheduleBody)
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
     EXPECT_THROW(q.scheduleReserved(3, first, HostCat::Other, [] {}, "x"),
                  PanicError); // in the past
+}
+
+TEST(EventQueueTest, ActionSeesTheQueueWithoutItsOwnEvent)
+{
+    EventQueue q;
+    std::vector<std::pair<bool, Tick>> seen; // (empty(), nextTick())
+    auto look = [&] { seen.emplace_back(q.empty(), q.nextTick()); };
+    q.schedule(10, [&] {
+        look();                  // 20 and 30 pending
+        q.schedule(15, look);    // takes the running event's place
+        look();
+    });
+    q.schedule(20, look);
+    q.schedule(30, [&] {
+        look();                  // the last event: nothing pending
+        q.schedule(40, look);
+        look();
+    });
+    while (q.runOne()) {
+    }
+    const std::vector<std::pair<bool, Tick>> expected = {
+        {false, 20}, {false, 15}, // at 10
+        {false, 20},              // at 15
+        {false, 30},              // at 20
+        {true, maxTick}, {false, 40}, // at 30
+        {true, maxTick},          // at 40
+    };
+    EXPECT_EQ(seen, expected);
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.nextTick(), maxTick);
+}
+
+TEST(EventQueueTest, FollowUpsFireInTickThenSeqOrder)
+{
+    // Each action schedules 0, 1 or 3 follow-ups: at its own tick,
+    // shortly after, or far ahead; an action that runs before every
+    // pending event places some ahead of all of them. The firing order
+    // must be the reference sort of every event by (tick, seq).
+    using Fired = std::pair<Tick, std::uint64_t>; // (tick, seq)
+    EventQueue q;
+    std::mt19937_64 rng(21);
+    auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+        return std::uniform_int_distribution<std::uint64_t>(lo, hi)(rng);
+    };
+    std::vector<Fired> scheduled;
+    std::vector<Fired> fired;
+    std::uint64_t seq = 0;
+    std::uint64_t ahead = 0; // follow-ups earlier than every pending one
+    std::function<void(Tick)> add = [&](Tick when) {
+        Fired me{when, seq++};
+        scheduled.push_back(me);
+        q.schedule(when, [&, me] {
+            fired.push_back(me);
+            if (scheduled.size() >= 20000)
+                return;
+            static constexpr int fanout[] = {0, 1, 1, 3};
+            for (int i = fanout[pick(0, 3)]; i-- > 0;) {
+                Tick next = q.nextTick();
+                Tick at = me.first;
+                switch (pick(0, 2)) {
+                  case 0: break;                      // same tick
+                  case 1: at += pick(1, 20); break;   // soon
+                  default: at += pick(100, 5000);     // far
+                }
+                ahead += at < next;
+                add(at);
+            }
+        });
+    };
+    for (int i = 0; i < 64; ++i)
+        add(pick(0, 1000));
+    while (q.runOne()) {
+    }
+    std::sort(scheduled.begin(), scheduled.end());
+    EXPECT_EQ(fired, scheduled);
+    EXPECT_GE(scheduled.size(), 20000u);
+    EXPECT_GT(ahead, 1000u);
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueueTest, ManyInterleavedEventsStaySorted)
