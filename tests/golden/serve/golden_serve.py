@@ -16,9 +16,14 @@ as one document). Beyond its hashes, each serve config must show
 Perfetto async request slices ("b"/"e", cat "request"), at least two
 snapshots in the series, `relief_serve_offered_total` in the final
 snapshot, a nonzero `relief_dram_channel_busy_us` in the second one
-(a mid-run snapshot reports the busy time so far) and at least one
-burn-rate alert opening. The first config runs again without the
-exposition and must write the same two traces byte for byte.
+(a mid-run snapshot reports the busy time so far; MID_SNAPSHOT names
+the exceptions) and at least one burn-rate alert opening. The first
+config runs again without the exposition and must write the same two
+traces byte for byte. The "laxity-service-flags" config is "laxity"
+with the exposition period and the burn-rate knobs set: it must show
+more snapshots than "laxity", other alert lines on stderr, and the
+same request totals (offered, admitted, completed, missed), as those
+flags change telemetry only.
 
 Each config in SIM_CONFIGS runs RELIEF_SIM in WORKDIR/sim-<config> with
 the stats JSON, the text stats dump, the relief-pressure-v1 report, the
@@ -65,6 +70,11 @@ SERVE_CONFIGS = {
     # Arrivals tie with each other and with the periodic services.
     "trace-ties": ["--arrival", "trace", "--trace-file", "arrivals.txt",
                    "--admission", "queue-cap", "--queue-cap", "6"],
+    # laxity with the exposition and alert knobs set: telemetry only.
+    "laxity-service-flags": ["--admission", "laxity", "--rate", "600",
+                             "--expo-period-us", "2500",
+                             "--slo-target", "0.95", "--alert-fast-ms", "2",
+                             "--alert-slow-ms", "10"],
 }
 
 SIM_COMMON = ["--stats-json", "stats.json", "--stats", "stats.txt",
@@ -99,6 +109,10 @@ SIM_CONFIGS = {
                              "--dma-burst", "1024", "--continuous",
                              "--limit-ms", "10"],
 }
+# The mid-run snapshot checked for DRAM busy time is the second one,
+# except where the period puts it before the first arrival: there it
+# is the one at laxity's second snapshot's time (5 ms).
+MID_SNAPSHOT = {"laxity-service-flags": 2}
 BUILD_INFO = re.compile(rb'\n\s*"build_info": \{[^{}]*\},')
 DRAM_BUSY = re.compile(rb"^relief_dram_channel_busy_us (\S+)$", re.MULTILINE)
 SCHED_DECISION = re.compile(r"^ *[0-9]+: relief: (promote|deny) ",
@@ -143,9 +157,10 @@ def serve_docs(binary, workdir, args):
     return docs
 
 
-def check_serve(docs, workdir):
+def check_serve(docs, workdir, mid=1):
     """The request slices, exposition snapshots and alerts of a serve
-    config."""
+    config; snapshot @p mid is the mid-run one that must report DRAM
+    busy time."""
     events = json.loads(docs["perfetto"])
     errors = ["trace has no %s event" % what
               for what, seen in (
@@ -155,19 +170,38 @@ def check_serve(docs, workdir):
                    any(e.get("cat") == "request" for e in events)))
               if not seen]
     series = expo_series(workdir)
-    if len(series) < 2:
-        errors.append("%d exposition snapshots, want >= 2" % len(series))
+    if len(series) < mid + 1:
+        errors.append("%d exposition snapshots, want >= %d"
+                      % (len(series), mid + 1))
     else:
-        busy = DRAM_BUSY.search(series[1])
+        busy = DRAM_BUSY.search(series[mid])
         if not busy or float(busy.group(1)) <= 0:
-            errors.append("second snapshot has no relief_dram_channel_busy_us"
-                          " > 0")
+            errors.append("snapshot %d has no relief_dram_channel_busy_us"
+                          " > 0" % mid)
     if not re.search(rb"^relief_serve_offered_total ", docs["expo"],
                      re.MULTILINE):
         errors.append("final snapshot has no relief_serve_offered_total")
     alerts = json.loads(docs["serve"])["runs"][0]["alerts"]
     if sum(a["opens"] for a in alerts) == 0:
         errors.append("no burn-rate alert opened")
+    return errors
+
+
+def check_service_flags(laxity, flagged):
+    """The exposition and alert knobs of "laxity-service-flags" change
+    its telemetry against "laxity", and nothing that it serves."""
+    errors = []
+    if flagged["expo_series"].count(b"# relief exposition snapshot") <= \
+            laxity["expo_series"].count(b"# relief exposition snapshot"):
+        errors.append("no more exposition snapshots than laxity")
+    if flagged["stderr"] == laxity["stderr"]:
+        errors.append("the same alert lines as laxity")
+    totals = [{key: json.loads(docs["serve"])["runs"][0]["total"][key]
+               for key in ("offered", "admitted", "completed", "missed")}
+              for docs in (laxity, flagged)]
+    if totals[0] != totals[1]:
+        errors.append("request totals %s differ from laxity's %s"
+                      % (totals[1], totals[0]))
     return errors
 
 
@@ -221,12 +255,16 @@ def main(argv):
     serve, sim, root = (os.path.abspath(arg) for arg in argv[1:4])
     got = {"relief_serve": {}, "relief_sim": {}}
     errors = []
+    serve_runs = {}
     for name, args in SERVE_CONFIGS.items():
         workdir = os.path.join(root, name)
-        docs = serve_docs(serve, workdir, args)
-        errors += ["%s: %s" % (name, e) for e in check_serve(docs, workdir)]
+        docs = serve_runs[name] = serve_docs(serve, workdir, args)
+        errors += ["%s: %s" % (name, e) for e in check_serve(
+            docs, workdir, MID_SNAPSHOT.get(name, 1))]
         got["relief_serve"][name] = {doc: digest(data, workdir)
                                      for doc, data in docs.items()}
+    errors += ["laxity-service-flags: %s" % e for e in check_service_flags(
+        serve_runs["laxity"], serve_runs["laxity-service-flags"])]
     errors += check_repeat(serve, root)
     for name, args in SIM_CONFIGS.items():
         workdir = os.path.join(root, "sim-" + name)
