@@ -112,8 +112,7 @@ Soc::Soc(const SocConfig &config) : config_(config)
     manager_ = std::make_unique<HardwareManager>(
         sim_, "soc.manager", std::move(policy), std::move(predictor),
         acc_ptrs, config.manager);
-    manager_->setDagCompletionHandler(
-        [this](Dag *dag) { onDagComplete(dag); });
+    manager_->setDagObserver(*this);
 
     // Pressure ledger: register every requestor and every bandwidth
     // resource on the DMA/DRAM plane, then freeze the key space so the
@@ -361,7 +360,7 @@ Soc::submit(DagPtr dag, Tick when, bool continuous)
 }
 
 void
-Soc::onDagComplete(Dag *dag)
+Soc::dagCompleted(Dag *dag)
 {
     for (Submission &sub : submissions_) {
         if (sub.dag.get() != dag)

@@ -136,7 +136,7 @@ struct MetricsReport
     double spmTrafficFraction() const;
 };
 
-class Soc
+class Soc : private DagObserver
 {
   public:
     explicit Soc(const SocConfig &config = {});
@@ -227,7 +227,8 @@ class Soc
     PressureLedger::Summary pressureSummary() const;
 
   private:
-    void onDagComplete(Dag *dag);
+    /** Records @p dag's outcome; resubmits it when continuous. */
+    void dagCompleted(Dag *dag) override;
     void registerStats();
     void addSamplerProbes();
 

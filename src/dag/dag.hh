@@ -154,8 +154,8 @@ class Dag
     /**
      * Span-context id threaded through the hardware manager by the
      * serving layer (trace/span.hh): identifies which request this
-     * DAG executes, so the attribution hook can finalize the request's
-     * span tree at completion. 0 = no tracing context.
+     * DAG executes, so DagObserver::dagAttributed can finalize the
+     * request's span tree at completion. 0 = no tracing context.
      */
     std::uint64_t spanContext() const { return spanContext_; }
     void setSpanContext(std::uint64_t context) { spanContext_ = context; }

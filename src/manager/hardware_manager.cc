@@ -591,8 +591,8 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
         ++metrics_.dagsFinished;
         if (now() <= dag->absoluteDeadline())
             ++metrics_.dagDeadlinesMet;
-        // Attribute the finished execution before the completion
-        // handler can resubmit the DAG (which resets the lifecycles).
+        // Attribute the finished execution before the observer can
+        // resubmit the DAG (which resets the lifecycles).
         DagLatencyRecord attributed =
             CriticalPath::analyze(*dag, criticalPath_);
         metrics_.sampleCriticalPath(attributed.buckets);
@@ -604,13 +604,9 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                 attributed.buckets.compute, " + dma-out ",
                 attributed.buckets.dmaOut, " + stall ",
                 attributed.buckets.depStall);
-        // Span-tree assembly (serving layer) must see the path while
-        // the lifecycle stamps are still live.
-        if (onDagAttributed_)
-            onDagAttributed_(dag, attributed, criticalPath_);
+        observer_->dagAttributed(dag, attributed, criticalPath_);
         latencyRecords_.push_back(std::move(attributed));
-        if (onDagComplete_)
-            onDagComplete_(dag);
+        observer_->dagCompleted(dag);
     }
 
     std::vector<Node *> *ready = acquireReadyList();
@@ -643,8 +639,8 @@ HardwareManager::handleNodeCompletion(AccState &state, Node *node,
                  }
                  tryLaunchAll();
                  // The completed DAG's last event: hand it back.
-                 if (retires && onDagRetired_)
-                     onDagRetired_(node->dag);
+                 if (retires)
+                     observer_->dagRetired(node->dag);
              },
              [this] { return name() + ".isr"; });
 }

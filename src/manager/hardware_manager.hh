@@ -25,7 +25,6 @@
 #define RELIEF_MANAGER_HARDWARE_MANAGER_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -69,6 +68,39 @@ struct ManagerConfig
     double computeJitter = 0.0005;
 };
 
+/**
+ * Receives each finished DAG from the ISR of the node that completed
+ * it, in three calls in this order. The defaults do nothing.
+ */
+class DagObserver
+{
+  public:
+    virtual ~DagObserver() = default;
+
+    /**
+     * The critical-path analyzer has just attributed @p dag's execution
+     * to @p record; @p path is the walked path (sink first), in a
+     * buffer the manager reuses for the next DAG. The lifecycle stamps
+     * are still live: the serving layer assembles request span trees
+     * here (trace/span.hh).
+     */
+    virtual void dagAttributed(Dag *, const DagLatencyRecord &,
+                               const std::vector<const Node *> &)
+    {
+    }
+
+    /** @p dag's last node has completed; its finish tick is set. */
+    virtual void dagCompleted(Dag *) {}
+
+    /**
+     * The end of that node's ISR: the DAG's last event, after its
+     * write-back decision and memory-time outcome. No pending event
+     * refers to the DAG after this, so its owner may restamp or
+     * resubmit it.
+     */
+    virtual void dagRetired(Dag *) {}
+};
+
 class HardwareManager : public SimObject
 {
   public:
@@ -88,39 +120,9 @@ class HardwareManager : public SimObject
     /** Host interface: submit @p dag at tick @p when. */
     void submitDag(Dag *dag, Tick when);
 
-    /** Register a callback fired when a DAG's last node completes. */
-    void setDagCompletionHandler(std::function<void(Dag *)> handler)
-    {
-        onDagComplete_ = std::move(handler);
-    }
-
-    /**
-     * Register a callback fired when a DAG's execution has just been
-     * attributed by the critical-path analyzer. It gets the record and
-     * the walked path (sink first), which the manager reuses for the
-     * next DAG. The serving layer assembles request span trees here
-     * (trace/span.hh) while the DAG's lifecycle stamps are intact.
-     * Fired before the completion handler.
-     */
-    using DagAttributionHandler =
-        std::function<void(Dag *, const DagLatencyRecord &,
-                           const std::vector<const Node *> &path)>;
-    void setDagAttributionHandler(DagAttributionHandler handler)
-    {
-        onDagAttributed_ = std::move(handler);
-    }
-
-    /**
-     * Register a callback fired at the end of the ISR of the node that
-     * completed a DAG: the DAG's last event, after the completion
-     * handler and after that node's write-back decision. No pending
-     * event refers to the DAG after this, so its owner may restamp or
-     * resubmit it.
-     */
-    void setDagRetireHandler(std::function<void(Dag *)> handler)
-    {
-        onDagRetired_ = std::move(handler);
-    }
+    /** Send every finished DAG to @p observer (not owned) instead of
+     *  the current one. The default observer does nothing. */
+    void setDagObserver(DagObserver &observer) { observer_ = &observer; }
 
     Policy &policy() { return *policy_; }
     RuntimePredictor &predictor() { return *predictor_; }
@@ -263,9 +265,8 @@ class HardwareManager : public SimObject
     std::vector<std::unique_ptr<std::vector<Node *>>> readyPool_;
     std::vector<std::vector<Node *> *> readyFree_;
     Tick managerFreeAt_ = 0;
-    std::function<void(Dag *)> onDagComplete_;
-    DagAttributionHandler onDagAttributed_;
-    std::function<void(Dag *)> onDagRetired_;
+    DagObserver noObserver_;
+    DagObserver *observer_ = &noObserver_; ///< Never null.
     TraceRecorder *trace_ = nullptr;
     NodeInputs payloadInputs_; ///< Reused operand list of a payload.
 };

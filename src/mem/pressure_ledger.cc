@@ -79,19 +79,6 @@ PressureLedger::seal()
 }
 
 int
-PressureLedger::keyFor(const RequestorTag &tag) const
-{
-    if (tag.source < 0 || tag.source >= numSources() ||
-        tag.qosClass >= qosClasses_.size()) {
-        return 0;
-    }
-    return 1 +
-           (int(tag.source) * numQosClasses() + int(tag.qosClass)) *
-               numPressureTraffic +
-           int(tag.traffic);
-}
-
-int
 PressureLedger::keySource(int key) const
 {
     if (key <= 0)

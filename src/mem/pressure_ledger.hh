@@ -101,7 +101,18 @@ class PressureLedger
 
     /** Dense keys: 0 is the untagged bucket, then S x Q x T slots. */
     int numKeys() const { return numKeys_; }
-    int keyFor(const RequestorTag &tag) const;
+    /** Inline: the claim path computes one key per transfer. */
+    int keyFor(const RequestorTag &tag) const
+    {
+        if (tag.source < 0 || tag.source >= numSources() ||
+            tag.qosClass >= qosClasses_.size()) {
+            return 0;
+        }
+        return 1 +
+               (int(tag.source) * numQosClasses() + int(tag.qosClass)) *
+                   numPressureTraffic +
+               int(tag.traffic);
+    }
     int keySource(int key) const;  ///< -1 for the untagged key.
     int keyQos(int key) const;     ///< 0 for the untagged key.
     PressureTraffic keyTraffic(int key) const;

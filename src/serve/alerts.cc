@@ -14,7 +14,9 @@ namespace relief
 BurnRateAlerts::BurnRateAlerts(Simulator &sim,
                                const BurnRateConfig &config,
                                const std::vector<ClassSlo> *classes)
-    : SimObject(sim, "serve.alerts"), config_(config), classes_(classes)
+    : PeriodicService(sim, "serve.alerts", config.evalPeriod,
+                      HostCat::Serve, "serve.alerts.tick"),
+      config_(config), classes_(classes)
 {
     RELIEF_ASSERT(classes_ != nullptr && !classes_->empty(),
                   "burn-rate alerts need at least one QoS class");
@@ -24,40 +26,10 @@ BurnRateAlerts::BurnRateAlerts(Simulator &sim,
     RELIEF_ASSERT(config_.fastWindow > 0, "fast window must be positive");
     RELIEF_ASSERT(config_.slowWindow >= config_.fastWindow,
                   "slow window must cover the fast window");
-    RELIEF_ASSERT(config_.evalPeriod > 0,
-                  "evaluation period must be positive");
     RELIEF_ASSERT(config_.openBurn >= config_.closeBurn,
                   "open threshold below close threshold: the alert "
                   "would churn");
     states_.resize(classes_->size());
-}
-
-void
-BurnRateAlerts::setLiveness(std::function<bool()> alive)
-{
-    alive_ = std::move(alive);
-}
-
-void
-BurnRateAlerts::start()
-{
-    if (armed_)
-        return;
-    tick();
-}
-
-void
-BurnRateAlerts::tick()
-{
-    evaluateNow();
-    // Re-arm only while the model is alive (injectable, like the
-    // IntervalSampler): two periodic services keyed on raw event-queue
-    // occupancy would keep each other alive forever.
-    bool alive = alive_ ? alive_() : !sim().events().empty();
-    armed_ = alive;
-    if (alive)
-        sim().after(config_.evalPeriod, HostCat::Serve, [this] { tick(); },
-                    "serve.alerts.tick");
 }
 
 double

@@ -57,23 +57,15 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
 
     perClassInSystem_.assign(config_.classes.size(), 0);
 
-    soc_->manager().setDagCompletionHandler(
-        [this](Dag *dag) { onComplete(dag); });
-    soc_->manager().setDagRetireHandler(
-        [this](Dag *dag) { onRetired(dag); });
+    // The driver takes the Soc's place as the DAG observer, and keys
+    // the periodic services on real serving work.
+    soc_->manager().setDagObserver(*this);
+    soc_->sim().setLiveness(this);
 
-    // Telemetry services re-arm only while real serving work remains
-    // (arrivals still scheduled or requests in flight). The default
-    // "events pending" liveness would deadlock the shutdown: any two
-    // periodic services would keep each other's wakeups alive forever.
     const ServeTelemetryConfig &telemetry = config_.telemetry;
-    auto alive = [this] {
-        return arrivalsSeen_ < schedule_.size() || inSystem_ > 0;
-    };
     if (telemetry.perfetto) {
         soc_->enableTracing(telemetry.samplePeriod);
         if (IntervalSampler *sampler = soc_->sampler()) {
-            sampler->setLiveness(alive);
             sampler->addProbe("serve.in_flight",
                               [this] { return double(inSystem_); });
             for (std::size_t i = 0; i < config_.classes.size(); ++i) {
@@ -95,21 +87,14 @@ ServeDriver::ServeDriver(const ServeConfig &config) : config_(config)
         sc.okFraction = telemetry.okFraction;
         sc.seed = deriveSeed(config_.seed, 1);
         sampler_ = std::make_unique<TailSampler>(sc);
-        soc_->manager().setDagAttributionHandler(
-            [this](Dag *dag, const DagLatencyRecord &record,
-                   const std::vector<const Node *> &path) {
-                onAttributed(dag, record, path);
-            });
     }
     if (!telemetry.exposition.path.empty()) {
         exposition_ = std::make_unique<StatExposition>(
             soc_->sim(), soc_->stats(), telemetry.exposition);
-        exposition_->setLiveness(alive);
     }
     if (telemetry.alerts) {
         alerts_ = std::make_unique<BurnRateAlerts>(
             soc_->sim(), telemetry.burnRate, &slo_);
-        alerts_->setLiveness(alive);
     }
 
     // After the telemetry objects exist, so their stats register too.
@@ -341,15 +326,16 @@ ServeDriver::recordDropTrace(const ServeRequest &request,
 }
 
 /**
- * Attribution hook: the critical-path record still holds its node
- * pointers, so this is the one moment the request's span tree can be
- * assembled from lifecycle stamps. Runs before the completion
- * handler.
+ * The path's nodes still hold this execution's lifecycle stamps, so
+ * this is the one moment the request's span tree can be assembled.
+ * Runs before dagCompleted.
  */
 void
-ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record,
-                          const std::vector<const Node *> &path)
+ServeDriver::dagAttributed(Dag *dag, const DagLatencyRecord &record,
+                           const std::vector<const Node *> &path)
 {
+    if (!sampler_)
+        return; // request tracing is off
     const ServeRequest &request = requestOf(*dag);
     RequestOutcome outcome =
         record.finish > request.absoluteDeadline() ? RequestOutcome::Miss
@@ -379,7 +365,7 @@ ServeDriver::onAttributed(Dag *dag, const DagLatencyRecord &record,
 }
 
 void
-ServeDriver::onComplete(Dag *dag)
+ServeDriver::dagCompleted(Dag *dag)
 {
     ServeRequest &request = requestOf(*dag);
     RELIEF_ASSERT(!request.finished, "request ", request.id,
@@ -404,10 +390,16 @@ ServeDriver::onComplete(Dag *dag)
 
 /** The manager is done with @p dag: back to its pool for reuse. */
 void
-ServeDriver::onRetired(Dag *dag)
+ServeDriver::dagRetired(Dag *dag)
 {
     const ServeRequest &request = requestOf(*dag);
     poolFor(request.app, request.qosClass).free.push_back(dag);
+}
+
+bool
+ServeDriver::alive() const
+{
+    return arrivalsSeen_ < schedule_.size() || inSystem_ > 0;
 }
 
 void
@@ -456,7 +448,7 @@ ServeDriver::run()
             s->inFlight += 1;
             s->timeInSystemMs.sample(resident_ms);
         }
-        // In-flight requests never reach the attribution hook; keep a
+        // In-flight requests never reach dagAttributed; keep a
         // root-only trace truncated at the horizon (always kept:
         // in-flight is anomalous).
         if (sampler_ &&

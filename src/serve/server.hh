@@ -118,7 +118,7 @@ struct ServeReport
     std::vector<QosPressure> pressure;
 };
 
-class ServeDriver
+class ServeDriver : private DagObserver, private Liveness
 {
   public:
     explicit ServeDriver(const ServeConfig &config);
@@ -168,10 +168,12 @@ class ServeDriver
     /** Schedule arrival @p index under its reserved sequence number. */
     void scheduleArrival(std::size_t index);
     void onArrival(std::size_t index);
-    void onComplete(Dag *dag);
-    void onAttributed(Dag *dag, const DagLatencyRecord &record,
-                      const std::vector<const Node *> &path);
-    void onRetired(Dag *dag);
+    void dagAttributed(Dag *dag, const DagLatencyRecord &record,
+                       const std::vector<const Node *> &path) override;
+    void dagCompleted(Dag *dag) override;
+    void dagRetired(Dag *dag) override;
+    /** Serving work remains: arrivals to come or requests in flight. */
+    bool alive() const override;
     void recordDropTrace(const ServeRequest &request,
                          RequestOutcome outcome);
 

@@ -16,6 +16,14 @@
 namespace relief
 {
 
+/** Decides whether the model still has work (Simulator::alive). */
+class Liveness
+{
+  public:
+    virtual ~Liveness() = default;
+    virtual bool alive() const = 0;
+};
+
 /**
  * Top-level simulation context. SimObjects hold a reference to their
  * Simulator and schedule events through it.
@@ -81,8 +89,20 @@ class Simulator
     /** Direct access to the queue (tests, stats). */
     const EventQueue &events() const { return events_; }
 
+    /** Let @p liveness (not owned; nullptr restores the default)
+     *  decide alive(). */
+    void setLiveness(const Liveness *liveness) { liveness_ = liveness; }
+
+    /** Whether the model still has work: the installed Liveness, by
+     *  default any pending event (see sim/periodic_service.hh). */
+    bool alive() const
+    {
+        return liveness_ ? liveness_->alive() : !events_.empty();
+    }
+
   private:
     EventQueue events_;
+    const Liveness *liveness_ = nullptr;
 };
 
 /**

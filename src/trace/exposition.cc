@@ -31,19 +31,12 @@ promNumber(double value)
 
 StatExposition::StatExposition(Simulator &sim, const StatRegistry &stats,
                                ExpositionConfig config)
-    : SimObject(sim, "exposition"), stats_(stats),
-      config_(std::move(config))
+    : PeriodicService(sim, "exposition", config.period, HostCat::Stats,
+                      "exposition.tick"),
+      stats_(stats), config_(std::move(config))
 {
-    RELIEF_ASSERT(config_.period > 0,
-                  "exposition period must be positive");
     RELIEF_ASSERT(!config_.prefix.empty(),
                   "exposition prefix must not be empty");
-}
-
-void
-StatExposition::setLiveness(std::function<bool()> alive)
-{
-    alive_ = std::move(alive);
 }
 
 std::string
@@ -57,27 +50,6 @@ StatExposition::sanitizeName(const std::string &name)
             c = '_';
     }
     return out;
-}
-
-void
-StatExposition::start()
-{
-    if (armed_)
-        return;
-    tick();
-}
-
-void
-StatExposition::tick()
-{
-    publish();
-    // Same liveness discipline as the IntervalSampler: re-arm only
-    // while the model is alive, or an idle event queue spins forever.
-    bool alive = alive_ ? alive_() : !sim().events().empty();
-    armed_ = alive;
-    if (alive)
-        sim().after(config_.period, HostCat::Stats, [this] { tick(); },
-                    "exposition.tick");
 }
 
 void

@@ -20,11 +20,8 @@
  *  - histogram summaries (`_count`, `_sum`, and p50/p95/p99
  *    quantiles).
  *
- * Like the IntervalSampler, the publisher only re-arms while the model
- * is alive; the liveness predicate is injectable so the serving driver
- * can key it on real work (arrivals pending or requests in flight)
- * rather than raw event-queue occupancy — two periodic services using
- * the queue-occupancy default would keep each other alive forever.
+ * The publisher re-arms like every PeriodicService
+ * (sim/periodic_service.hh).
  *
  * Rendered snapshots are retained in memory (snapshots()) so tests and
  * the report path can inspect them without touching the filesystem;
@@ -34,11 +31,10 @@
 #ifndef RELIEF_TRACE_EXPOSITION_HH
 #define RELIEF_TRACE_EXPOSITION_HH
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "sim/simulator.hh"
+#include "sim/periodic_service.hh"
 #include "stats/registry.hh"
 
 namespace relief
@@ -56,7 +52,7 @@ struct ExpositionConfig
     bool series = false;
 };
 
-class StatExposition : public SimObject
+class StatExposition : public PeriodicService
 {
   public:
     /**
@@ -66,12 +62,6 @@ class StatExposition : public SimObject
      */
     StatExposition(Simulator &sim, const StatRegistry &stats,
                    ExpositionConfig config);
-
-    /** Re-arm while this returns true (default: events pending). */
-    void setLiveness(std::function<bool()> alive);
-
-    /** Take the first snapshot now and begin periodic publishing. */
-    void start();
 
     /** Take one extra snapshot at the current tick (end-of-run state;
      *  also published to the file). */
@@ -95,16 +85,13 @@ class StatExposition : public SimObject
     static std::string sanitizeName(const std::string &name);
 
   private:
-    void tick();
+    void onTick() override { publish(); }
     void publish();
     std::string render();
     void writeFile(const std::string &text);
 
     const StatRegistry &stats_;
     ExpositionConfig config_;
-    std::function<bool()> alive_;
-    /** A tick is scheduled; start() then does nothing. */
-    bool armed_ = false;
     std::vector<std::string> snapshots_;
     /** Previous snapshot's counter values (delta-window rates), by
      *  stat position in binding order. */

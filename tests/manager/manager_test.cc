@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -423,6 +425,98 @@ TEST(ManagerTest, MultiInstanceTypeRunsConcurrently)
               std::min(a->finishedAt, b->finishedAt));
 }
 
+/** Runs @c completed and @c retired, where set, on the manager's
+ *  calls. */
+struct CallbackObserver : DagObserver
+{
+    std::function<void(Dag *)> completed;
+    std::function<void(Dag *)> retired;
+
+    void dagCompleted(Dag *dag) override
+    {
+        if (completed)
+            completed(dag);
+    }
+    void dagRetired(Dag *dag) override
+    {
+        if (retired)
+            retired(dag);
+    }
+};
+
+/** Sinks of @p dag whose output has not gone to DRAM in this run. */
+int
+unwrittenSinks(const Dag &dag)
+{
+    int unwritten = 0;
+    for (int i = 0; i < dag.numNodes(); ++i) {
+        const Node *node = dag.node(i);
+        unwritten += node->children.empty() && node->lifecycle.wbEnd == 0;
+    }
+    return unwritten;
+}
+
+TEST(DagObserverTest, AttributedThenCompletedThenRetired)
+{
+    // A continuous CDL run that resubmits each DAG when it retires.
+    // Every finished DAG sees the three calls in order. A sink's output
+    // always goes to DRAM, decided in its ISR; the ISRs run in
+    // completion order, so the completing sink is still unwritten at
+    // dagCompleted and every sink is written at dagRetired.
+    struct Recorder : DagObserver
+    {
+        Soc *soc = nullptr;
+        std::map<const Dag *, std::string> calls; ///< This execution's.
+        int retired = 0;
+
+        void dagAttributed(Dag *dag, const DagLatencyRecord &record,
+                           const std::vector<const Node *> &path) override
+        {
+            EXPECT_EQ(calls[dag], "");
+            calls[dag] += 'A';
+            EXPECT_EQ(record.finish, dag->finishTick());
+            ASSERT_FALSE(path.empty());
+            EXPECT_EQ(path.front()->finishedAt, soc->sim().now());
+        }
+        void dagCompleted(Dag *dag) override
+        {
+            EXPECT_EQ(calls[dag], "A");
+            calls[dag] += 'C';
+            EXPECT_GE(unwrittenSinks(*dag), 1);
+        }
+        void dagRetired(Dag *dag) override
+        {
+            EXPECT_EQ(calls[dag], "AC");
+            calls[dag].clear();
+            EXPECT_EQ(unwrittenSinks(*dag), 0);
+            ++retired;
+            if (soc->sim().now() < fromMs(50.0))
+                soc->manager().submitDag(dag, soc->sim().now());
+        }
+    };
+
+    resetNodeIds();
+    Soc soc{SocConfig{}};
+    Recorder recorder;
+    recorder.soc = &soc;
+    soc.manager().setDagObserver(recorder);
+    std::vector<DagPtr> dags;
+    for (AppId app : parseMix("CDL")) {
+        dags.push_back(buildApp(app));
+        soc.manager().submitDag(dags.back().get(), 0);
+    }
+    soc.run(fromMs(50.0));
+    EXPECT_GT(recorder.retired, 10);
+    // A DAG completed just before the limit may await its retirement.
+    int unretired = 0;
+    for (const auto &[dag, calls] : recorder.calls) {
+        EXPECT_TRUE(calls.empty() || calls == "AC") << dag->name();
+        unretired += calls == "AC";
+    }
+    EXPECT_EQ(std::uint64_t(recorder.retired + unretired),
+              soc.manager().metrics().dagsFinished);
+}
+
 /** One valid scratchpad partition, found by a full scan. */
 struct HeldOutput
 {
@@ -468,7 +562,8 @@ TEST(ManagerResidueTest, ResubmissionLeavesNoValidPartitionOfTheDag)
             int resubmissions = 0;
             std::size_t released = 0;
             std::size_t residue = 0;
-            soc.manager().setDagCompletionHandler([&](Dag *dag) {
+            CallbackObserver observer;
+            observer.completed = [&](Dag *dag) {
                 if (soc.sim().now() >= fromMs(20.0))
                     return;
                 released += heldOutputs(soc, *dag).size();
@@ -479,7 +574,8 @@ TEST(ManagerResidueTest, ResubmissionLeavesNoValidPartitionOfTheDag)
                     residue += heldOutputs(soc, *dag).size();
                     ++resubmissions;
                 });
-            });
+            };
+            soc.manager().setDagObserver(observer);
             for (AppId app : parseMix(mix)) {
                 dags.push_back(buildApp(app));
                 soc.manager().submitDag(dags.back().get(), 0);
@@ -502,8 +598,8 @@ TEST(ManagerResidueTest, ReusedPoolInstanceReleasesNothingAtReuse)
     std::vector<DagPtr> pool;
     int reuses = 0;
     std::size_t kept = 0;
-    soc.manager().setDagCompletionHandler([](Dag *) {});
-    soc.manager().setDagRetireHandler([&](Dag *dag) {
+    CallbackObserver observer;
+    observer.retired = [&](Dag *dag) {
         if (soc.sim().now() >= fromMs(20.0))
             return;
         std::vector<HeldOutput> held = heldOutputs(soc, *dag);
@@ -517,7 +613,8 @@ TEST(ManagerResidueTest, ReusedPoolInstanceReleasesNothingAtReuse)
             kept += held.size();
             ++reuses;
         });
-    });
+    };
+    soc.manager().setDagObserver(observer);
     for (AppId app : parseMix("CDL")) {
         pool.push_back(buildApp(app));
         soc.manager().submitDag(pool.back().get(), 0);

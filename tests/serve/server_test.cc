@@ -317,7 +317,8 @@ TEST(ServeDriverTest, PooledRunMatchesFreshBuilds)
     for (const QosClassConfig &cls : config.classes)
         soc_config.qosClassNames.push_back(cls.name);
     Soc soc(soc_config);
-    soc.manager().setDagCompletionHandler([](Dag *) {});
+    DagObserver ignore;
+    soc.manager().setDagObserver(ignore);
     std::vector<DagPtr> dags(driver.requests().size());
     for (const ServeRequest &request : driver.requests()) {
         soc.sim().at(request.arrival, HostCat::Serve, [&] {

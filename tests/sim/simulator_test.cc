@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "sim/periodic_service.hh"
 #include "sim/simulator.hh"
 #include "sim/ticks.hh"
 
@@ -83,6 +86,65 @@ TEST(SimObjectTest, ExposesNameAndTime)
     sim.at(33, [] {});
     sim.run();
     EXPECT_EQ(obj.now(), 33u);
+}
+
+/** Counts its ticks and keeps the last one's time. */
+struct TickCounter : PeriodicService
+{
+    TickCounter(Simulator &sim, Tick period)
+        : PeriodicService(sim, "counter", period, HostCat::Other,
+                          "test.tick")
+    {
+    }
+
+    void onTick() override
+    {
+        ++ticks;
+        last = now();
+    }
+
+    int ticks = 0;
+    Tick last = 0;
+};
+
+TEST(PeriodicServiceTest, ServicesSharingALivenessStopTogether)
+{
+    // Under the default rule ("events pending"), two services see each
+    // other's wakeup pending and keep ticking long after the workload's
+    // one event: only the run limit stops them.
+    {
+        Simulator sim;
+        TickCounter a(sim, fromUs(10.0));
+        TickCounter b(sim, fromUs(15.0));
+        sim.at(fromUs(95.0), [] {}, "workload");
+        a.start();
+        b.start();
+        sim.run(fromMs(1.0));
+        EXPECT_GE(std::min(a.last, b.last), fromMs(1.0) - fromUs(15.0));
+        EXPECT_FALSE(sim.events().empty());
+    }
+
+    // A driver's liveness, set once, stops both within one period of
+    // its turning false at 95 us.
+    struct Driver : Liveness
+    {
+        bool alive() const override { return working; }
+        bool working = true;
+    } driver;
+    Simulator sim;
+    sim.setLiveness(&driver);
+    TickCounter a(sim, fromUs(10.0));
+    TickCounter b(sim, fromUs(15.0));
+    sim.at(fromUs(95.0), [&driver] { driver.working = false; }, "done");
+    a.start();
+    b.start();
+    Tick end = sim.run(fromMs(1.0));
+    EXPECT_EQ(a.last, fromUs(100.0)); // 0, 10, ..., 100 us
+    EXPECT_EQ(a.ticks, 11);
+    EXPECT_EQ(b.last, fromUs(105.0)); // 0, 15, ..., 105 us
+    EXPECT_EQ(b.ticks, 8);
+    EXPECT_EQ(end, fromUs(105.0));
+    EXPECT_TRUE(sim.events().empty());
 }
 
 } // namespace

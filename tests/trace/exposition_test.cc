@@ -154,10 +154,14 @@ TEST(ExpositionTest, LivenessPredicateStopsRepublishing)
     ExpositionConfig config;
     config.period = fromMs(1.0);
     StatExposition expo(f.sim, f.stats, config);
-    bool alive = true;
-    expo.setLiveness([&alive] { return alive; });
+    struct Flag : Liveness
+    {
+        bool alive() const override { return value; }
+        bool value = true;
+    } alive;
+    f.sim.setLiveness(&alive);
 
-    f.sim.at(fromMs(1.5), [&alive] { alive = false; }, "test.kill");
+    f.sim.at(fromMs(1.5), [&alive] { alive.value = false; }, "test.kill");
     expo.start();
     f.sim.run(fromMs(100.0));
 
